@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
+	"sync/atomic"
 )
 
 // Op is an action operator.
@@ -166,11 +167,14 @@ func (p *Principal) String() string {
 }
 
 // Set is the full annotation set of one function or function-pointer
-// type: an optional principal spec plus ordered pre and post actions.
+// type: an optional principal spec plus ordered pre and post actions. A
+// set is immutable once parsed.
 type Set struct {
 	Principal Principal
 	Pre       []*Action
 	Post      []*Action
+
+	hash atomic.Uint64 // memoized Hash; 0 until first computed
 }
 
 // Empty reports whether the set carries no annotations at all.
@@ -199,10 +203,23 @@ func (s *Set) String() string {
 
 // Hash returns the stable annotation hash ("ahash" in §4.1) used to
 // compare a function's annotations against a function-pointer type's
-// annotations at indirect call sites.
+// annotations at indirect call sites. It is computed on first use and
+// memoized, so the indirect-call checks pay one load per set.
 func (s *Set) Hash() uint64 {
+	if s == nil {
+		return hashString("")
+	}
+	if h := s.hash.Load(); h != 0 {
+		return h
+	}
+	h := hashString(s.String())
+	s.hash.Store(h)
+	return h
+}
+
+func hashString(str string) uint64 {
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(s.String()))
+	_, _ = h.Write([]byte(str))
 	return h.Sum64()
 }
 

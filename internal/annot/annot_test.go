@@ -220,6 +220,23 @@ func TestHashStability(t *testing.T) {
 	}
 }
 
+// TestHashMemoized: the ahash is computed once per set; repeating it (as
+// every module-writable indirect call does) allocates nothing.
+func TestHashMemoized(t *testing.T) {
+	s := MustParse("principal(dev) pre(transfer(skb_caps(skb))) post(if (return == 0) copy(write, buf, len))")
+	want := hashString(s.String())
+	if s.Hash() != want {
+		t.Fatalf("Hash() = %#x, want the hash of the canonical form %#x", s.Hash(), want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Hash() }); allocs != 0 {
+		t.Fatalf("repeated Hash() allocates %.1f times, want 0", allocs)
+	}
+	var none *Set
+	if none.Hash() != MustParse("").Hash() {
+		t.Fatal("a nil set must hash like an empty one")
+	}
+}
+
 func TestIdents(t *testing.T) {
 	s := MustParse("principal(dev) pre(transfer(skb_caps(skb))) " +
 		"post(if (return == 0) copy(write, buf, len))")

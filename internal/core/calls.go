@@ -401,14 +401,11 @@ func (t *Thread) dispatch(target mem.Addr, ft *FPtrType, args []uint64) (uint64,
 		// RegisterUserFuncAt).
 		return 0, fmt.Errorf("core: kernel oops: indirect call to invalid address %#x", uint64(target))
 	}
-	return t.dispatchFn(fn, nil, ft, args)
+	return t.dispatchFn(fn, ft, args)
 }
 
-// dispatchFn is dispatch past target resolution. m, when non-nil, is a
-// pre-resolved module for fn (the IndGate slot cache supplies it); the
-// entry protocol revalidates it, so a generation staled by a reload is
-// still redirected correctly.
-func (t *Thread) dispatchFn(fn *FuncDecl, m *Module, ft *FPtrType, args []uint64) (uint64, error) {
+// dispatchFn is dispatch past target resolution.
+func (t *Thread) dispatchFn(fn *FuncDecl, ft *FPtrType, args []uint64) (uint64, error) {
 	switch {
 	case fn.IsUser():
 		// The kernel jumping to user-mapped code: the exploit payload runs
@@ -426,20 +423,15 @@ func (t *Thread) dispatchFn(fn *FuncDecl, m *Module, ft *FPtrType, args []uint64
 	case fn.IsKernel():
 		return t.callKernelDecl(fn, args)
 	default:
+		// Enter through the declaration's own generation. While a reload
+		// replaces it, the entry protocol parks the crossing there and
+		// follows the successor only once CompleteReload publishes it,
+		// capabilities migrated. A by-name lookup would find the fresh
+		// generation as soon as it loads and run it before the migration,
+		// without the old generation's capabilities.
+		m := fn.owner
 		if m == nil {
-			var ok bool
-			m, ok = t.Sys.Module(fn.Module)
-			if !ok {
-				// Mid-reload window: the old generation is retired and the
-				// fresh one not yet published. The owning module object is
-				// still reachable from the declaration; the entry protocol
-				// parks the crossing there until the reload resolves, so
-				// no in-flight crossing is dropped.
-				if fn.owner == nil {
-					return 0, fmt.Errorf("core: function %s belongs to unloaded module", fn)
-				}
-				m = fn.owner
-			}
+			return 0, fmt.Errorf("core: function %s belongs to unloaded module", fn)
 		}
 		// Apply the *slot type's* parameter names if the function carries
 		// none (annotation propagation already guaranteed hash equality).
@@ -479,7 +471,7 @@ func (t *Thread) indirectCallGate(g *IndGate, slot mem.Addr, args []uint64) (uin
 			t.Sys.Mon.Stats.IndCallAll.Add(1)
 			t.Sys.Mon.Stats.IndCacheHits.Add(1)
 		}
-		return t.dispatchFn(e.fn, e.m, g.ft, args)
+		return t.dispatchFn(e.fn, g.ft, args)
 	}
 
 	if enforcing {
@@ -496,14 +488,8 @@ func (t *Thread) indirectCallGate(g *IndGate, slot mem.Addr, args []uint64) (uin
 	if !ok {
 		return 0, fmt.Errorf("core: kernel oops: indirect call to invalid address %#x", uint64(target))
 	}
-	e := &indCacheEnt{slot: slot, target: target, epoch: epoch, enforcing: enforcing, fn: fn}
-	if !fn.IsKernel() && !fn.IsUser() {
-		if m, ok := t.Sys.Module(fn.Module); ok {
-			e.m = m
-		}
-	}
-	g.cache[idx].Store(e)
-	return t.dispatchFn(fn, e.m, g.ft, args)
+	g.cache[idx].Store(&indCacheEnt{slot: slot, target: target, epoch: epoch, enforcing: enforcing, fn: fn})
+	return t.dispatchFn(fn, g.ft, args)
 }
 
 // CallAddr is the module-side indirect call: module code invoking a
@@ -539,12 +525,9 @@ func (t *Thread) callAddrFT(target mem.Addr, ft *FPtrType, args []uint64) (uint6
 	if fn.IsKernel() {
 		return t.callKernelDecl(fn, args)
 	}
-	if m, ok := t.Sys.Module(fn.Module); ok {
-		return t.callModuleDecl(m, fn, args)
-	}
 	if fn.owner != nil {
-		// Mid-reload window: park at the old generation's gate (the
-		// entry protocol redirects once the successor is published).
+		// The declaration's own generation, for the reason dispatchFn
+		// gives.
 		return t.callModuleDecl(fn.owner, fn, args)
 	}
 	return 0, fmt.Errorf("core: cannot dispatch %s", fn)

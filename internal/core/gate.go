@@ -199,7 +199,6 @@ type indCacheEnt struct {
 	epoch     uint64
 	enforcing bool
 	fn        *FuncDecl
-	m         *Module // pre-resolved module for module targets (may be nil)
 }
 
 // BindIndirect resolves a registered function-pointer type into an

@@ -7,11 +7,15 @@
 // through mediated accessors (see internal/core). The address space uses
 // the familiar Linux x86-64 split: low addresses are user space, high
 // canonical addresses are kernel space.
+//
+// Pages are mapped once and never unmapped. Loads and stores walk the page
+// table without taking a lock; only Map, which adds pages, serializes.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -66,25 +70,109 @@ func (e *AccessError) Error() string {
 
 // AddressSpace is a sparse, page-granular simulated address space.
 //
-// The page table (the map from page base to backing bytes) is safe for
-// concurrent use: simulated kernel threads now run on their own
-// goroutines, so mapping and access may race. Byte-level access to the
-// *contents* of a page is deliberately not serialized — overlapping
-// unsynchronized writes from two simulated threads are a data race in
-// the simulated kernel exactly as they would be on real hardware, and
-// the race detector will report them as such.
+// The page table is insert-only: Map publishes pages and nothing ever
+// removes them. Lookups take no lock, the way an MMU walks the page table
+// without one, so loads and stores from concurrent simulated threads do
+// not contend on shared state. Map is the only writer and serializes on
+// mu. Because a published page stays published, a lookup is trivially
+// linearizable: it sees every page whose Map completed before it began.
+//
+// Byte-level access to the *contents* of a page is deliberately not
+// serialized — overlapping unsynchronized writes from two simulated
+// threads are a data race in the simulated kernel exactly as they would
+// be on real hardware, and the race detector will report them as such.
 type AddressSpace struct {
-	mu    sync.RWMutex
-	pages map[Addr][]byte // keyed by page base address
+	dir atomic.Pointer[pageDir]
+	mu  sync.Mutex // serializes Map
 
 	// faults counts page faults (accesses to unmapped pages); exploits
 	// and tests use this to observe oopses.
 	faults atomic.Uint64
 }
 
+type page = [PageSize]byte
+
+// A leaf maps leafPages consecutive pages; each slot is set once, by Map.
+// Leaves are small so a sparse region costs little beyond its pages.
+const (
+	leafShift = 5
+	leafPages = 1 << leafShift
+)
+
+type leaf struct {
+	num   uint64 // page number >> leafShift
+	pages [leafPages]atomic.Pointer[page]
+}
+
+// pageDir is an immutable open-addressing hash table of leaves keyed by
+// leaf number, at most half full. Map publishes a new copy whenever it
+// adds leaves; existing leaves are shared between copies.
+type pageDir struct {
+	slots []*leaf // len is a power of two
+	shift uint    // 64 - log2(len(slots))
+	n     int     // leaves held
+}
+
+func newPageDir(size int) *pageDir {
+	return &pageDir{slots: make([]*leaf, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+}
+
+// home is the slot a leaf's probe starts at (Fibonacci hashing: the top
+// bits of the leaf number times 2^64/φ).
+func (d *pageDir) home(num uint64) uint64 { return (num * 0x9e3779b97f4a7c15) >> d.shift }
+
+// find returns the leaf numbered num, or nil.
+func (d *pageDir) find(num uint64) *leaf {
+	mask := uint64(len(d.slots) - 1)
+	for i := d.home(num); ; i = (i + 1) & mask {
+		if l := d.slots[i]; l == nil || l.num == num {
+			return l
+		}
+	}
+}
+
+func (d *pageDir) put(l *leaf) {
+	mask := uint64(len(d.slots) - 1)
+	i := d.home(l.num)
+	for d.slots[i] != nil {
+		i = (i + 1) & mask
+	}
+	d.slots[i] = l
+	d.n++
+}
+
+// with returns a copy of d that also holds the fresh leaves.
+func (d *pageDir) with(fresh []*leaf) *pageDir {
+	size := len(d.slots)
+	for size < 2*(d.n+len(fresh)) {
+		size *= 2
+	}
+	nd := newPageDir(size)
+	for _, l := range d.slots {
+		if l != nil {
+			nd.put(l)
+		}
+	}
+	for _, l := range fresh {
+		nd.put(l)
+	}
+	return nd
+}
+
+// lookup returns the page containing a, or nil if it is not mapped.
+func (d *pageDir) lookup(a Addr) *page {
+	pn := uint64(a) >> PageShift
+	if l := d.find(pn >> leafShift); l != nil {
+		return l.pages[pn&(leafPages-1)].Load()
+	}
+	return nil
+}
+
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{pages: make(map[Addr][]byte)}
+	as := &AddressSpace{}
+	as.dir.Store(newPageDir(8))
+	return as
 }
 
 // Map ensures that all pages covering [addr, addr+size) are present and
@@ -95,53 +183,34 @@ func (as *AddressSpace) Map(addr Addr, size uint64) {
 	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	first := PageBase(addr)
-	last := PageBase(addr + Addr(size) - 1)
-	for p := first; ; p += PageSize {
-		if _, ok := as.pages[p]; !ok {
-			as.pages[p] = make([]byte, PageSize)
+	d := as.dir.Load()
+	// Leaves new to this call fill up privately and are published with
+	// one directory swap at the end.
+	var fresh []*leaf
+	first := uint64(addr) >> PageShift
+	last := uint64(addr+Addr(size)-1) >> PageShift
+	for pn := first; ; pn++ {
+		num := pn >> leafShift
+		l := d.find(num)
+		if l == nil {
+			// Page numbers ascend, so a fresh leaf for num is the last one.
+			if n := len(fresh); n > 0 && fresh[n-1].num == num {
+				l = fresh[n-1]
+			} else {
+				l = &leaf{num: num}
+				fresh = append(fresh, l)
+			}
 		}
-		if p == last {
+		if slot := &l.pages[pn&(leafPages-1)]; slot.Load() == nil {
+			slot.Store(new(page))
+		}
+		if pn == last {
 			break
 		}
 	}
-}
-
-// Unmap removes all pages fully covered by [addr, addr+size).
-func (as *AddressSpace) Unmap(addr Addr, size uint64) {
-	if size == 0 {
-		return
+	if len(fresh) > 0 {
+		as.dir.Store(d.with(fresh))
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	first := PageBase(addr)
-	last := PageBase(addr + Addr(size) - 1)
-	for p := first; ; p += PageSize {
-		delete(as.pages, p)
-		if p == last {
-			break
-		}
-	}
-}
-
-// Mapped reports whether every page covering [addr, addr+size) is mapped.
-func (as *AddressSpace) Mapped(addr Addr, size uint64) bool {
-	if size == 0 {
-		return true
-	}
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	first := PageBase(addr)
-	last := PageBase(addr + Addr(size) - 1)
-	for p := first; ; p += PageSize {
-		if _, ok := as.pages[p]; !ok {
-			return false
-		}
-		if p == last {
-			break
-		}
-	}
-	return true
 }
 
 // Faults returns the number of page faults taken so far.
@@ -158,47 +227,45 @@ func (as *AddressSpace) Write(addr Addr, data []byte) error {
 }
 
 func (as *AddressSpace) access(op string, addr Addr, buf []byte, write bool) error {
-	n := uint64(len(buf))
-	if n == 0 {
-		return nil
-	}
-	// The read lock pins the page table (no Unmap mid-copy); page
-	// contents are intentionally unserialized, see the type comment.
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	off := 0
-	a := addr
-	for off < len(buf) {
-		page, ok := as.pages[PageBase(a)]
-		if !ok {
+	d := as.dir.Load()
+	for off := 0; off < len(buf); {
+		a := addr + Addr(off)
+		p := d.lookup(a)
+		if p == nil {
 			as.faults.Add(1)
-			return &AccessError{Op: op, Addr: a, Size: n}
-		}
-		po := int(a & PageMask)
-		chunk := PageSize - po
-		if rem := len(buf) - off; chunk > rem {
-			chunk = rem
+			return &AccessError{Op: op, Addr: a, Size: uint64(len(buf))}
 		}
 		if write {
-			copy(page[po:po+chunk], buf[off:off+chunk])
+			off += copy(p[a&PageMask:], buf[off:])
 		} else {
-			copy(buf[off:off+chunk], page[po:po+chunk])
+			off += copy(buf[off:], p[a&PageMask:])
 		}
-		off += chunk
-		a += Addr(chunk)
 	}
 	return nil
 }
 
+// zeroPage and poisonPage are the static sources Zero and Slab.Free
+// copy from; both are only ever read.
+var (
+	zeroPage   page
+	poisonPage = func() (p page) {
+		for i := range p {
+			p[i] = Poison
+		}
+		return p
+	}()
+)
+
 // Zero fills [addr, addr+size) with zero bytes.
 func (as *AddressSpace) Zero(addr Addr, size uint64) error {
-	var zeros [PageSize]byte
+	return as.fill(addr, size, &zeroPage)
+}
+
+// fill writes [addr, addr+size) from src, a page at a time.
+func (as *AddressSpace) fill(addr Addr, size uint64, src *page) error {
 	for size > 0 {
-		chunk := uint64(PageSize)
-		if size < chunk {
-			chunk = size
-		}
-		if err := as.Write(addr, zeros[:chunk]); err != nil {
+		chunk := min(size, PageSize)
+		if err := as.Write(addr, src[:chunk]); err != nil {
 			return err
 		}
 		addr += Addr(chunk)

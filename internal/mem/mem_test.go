@@ -3,6 +3,8 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -364,5 +366,134 @@ func TestSlabStats(t *testing.T) {
 	}
 	if s.Live() != 1 {
 		t.Fatalf("live = %d", s.Live())
+	}
+}
+
+// TestSlabFreePoisonsWithoutAllocating: freed memory of every class
+// reads back Poison, and a warm Alloc/Free pair allocates nothing on the
+// Go heap (Free poisons from a static page rather than a fresh buffer).
+func TestSlabFreePoisonsWithoutAllocating(t *testing.T) {
+	as, s := newSlab()
+	for _, size := range []uint64{8, 2048, 4096, 3 * PageSize} {
+		a, err := s.Alloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Free(a); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := as.ReadBytes(a, SizeClassFor(size))
+		if n := bytes.Count(b, []byte{Poison}); n != len(b) {
+			t.Fatalf("size %d: %d of %d bytes poisoned", size, n, len(b))
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		a, err := s.Alloc(2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Free(a); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Alloc+Free allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestConcurrentMapAndAccess: readers walk the page table while a writer
+// maps and stamps new pages (and new leaves) under them. Every page a
+// reader was told about is mapped and keeps its data; a page nobody maps
+// faults, and the fault is counted. Run under -race.
+func TestConcurrentMapAndAccess(t *testing.T) {
+	as := NewAddressSpace()
+	const (
+		readers = 3
+		pages   = 4 * leafPages * 8
+	)
+	// published[i] is set once page i is mapped and stamped.
+	var published [pages]atomic.Bool
+	never := KernelHeap + Addr(2*pages)*PageSize
+	var wg sync.WaitGroup
+	var faults atomic.Uint64
+	done := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				i := (n*7 + r) % pages
+				a := KernelHeap + Addr(i)*PageSize
+				if published[i].Load() {
+					v, err := as.ReadU64(a)
+					if err != nil || v != uint64(i)+1 {
+						t.Errorf("page %d: read %d, %v", i, v, err)
+						return
+					}
+				}
+				if n%64 == 0 {
+					if _, err := as.ReadU64(never); err == nil {
+						t.Error("read of a never-mapped page succeeded")
+						return
+					}
+					faults.Add(1)
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < pages; i++ {
+		a := KernelHeap + Addr(i)*PageSize
+		as.Map(a, PageSize)
+		if err := as.WriteU64(a, uint64(i)+1); err != nil {
+			t.Fatal(err)
+		}
+		published[i].Store(true)
+	}
+	close(done)
+	wg.Wait()
+	if faults.Load() == 0 {
+		t.Fatal("no reader probed the unmapped page")
+	}
+	if got := as.Faults(); got != faults.Load() {
+		t.Fatalf("Faults() = %d, want the %d faulting reads", got, faults.Load())
+	}
+}
+
+// TestPageTableSparse: mapping pages in far-apart regions costs one small
+// leaf per region, not a table sized by the address range.
+func TestPageTableSparse(t *testing.T) {
+	as := NewAddressSpace()
+	bases := []Addr{0, UserText, UserHeap, KernelHeap, KernelText, ModuleText, ^Addr(0) &^ PageMask}
+	for i, b := range bases {
+		as.Map(b, PageSize)
+		if err := as.WriteU64(b+8, uint64(i)); err != nil {
+			t.Fatalf("region %#x: %v", uint64(b), err)
+		}
+	}
+	// A range that straddles two leaves.
+	straddle := KernelHeap + (leafPages-1)*PageSize
+	as.Map(straddle, 2*PageSize)
+	if err := as.Write(straddle+PageSize-4, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range bases {
+		if v, err := as.ReadU64(b + 8); err != nil || v != uint64(i) {
+			t.Fatalf("region %#x: %d, %v", uint64(b), v, err)
+		}
+	}
+	d := as.dir.Load()
+	if d.n != len(bases)+1 {
+		t.Fatalf("%d leaves for %d regions plus one straddled boundary", d.n, len(bases))
+	}
+	if len(d.slots) > 4*d.n {
+		t.Fatalf("directory has %d slots for %d leaves", len(d.slots), d.n)
+	}
+	if _, err := as.ReadU64(KernelHeap + leafPages*PageSize*4); err == nil {
+		t.Fatal("unmapped page inside the address range read back")
 	}
 }

@@ -21,7 +21,7 @@ func init() {
 // (CVE-2010-2959) depends on an undersized buffer sitting directly next
 // to a victim shmid_kernel object in the same slab.
 type Slab struct {
-	mu       sync.Mutex // guards all allocator state (lock order: Slab.mu before AddressSpace.mu)
+	mu       sync.Mutex // guards all allocator state (lock order: Slab.mu before the AddressSpace's Map lock)
 	as       *AddressSpace
 	heapNext Addr // next fresh page to carve (bump allocated)
 
@@ -45,6 +45,10 @@ type sizeClass struct {
 	nextSlot Addr // next never-used slot in the current page, 0 if none
 	slotsRem int  // unused slots remaining in current page
 }
+
+// Poison is the byte Free fills a released object with (SLUB's
+// POISON_FREE), so a use-after-free reads recognizable garbage.
+const Poison = 0x6b
 
 // SizeClasses are the kmalloc size classes of the simulated kernel.
 var SizeClasses = []uint64{8, 16, 32, 64, 96, 128, 192, 256, 512, 1024, 2048, 4096}
@@ -136,8 +140,8 @@ func (s *Slab) Alloc(size uint64) (Addr, error) {
 }
 
 // Free releases the object at base address addr.
-// The object's memory is poisoned (0x6b, like SLUB poisoning) so that
-// use-after-free is observable in tests.
+// The object's memory is poisoned with Poison so that use-after-free is
+// observable in tests.
 func (s *Slab) Free(addr Addr) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -147,11 +151,7 @@ func (s *Slab) Free(addr Addr) error {
 	}
 	delete(s.objects, addr)
 	s.frees++
-	poison := make([]byte, info.class)
-	for i := range poison {
-		poison[i] = 0x6b
-	}
-	if err := s.as.Write(addr, poison); err != nil {
+	if err := s.as.fill(addr, info.class, &poisonPage); err != nil {
 		return err
 	}
 	if info.class > 4096 {

@@ -42,8 +42,17 @@ type chaosRig struct {
 	tmp  mem.Addr // tmpfs superblock
 	mnx  mem.Addr // minix superblock
 	stop chan struct{}
+	halt sync.Once
 	wg   sync.WaitGroup
 	ops  atomic.Uint64 // successful worker operations
+}
+
+// stopWorkers stops the traffic workers and waits for them. A failing
+// run calls it too, so no worker outlives the test and fires a later
+// test's one-shot failpoint.
+func (r *chaosRig) stopWorkers() {
+	r.halt.Do(func() { close(r.stop) })
+	r.wg.Wait()
 }
 
 func bootChaos(t *testing.T) *chaosRig {
@@ -78,7 +87,10 @@ func bootChaos(t *testing.T) *chaosRig {
 
 // fsWorker hammers one mount with create/write/read/unlink rounds. All
 // errors are tolerated — injected faults and quarantine windows make
-// them routine — but successful rounds are counted.
+// them routine — but successful rounds are counted. Every round ends
+// with an unlink, even after a failed create: a name whose write, read
+// or unlink hit an injected fault must not stay taken, or creates (and
+// the iget crossings the panic rounds aim at) would stop for good.
 func (r *chaosRig) fsWorker(name string, sb mem.Addr) {
 	defer r.wg.Done()
 	th := r.ld.BC.K.Sys.NewThread(name)
@@ -91,18 +103,16 @@ func (r *chaosRig) fsWorker(name string, sb mem.Addr) {
 		default:
 		}
 		path := fmt.Sprintf("/%s-%d", name, i%4)
-		if _, err := v.Create(th, sb, path); err != nil {
-			continue
+		ok := false
+		if _, err := v.Create(th, sb, path); err == nil {
+			if _, err := v.Write(th, sb, path, 0, data); err == nil {
+				got, err := v.Read(th, sb, path, 0, 512)
+				ok = err == nil && bytes.Equal(got, data)
+			}
 		}
-		if _, err := v.Write(th, sb, path, 0, data); err != nil {
-			continue
+		if err := v.Unlink(th, sb, path); err == nil && ok {
+			r.ops.Add(1)
 		}
-		got, err := v.Read(th, sb, path, 0, 512)
-		if err != nil || !bytes.Equal(got, data) {
-			continue
-		}
-		_ = v.Unlink(th, sb, path)
-		r.ops.Add(1)
 	}
 }
 
@@ -168,6 +178,7 @@ func TestChaosBattery(t *testing.T) {
 	dumpBefore := coredump.Snapshot(sys, coredump.Options{Reason: "chaos: before", VFS: r.ld.BC.FS})
 
 	r.wg.Add(4)
+	defer r.stopWorkers()
 	go r.fsWorker("tmp", r.tmp)
 	go r.fsWorker("mnx", r.mnx)
 	go r.netWorker()
@@ -214,18 +225,22 @@ func TestChaosBattery(t *testing.T) {
 		if !fired {
 			t.Fatalf("round %d (arg %q): panic never fired under traffic", round, arg)
 		}
+		// The violation is logged before the supervisor hears of the
+		// death, so wait for the restart itself, not just for an idle
+		// supervisor.
+		for deadline := time.Now().Add(10 * time.Second); r.sup.Restarts() <= restarts; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: module died but no restart happened", round)
+			}
+		}
 		if !r.sup.WaitIdle(10 * time.Second) {
 			t.Fatalf("round %d: recovery not bounded", round)
-		}
-		if r.sup.Restarts() <= restarts {
-			t.Fatalf("round %d: module died but no restart happened", round)
 		}
 	}
 
 	// Stop the workers and verify they made real progress through the
 	// storms.
-	close(r.stop)
-	r.wg.Wait()
+	r.stopWorkers()
 	if r.ops.Load() == 0 {
 		t.Fatal("no worker operation ever succeeded")
 	}

@@ -159,9 +159,9 @@ type Driver struct {
 	// PciDev is the bound PCI device.
 	PciDev mem.Addr
 
-	ring   mem.Addr // TX descriptor ring (kmalloc'd, module-owned)
-	rxArr  mem.Addr // RX batch skb-pointer array (kmalloc'd, module-owned)
-	txHead uint64
+	ring   mem.Addr      // TX descriptor ring (kmalloc'd, module-owned)
+	rxArr  mem.Addr      // RX batch skb-pointer array (kmalloc'd, module-owned)
+	txHead atomic.Uint64 // descriptors claimed; xmits on two threads claim different slots
 	opened bool
 }
 
@@ -306,14 +306,13 @@ func (d *Driver) txOne(t *core.Thread, skb mem.Addr) bool {
 	length, _ := t.ReadU64(st.SkbField(skb, "len"))
 
 	// Write the descriptor through the capability system.
-	slot := d.ring + mem.Addr((d.txHead%TxRingEntries)*descSize)
+	slot := d.ring + mem.Addr(((d.txHead.Add(1)-1)%TxRingEntries)*descSize)
 	if err := t.WriteU64(slot, data); err != nil {
 		return false
 	}
 	if err := t.WriteU64(slot+8, length); err != nil {
 		return false
 	}
-	d.txHead++
 
 	// "DMA": the NIC reads the payload and puts the frame on the wire.
 	frame, err := t.ReadBytes(mem.Addr(data), length)

@@ -492,11 +492,8 @@ func GuardCosts() (*GuardCostSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	ops, _ := rig.K.Sys.AS.ReadU64(rig.Stack.DevField(rig.Drv.Dev, "ops"))
-	slowSlot := rig.Stack.OpsSlot(mem.Addr(ops), "ndo_open")
-	fastSlot := rig.K.Sys.Statics.Alloc(8, 8)
-	target, _ := rig.K.Sys.AS.ReadU64(slowSlot)
-	if err := rig.K.Sys.AS.WriteU64(fastSlot, target); err != nil {
+	fastSlot, slowSlot, err := rig.NdoOpenSlots()
+	if err != nil {
 		return nil, err
 	}
 	timeInd := func(slot mem.Addr) (float64, error) {
@@ -519,6 +516,24 @@ func GuardCosts() (*GuardCostSet, error) {
 	out.IndCallFastNs = max0(fast - emptyOn)
 	out.IndCallSlowNs = max0(slow - emptyOn)
 	return out, nil
+}
+
+// NdoOpenSlots returns two function-pointer slots that both point at the
+// driver's ndo_open: slow is the module-writable slot in the driver's ops
+// table, which takes the slow indirect-call check; fast is a fresh kernel
+// static no module can write, which skips it.
+func (r *Rig) NdoOpenSlots() (fast, slow mem.Addr, err error) {
+	ops, err := r.K.Sys.AS.ReadU64(r.Stack.DevField(r.Drv.Dev, "ops"))
+	if err != nil {
+		return 0, 0, err
+	}
+	slow = r.Stack.OpsSlot(mem.Addr(ops), "ndo_open")
+	fast = r.K.Sys.Statics.Alloc(8, 8)
+	target, err := r.K.Sys.AS.ReadU64(slow)
+	if err != nil {
+		return 0, 0, err
+	}
+	return fast, slow, r.K.Sys.AS.WriteU64(fast, target)
 }
 
 func max0(v float64) float64 {

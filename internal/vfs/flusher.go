@@ -163,7 +163,7 @@ func (v *VFS) FlushAged(t *core.Thread) {
 			mnt.mu.Unlock()
 			continue
 		}
-		keys := v.dirtyKeysOf(mnt.sb, true, tick)
+		keys := v.dirtyKeysOf(mnt, true, tick)
 		if len(keys) > 0 {
 			v.Stats.FlushWrites.Add(uint64(len(keys)))
 			// Errors stay dirty and will be retried next pass; a module

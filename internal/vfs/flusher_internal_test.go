@@ -13,7 +13,7 @@ import (
 // fixed tick.
 func TestFlusherAdaptiveInterval(t *testing.T) {
 	v := &VFS{
-		pages:     make(map[pageKey]mem.Addr),
+		pages:     make(map[pageKey]*pageEnt),
 		dirty:     make(map[pageKey]bool),
 		flushKick: make(chan struct{}, 1),
 	}
@@ -27,7 +27,7 @@ func TestFlusherAdaptiveInterval(t *testing.T) {
 	v.pageBudget = 10
 	for i := 0; i < 6; i++ {
 		key := pageKey{ino: mem.Addr(0x1000 + i), idx: 0}
-		v.pages[key] = mem.Addr(0x100000 + i*mem.PageSize)
+		v.pages[key] = &pageEnt{key: key, pg: mem.Addr(0x100000 + i*mem.PageSize)}
 		v.dirty[key] = true
 	}
 	want := base
@@ -69,12 +69,12 @@ func TestFlusherAdaptiveInterval(t *testing.T) {
 // population otherwise.
 func TestDirtyFractionDenominator(t *testing.T) {
 	v := &VFS{
-		pages: make(map[pageKey]mem.Addr),
+		pages: make(map[pageKey]*pageEnt),
 		dirty: make(map[pageKey]bool),
 	}
 	for i := 0; i < 4; i++ {
 		key := pageKey{ino: mem.Addr(i), idx: 0}
-		v.pages[key] = mem.Addr(0x1000 * (i + 1))
+		v.pages[key] = &pageEnt{key: key, pg: mem.Addr(0x1000 * (i + 1))}
 		if i < 2 {
 			v.dirty[key] = true
 		}

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"container/list"
 	"fmt"
 	"sort"
 
@@ -13,6 +14,17 @@ import (
 type pageKey struct {
 	ino mem.Addr
 	idx uint64
+}
+
+// pageEnt is one page-cache entry; its fields are set at insert.
+type pageEnt struct {
+	key pageKey
+	pg  mem.Addr
+	// mnt is the owning mount, recorded while the inserting thread held
+	// its lock. Eviction and writeback find the owner here rather than in
+	// the inode, which another mount's thread may be freeing.
+	mnt *mount
+	lru *list.Element // position in VFS.lru; Value is this entry
 }
 
 // SetPageBudget caps the number of cached pages (0 = unlimited).
@@ -38,131 +50,136 @@ func (v *VFS) PageBudget() int {
 // on every insert. Dirty victims go through writeback, so the caller's
 // thread crosses into the owning modules. The caller must hold no mount
 // lock (victim mounts are locked as needed).
-func (v *VFS) ShrinkToBudget(t *core.Thread) { v.evictForBudget(t, nil) }
+func (v *VFS) ShrinkToBudget(t *core.Thread) { v.evictForBudget(t, nil, pageKey{}) }
 
-// touchPage marks a page most-recently used. Caller holds pageMu.
-func (v *VFS) touchPage(key pageKey) {
-	if e, ok := v.lruPos[key]; ok {
-		v.lru.MoveToBack(e)
-	}
+// insertPage records a fresh page of mnt in the cache, then applies the
+// budget, sparing the new page: the caller is about to use it. Caller
+// holds mnt.mu but not pageMu.
+func (v *VFS) insertPage(t *core.Thread, mnt *mount, key pageKey, pg mem.Addr) {
+	v.cachePage(mnt, key, pg)
+	v.evictForBudget(t, mnt, key)
 }
 
-// insertPage records a fresh page in the cache and the LRU list, then
-// applies the budget. Caller holds holder.mu but not pageMu.
-func (v *VFS) insertPage(t *core.Thread, holder *mount, key pageKey, pg mem.Addr) {
+// cachePage adds a page to the index as the most recently used. Caller
+// holds mnt.mu but not pageMu.
+func (v *VFS) cachePage(mnt *mount, key pageKey, pg mem.Addr) {
+	e := &pageEnt{key: key, pg: pg, mnt: mnt}
 	v.pageMu.Lock()
-	v.pages[key] = pg
-	v.lruPos[key] = v.lru.PushBack(key)
+	e.lru = v.lru.PushBack(e)
+	v.pages[key] = e
 	v.pageMu.Unlock()
-	v.evictForBudget(t, holder)
+}
+
+// cachedLocked returns the cached page for key and marks it most
+// recently used. Caller holds pageMu.
+func (v *VFS) cachedLocked(key pageKey) (mem.Addr, bool) {
+	e, ok := v.pages[key]
+	if !ok {
+		return 0, false
+	}
+	v.lru.MoveToBack(e.lru)
+	return e.pg, true
 }
 
 // removePageLocked frees a cached page and drops every index entry for
 // it. Caller holds pageMu.
 func (v *VFS) removePageLocked(key pageKey) {
-	pg, ok := v.pages[key]
+	e, ok := v.pages[key]
 	if !ok {
 		return
 	}
-	_ = v.K.Sys.Slab.Free(pg)
+	_ = v.K.Sys.Slab.Free(e.pg)
 	delete(v.pages, key)
 	delete(v.dirty, key)
 	delete(v.dirtyTick, key)
-	if e, ok := v.lruPos[key]; ok {
-		v.lru.Remove(e)
-		delete(v.lruPos, key)
-	}
+	v.lru.Remove(e.lru)
 }
 
-// evictForBudget walks the LRU end of the cache until it fits the
-// budget. The most-recently inserted page is never a victim — the
-// caller is still using it. Unevictable pages (memory-only mounts,
-// failed writebacks, mounts whose lock another thread holds) are
-// skipped, so the cache can exceed the budget when nothing else
-// remains. holder is the mount whose lock the calling thread already
-// holds (nil when none).
-func (v *VFS) evictForBudget(t *core.Thread, holder *mount) {
-	// skip remembers victims that refused eviction this pass; allocated
-	// lazily so the common unlimited-budget insert pays nothing extra.
-	var skip map[pageKey]bool
-	for {
+// evictForBudget walks the cache from its LRU end until it fits the
+// budget, never evicting keep (the page the caller just inserted).
+// Unevictable pages (memory-only mounts, failed writebacks, mounts whose
+// lock another thread holds) are passed over, so the cache can exceed
+// the budget when nothing else remains. The walk resumes after the last
+// page it tried, so one call tries each page at most once; it ends early
+// if that page left the cache meanwhile. holder is the mount whose lock
+// the calling thread already holds (nil when none).
+func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep pageKey) {
+	var next *pageEnt // the page after the last one tried
+	for first := true; ; first = false {
 		v.pageMu.Lock()
 		if v.pageBudget <= 0 || len(v.pages) <= v.pageBudget {
 			v.pageMu.Unlock()
 			return
 		}
-		var victim pageKey
-		found := false
-		for e := v.lru.Front(); e != nil && e.Next() != nil; e = e.Next() {
-			key := e.Value.(pageKey)
-			if !skip[key] {
-				victim, found = key, true
-				break
-			}
+		var e *list.Element
+		switch {
+		case first:
+			e = v.lru.Front()
+		case next != nil && v.pages[next.key] == next:
+			e = next.lru
 		}
-		v.pageMu.Unlock()
-		if !found {
+		if e != nil && e.Value.(*pageEnt).key == keep {
+			e = e.Next()
+		}
+		if e == nil {
+			v.pageMu.Unlock()
 			return // nothing evictable remains
 		}
-		if !v.evictPage(t, holder, victim) {
-			if skip == nil {
-				skip = make(map[pageKey]bool)
-			}
-			skip[victim] = true
+		victim := e.Value.(*pageEnt)
+		next = nil
+		if n := e.Next(); n != nil {
+			next = n.Value.(*pageEnt)
 		}
+		v.pageMu.Unlock()
+		v.evictPage(t, holder, victim)
 	}
 }
 
 // evictPage tries to reclaim one page: dirty victims are forced through
 // the owning module's writepage first (the REF-capability crossing), so
-// eviction under enforcement exercises the same contract as Sync.
-// Returns false if the page must stay (memory-only mount, dead module,
-// failed writeback, or the owning mount is busy on another thread).
-// Caller holds holder.mu (when holder != nil) and not pageMu.
-func (v *VFS) evictPage(t *core.Thread, holder *mount, key pageKey) bool {
-	as := v.K.Sys.AS
-	owner, _ := as.ReadU64(v.InodeField(key.ino, "sb"))
-	sb := mem.Addr(owner)
-	if flags, _ := as.ReadU64(v.SBField(sb, "flags")); flags&SBMemOnly != 0 {
-		return false
-	}
-	mnt := v.mountOf(sb)
-	if mnt == nil {
-		return false
-	}
+// eviction under enforcement exercises the same contract as Sync. The
+// page stays if its mount is memory-only, dead, or busy on another
+// thread, or if its writeback fails. Caller holds holder.mu (when holder
+// != nil) and not pageMu.
+func (v *VFS) evictPage(t *core.Thread, holder *mount, e *pageEnt) {
+	mnt := e.mnt
 	// Evicting another mount's page needs that mount's lock. TryLock
 	// keeps the lock order acyclic: a thread never *blocks* on a second
 	// mount lock, so two mounts evicting each other's pages cannot
 	// deadlock — one of them just skips the victim.
 	if mnt != holder {
 		if !mnt.mu.TryLock() {
-			return false
+			return
 		}
 		defer mnt.mu.Unlock()
+		if mnt.dead {
+			return
+		}
+	}
+	if flags, _ := v.K.Sys.AS.ReadU64(v.SBField(mnt.sb, "flags")); flags&SBMemOnly != 0 {
+		return
 	}
 	v.pageMu.Lock()
-	pg, cached := v.pages[key]
-	dirty := v.dirty[key]
+	cached, dirty := v.pages[e.key] == e, v.dirty[e.key]
 	v.pageMu.Unlock()
 	if !cached {
-		return true // already gone
+		return
 	}
 	if dirty {
-		if ok, _ := v.writeBackPage(t, mnt, key, pg); !ok {
-			return false // stays dirty; Sync (or a later pass) retries
+		if ok, _ := v.writeBackPage(t, mnt, e.key, e.pg); !ok {
+			return // stays dirty; Sync (or a later pass) retries
 		}
 		v.Stats.EvictWrites.Add(1)
 		mnt.wbForced.Add(1)
 	}
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
-	if cur, ok := v.pages[key]; !ok || cur != pg || v.dirty[key] {
+	if v.pages[e.key] != e || v.dirty[e.key] {
 		// Redirtied or replaced while we crossed; not our victim anymore.
-		return false
+		return
 	}
-	v.removePageLocked(key)
+	v.removePageLocked(e.key)
 	v.Stats.Evictions.Add(1)
-	return true
 }
 
 // writeBackPage pushes one dirty page through the owning module's
@@ -180,7 +197,7 @@ func (v *VFS) writeBackPage(t *core.Thread, mnt *mount, key pageKey, pg mem.Addr
 	}
 	mnt.wbFlushed.Add(1)
 	v.pageMu.Lock()
-	if cur, ok := v.pages[key]; ok && cur == pg {
+	if e, ok := v.pages[key]; ok && e.pg == pg {
 		delete(v.dirty, key)
 		delete(v.dirtyTick, key)
 	}
@@ -196,12 +213,11 @@ func (v *VFS) writeBackPage(t *core.Thread, mnt *mount, key pageKey, pg mem.Addr
 func (v *VFS) getPage(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64) (mem.Addr, error) {
 	key := pageKey{ino, idx}
 	v.pageMu.Lock()
-	if pg, ok := v.pages[key]; ok {
-		v.touchPage(key)
-		v.pageMu.Unlock()
+	pg, ok := v.cachedLocked(key)
+	v.pageMu.Unlock()
+	if ok {
 		return pg, nil
 	}
-	v.pageMu.Unlock()
 	sys := v.K.Sys
 	pg, err := sys.Slab.Alloc(mem.PageSize)
 	if err != nil {
@@ -231,12 +247,11 @@ func (v *VFS) getPage(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64) (mem
 func (v *VFS) allocPage(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64) (mem.Addr, error) {
 	key := pageKey{ino, idx}
 	v.pageMu.Lock()
-	if pg, ok := v.pages[key]; ok {
-		v.touchPage(key)
-		v.pageMu.Unlock()
+	pg, ok := v.cachedLocked(key)
+	v.pageMu.Unlock()
+	if ok {
 		return pg, nil
 	}
-	v.pageMu.Unlock()
 	pg, err := v.K.Sys.Slab.Alloc(mem.PageSize)
 	if err != nil {
 		return 0, err
@@ -350,15 +365,14 @@ func (v *VFS) Write(t *core.Thread, sb mem.Addr, path string, off uint64, data [
 
 // dirtyKeysOf collects the mount's dirty pages, sorted for stable
 // writeback order.
-func (v *VFS) dirtyKeysOf(sb mem.Addr, aged bool, tick uint64) []pageKey {
-	as := v.K.Sys.AS
+func (v *VFS) dirtyKeysOf(mnt *mount, aged bool, tick uint64) []pageKey {
 	v.pageMu.Lock()
 	var keys []pageKey
 	for key := range v.dirty {
 		if aged && v.dirtyTick[key] >= tick {
 			continue
 		}
-		if owner, _ := as.ReadU64(v.InodeField(key.ino, "sb")); mem.Addr(owner) == sb {
+		if e, ok := v.pages[key]; ok && e.mnt == mnt {
 			keys = append(keys, key)
 		}
 	}
@@ -381,13 +395,13 @@ func (v *VFS) syncLocked(t *core.Thread, mnt *mount, keys []pageKey) error {
 	var firstErr error
 	for _, key := range keys {
 		v.pageMu.Lock()
-		pg, ok := v.pages[key]
+		e, ok := v.pages[key]
 		dirty := v.dirty[key]
 		v.pageMu.Unlock()
 		if !ok || !dirty {
 			continue // evicted or cleaned while we flushed its neighbors
 		}
-		if _, err := v.writeBackPage(t, mnt, key, pg); err != nil && firstErr == nil {
+		if _, err := v.writeBackPage(t, mnt, key, e.pg); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -404,7 +418,7 @@ func (v *VFS) Sync(t *core.Thread, sb mem.Addr) (rerr error) {
 		return err
 	}
 	defer mnt.mu.Unlock()
-	return v.syncLocked(t, mnt, v.dirtyKeysOf(sb, false, 0))
+	return v.syncLocked(t, mnt, v.dirtyKeysOf(mnt, false, 0))
 }
 
 // DropCaches evicts every clean page of the mount (sync first to evict
@@ -418,18 +432,14 @@ func (v *VFS) DropCaches(sb mem.Addr) int {
 		return 0
 	}
 	defer mnt.mu.Unlock()
-	as := v.K.Sys.AS
-	if flags, _ := as.ReadU64(v.SBField(sb, "flags")); flags&SBMemOnly != 0 {
+	if flags, _ := v.K.Sys.AS.ReadU64(v.SBField(sb, "flags")); flags&SBMemOnly != 0 {
 		return 0
 	}
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
 	dropped := 0
-	for key := range v.pages {
-		if v.dirty[key] {
-			continue
-		}
-		if owner, _ := as.ReadU64(v.InodeField(key.ino, "sb")); mem.Addr(owner) != sb {
+	for key, e := range v.pages {
+		if e.mnt != mnt || v.dirty[key] {
 			continue
 		}
 		v.removePageLocked(key)
@@ -454,8 +464,11 @@ func (v *VFS) dropPagesOf(ino mem.Addr) {
 func (v *VFS) PageAddr(ino mem.Addr, idx uint64) (mem.Addr, bool) {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
-	pg, ok := v.pages[pageKey{ino, idx}]
-	return pg, ok
+	e, ok := v.pages[pageKey{ino, idx}]
+	if !ok {
+		return 0, false
+	}
+	return e.pg, true
 }
 
 // CachedPage is one page-cache entry as coredump snapshots see it.
@@ -472,8 +485,8 @@ type CachedPage struct {
 func (v *VFS) DumpPages() ([]CachedPage, int) {
 	v.pageMu.Lock()
 	out := make([]CachedPage, 0, len(v.pages))
-	for key, pg := range v.pages {
-		out = append(out, CachedPage{Ino: key.ino, Idx: key.idx, Page: pg, Dirty: v.dirty[key]})
+	for key, e := range v.pages {
+		out = append(out, CachedPage{Ino: key.ino, Idx: key.idx, Page: e.pg, Dirty: v.dirty[key]})
 	}
 	dirty := len(v.dirty)
 	v.pageMu.Unlock()

@@ -187,20 +187,19 @@ type VFS struct {
 	// LRU list, and the budget. Page *contents* are copied under the
 	// owning mount's lock.
 	pageMu sync.Mutex
-	// pages is the page cache: (inode, page index) -> page base address.
-	pages map[pageKey]mem.Addr
+	// pages is the page cache: (inode, page index) -> entry.
+	pages map[pageKey]*pageEnt
 	dirty map[pageKey]bool
 	// dirtyTick records the flusher tick at which a page was last
 	// dirtied; the background flusher only writes back pages that have
 	// aged at least one full tick.
 	dirtyTick map[pageKey]uint64
 
-	// lru orders the cached pages least- to most-recently used; lruPos
-	// indexes the list elements by page key. pageBudget caps the cache
-	// size (0 = unlimited): inserting past the budget evicts from the
-	// LRU end, forcing writeback for dirty victims.
+	// lru orders the cached pages least- to most-recently used.
+	// pageBudget caps the cache size (0 = unlimited): inserting past the
+	// budget evicts from the LRU end, forcing writeback for dirty
+	// victims.
 	lru        *list.List
-	lruPos     map[pageKey]*list.Element
 	pageBudget int
 
 	// Bound indirect-call gates, one per fs_operations slot: resolved
@@ -242,11 +241,10 @@ func Init(k *kernel.Kernel, bl *blockdev.Layer) *VFS {
 		Block:       bl,
 		filesystems: make(map[uint64]*fstype),
 		mounts:      make(map[mem.Addr]*mount),
-		pages:       make(map[pageKey]mem.Addr),
+		pages:       make(map[pageKey]*pageEnt),
 		dirty:       make(map[pageKey]bool),
 		dirtyTick:   make(map[pageKey]uint64),
 		lru:         list.New(),
-		lruPos:      make(map[pageKey]*list.Element),
 		flushKick:   make(chan struct{}, 1),
 	}
 	sys := k.Sys
