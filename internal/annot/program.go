@@ -19,9 +19,10 @@ import "fmt"
 // to literal pushes when the compile environment exposes a bind-time
 // table (ConstEnv) — core does so once its table freezes at the first
 // module load — and stay runtime-resolved (opConst) otherwise, or when
-// the name is not bound yet at compile time. The fuzz target
-// FuzzExprProgram and the crossing differential test hold the two
-// evaluators equal.
+// the name is not bound yet at compile time. Programs are the only
+// evaluator on the crossing path; Expr.Eval stays as the oracle that
+// the fuzz target FuzzExprProgram holds them equal to, and that target
+// also fails on any parser-produced expression that will not compile.
 
 // Expression opcodes. The machine is a pure stack machine: value ops
 // push one result, binary ops pop two and push one, jump ops implement
@@ -142,7 +143,7 @@ func (c *compiler) name(s string) int32 {
 // Compile translates e into an opcode program whose identifier
 // references are resolved against env. Shapes Expr.Eval would reject
 // at runtime (nil or empty nodes, unknown operators) are compile
-// errors here — callers fall back to tree interpretation for them.
+// errors here; the parser never produces them.
 func Compile(e *Expr, env CompileEnv) (ExprProg, error) {
 	var c compiler
 	if err := c.compile(e, env); err != nil {

@@ -119,7 +119,8 @@ type writeEntry struct {
 }
 
 func (w writeEntry) covers(addr mem.Addr, size uint64) bool {
-	return w.addr <= addr && addr+mem.Addr(size) <= w.addr+mem.Addr(w.size)
+	end := addr + mem.Addr(size)
+	return w.addr <= addr && addr <= end && end <= w.addr+mem.Addr(w.size)
 }
 
 func (w writeEntry) overlaps(addr mem.Addr, size uint64) bool {

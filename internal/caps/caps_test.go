@@ -322,3 +322,36 @@ func TestRefCapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWrappingWriteProbeNotCovered: a WRITE probe whose range wraps past
+// the top of the address space is owned by nobody, whatever the shard
+// count. Its wrapped end compares below any entry's end, so without the
+// overflow check a principal holding an unrelated WRITE range in the
+// probe's shard would own it, and which shard that is depends on
+// GOMAXPROCS.
+func TestWrappingWriteProbeNotCovered(t *testing.T) {
+	probes := []Cap{
+		WriteCap(0xffffffffffffffff, 1),
+		WriteCap(0xffffffffffffffea, 48),
+		WriteCap(0xffff880000000100, ^uint64(0)),
+	}
+	for _, n := range []int{1, 2, 8, 64} {
+		s := NewSystemWithShards(n)
+		p := s.LoadModule("m").Instance(0x1)
+		s.Grant(p, WriteCap(0xffff880000000100, 64))
+		s.Grant(p, WriteCap(0xfffffffffffff000, 0x800))
+		for _, c := range probes {
+			if s.Check(p, c) {
+				t.Errorf("%d shards: wrapping probe %s reported owned", n, c)
+			}
+		}
+	}
+	var l LinearWriteSet
+	l.Grant(0xffff880000000100, 64)
+	l.Grant(0xfffffffffffff000, 0x800)
+	for _, c := range probes {
+		if l.Check(c.Addr, c.Size) {
+			t.Errorf("linear set: wrapping probe %s reported owned", c)
+		}
+	}
+}

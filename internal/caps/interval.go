@@ -38,12 +38,15 @@ func (s *intervalSet) searchAfter(addr mem.Addr) int {
 }
 
 // covers reports whether some entry covers [addr, addr+size) entirely.
+// A probe that wraps past the top of the address space covers nothing:
+// its wrapped end would otherwise compare below any entry's end.
 func (s *intervalSet) covers(addr mem.Addr, size uint64) bool {
+	end := addr + mem.Addr(size)
 	i := s.searchAfter(addr) - 1
-	if i < 0 {
+	if i < 0 || end < addr {
 		return false
 	}
-	return s.maxEnd[i] >= addr+mem.Addr(size)
+	return s.maxEnd[i] >= end
 }
 
 // rebuildFrom recomputes the prefix maximum from index i on.

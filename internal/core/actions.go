@@ -9,18 +9,17 @@ import (
 	"lxfi/internal/mem"
 )
 
-// argEnv binds a call's arguments (and, for post actions, its return
-// value) to the identifiers used in annotation expressions.
+// argEnv supplies a call's arguments (and, for post actions, its
+// return value) to compiled annotation programs, which reference them
+// by position.
 type argEnv struct {
 	sys    *System
-	params []Param
 	args   []uint64
 	ret    uint64
 	hasRet bool
 }
 
-// ProgArg implements annot.RunEnv: compiled programs reference
-// arguments positionally, with no name scan on the hot path.
+// ProgArg implements annot.RunEnv.
 func (e *argEnv) ProgArg(i int) (int64, bool) {
 	if i < len(e.args) {
 		return int64(e.args[i]), true
@@ -36,23 +35,7 @@ func (e *argEnv) ProgRet() (int64, bool) {
 	return int64(e.ret), true
 }
 
-// Arg implements annot.Env.
-func (e *argEnv) Arg(name string) (int64, bool) {
-	if name == "return" {
-		if !e.hasRet {
-			return 0, false
-		}
-		return int64(e.ret), true
-	}
-	for i, p := range e.params {
-		if p.Name == name && i < len(e.args) {
-			return int64(e.args[i]), true
-		}
-	}
-	return 0, false
-}
-
-// Const implements annot.Env.
+// Const implements annot.RunEnv.
 func (e *argEnv) Const(name string) (int64, bool) {
 	return e.sys.Const(name)
 }
@@ -62,76 +45,6 @@ func (e *argEnv) Const(name string) (int64, bool) {
 func (s *System) sizeofType(typ string) (uint64, bool) {
 	typ = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(typ), "*"))
 	return s.Layouts.Sizeof(typ)
-}
-
-// resolveCaps materializes the capability list of one action, appending
-// into out (a recycled per-thread scratch slice — crossings must not
-// allocate).
-func (t *Thread) resolveCaps(cl *annot.CapList, env *argEnv, out []caps.Cap) ([]caps.Cap, error) {
-	if cl.IsIterator() {
-		iter, ok := t.Sys.iterator(cl.Iter)
-		if !ok {
-			return out, fmt.Errorf("core: unknown capability iterator %q", cl.Iter)
-		}
-		var iargsArr [4]int64
-		iargs := iargsArr[:0]
-		if len(cl.IterArgs) > len(iargsArr) {
-			iargs = make([]int64, 0, len(cl.IterArgs))
-		}
-		for _, e := range cl.IterArgs {
-			v, err := e.Eval(env)
-			if err != nil {
-				return out, err
-			}
-			iargs = append(iargs, v)
-		}
-		err := iter(t, iargs, func(c caps.Cap) error {
-			out = append(out, c)
-			return nil
-		})
-		return out, err
-	}
-
-	ptr, err := cl.Ptr.Eval(env)
-	if err != nil {
-		return out, err
-	}
-	addr := mem.Addr(uint64(ptr))
-	switch cl.Kind {
-	case annot.CapCall:
-		return append(out, caps.CallCap(addr)), nil
-	case annot.CapRef:
-		return append(out, caps.RefCap(cl.RefType, addr)), nil
-	case annot.CapWrite:
-		var size uint64
-		if cl.Size != nil {
-			v, err := cl.Size.Eval(env)
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 {
-				v = 0
-			}
-			size = uint64(v)
-		} else {
-			// sizeof(*ptr): look up the declared type of the parameter
-			// the pointer expression names.
-			ok := false
-			if cl.Ptr.Ident != "" {
-				for _, p := range env.params {
-					if p.Name == cl.Ptr.Ident {
-						size, ok = t.Sys.sizeofType(p.Type)
-						break
-					}
-				}
-			}
-			if !ok {
-				return out, fmt.Errorf("core: cannot resolve sizeof for %q", cl.Ptr)
-			}
-		}
-		return append(out, caps.WriteCap(addr, size)), nil
-	}
-	return out, fmt.Errorf("core: bad caplist")
 }
 
 // grant gives c to principal p, updating writer sets when a WRITE
@@ -147,85 +60,13 @@ func (t *Thread) grant(p *caps.Principal, c caps.Cap) {
 	}
 }
 
-// runActions executes one pre or post action list. Ownership checks are
-// made against from (the side that must already hold the capability per
-// Fig. 3); copies and transfers then move capabilities from from to to.
-// blame identifies the untrusted side to kill on a contract violation.
-// The phase/fnName pair ("pre"/"post" plus the function) is joined only
-// on the cold violation path, so the hot crossing builds no strings.
-func (t *Thread) runActions(phase, fnName string, actions []*annot.Action, env *argEnv,
-	from, to *caps.Principal, blame *Module) error {
-	for _, a := range actions {
-		if err := t.runAction(phase, fnName, a, env, from, to, blame); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *Thread) runAction(phase, fnName string, a *annot.Action, env *argEnv,
-	from, to *caps.Principal, blame *Module) error {
-	if a.Op == annot.If {
-		v, err := a.Cond.Eval(env)
-		if err != nil {
-			return t.violationAt(blame, from, "annotation", 0,
-				fmt.Sprintf("%s %s: bad condition %q: %v", phase, fnName, a.Cond, err))
-		}
-		if v == 0 {
-			return nil
-		}
-		return t.runAction(phase, fnName, a.Then, env, from, to, blame)
-	}
-
-	capsList, err := t.resolveCaps(a.Caps, env, t.getCapBuf())
-	defer t.putCapBuf(capsList)
-	if err != nil {
-		return t.violationAt(blame, from, "annotation", 0, fmt.Sprintf("%s %s: %v", phase, fnName, err))
-	}
-	mon := &t.Sys.Mon.Stats
-	for _, c := range capsList {
-		mon.AnnotationActions.Add(1)
-		// Revoke needs no ownership check: stripping a capability from
-		// every principal can only remove rights, never add them, and the
-		// failure paths that use it (e.g. readpage errors) run exactly when
-		// the contract that would have justified ownership fell through.
-		if a.Op == annot.Revoke {
-			mon.CapRevokes.Add(1)
-			t.Sys.Caps.RevokeAll(c)
-			continue
-		}
-		// The other three operators first verify ownership on the from side
-		// ("Both copy and transfer ensure that the capability is owned in
-		// the first place before granting it", §3.3).
-		if !t.checkCap(from, c) {
-			return t.violationAt(blame, from, "annotation", c.Addr,
-				fmt.Sprintf("%s %s: %s action: %s does not own %s", phase, fnName, a.Op, from, c))
-		}
-		switch a.Op {
-		case annot.Check:
-			// ownership verified above
-		case annot.Copy:
-			t.grant(to, c)
-		case annot.Transfer:
-			// Transfers revoke from *all* principals in the system so no
-			// stale copies remain (§3.3), then grant to the destination.
-			mon.CapRevokes.Add(1)
-			t.Sys.Caps.RevokeAll(c)
-			t.grant(to, c)
-		}
-	}
-	return nil
-}
-
-// --- compiled action programs (the hot crossing path) ---
-
-// runProgram executes one compiled pre or post action program. It is
-// the program-mode twin of runActions: same ownership rules, same
-// grant/revoke flow, same violation text — but conditions, pointers,
-// and sizes run as opcode programs, iterators and REF cache tags are
-// pre-resolved, and the inline caplist forms never touch a scratch
-// slice. The differential tests in internal/annotdb hold the two
-// executors equal over every annotated export in the system.
+// runProgram executes one compiled pre or post action program (the
+// crossing's side of the Fig. 3 contract). Ownership checks are made
+// against from, the side that must already hold each capability; copies
+// and transfers then move capabilities from from to to. blame
+// identifies the untrusted side to kill on a contract violation. The
+// phase/fnName pair is joined only on the cold violation path, so the
+// hot crossing builds no strings.
 func (t *Thread) runProgram(phase, fnName string, steps []actionStep, env *argEnv,
 	from, to *caps.Principal, blame *Module) error {
 steps:
@@ -270,7 +111,13 @@ steps:
 }
 
 // applyCapOp applies one action operator to one resolved capability —
-// the shared tail of both caplist forms. refTag, when nonzero, is the
+// the shared tail of both caplist forms. Revoke needs no ownership
+// check: stripping a capability from every principal can only remove
+// rights, and the failure paths that use it (e.g. readpage errors) run
+// exactly when the contract that would have justified ownership fell
+// through. The other operators first verify ownership on the from side
+// ("Both copy and transfer ensure that the capability is owned in the
+// first place before granting it", §3.3). refTag, when nonzero, is the
 // step's pre-interned REF cache tag; it routes the ownership check
 // through the per-thread cache (REF verdicts are only cacheable with
 // an exact interned identity, see refTypeTag).
@@ -299,6 +146,8 @@ func (t *Thread) applyCapOp(phase, fnName string, op annot.Op, c caps.Cap, refTa
 	case annot.Copy:
 		t.grant(to, c)
 	case annot.Transfer:
+		// Transfers revoke from *all* principals in the system so no
+		// stale copies remain (§3.3), then grant to the destination.
 		mon.CapRevokes.Add(1)
 		t.Sys.Caps.RevokeAll(c)
 		t.grant(to, c)
@@ -406,33 +255,16 @@ func (t *Thread) violationAt(m *Module, p *caps.Principal, op string, addr mem.A
 	return err
 }
 
-// resolvePrincipal evaluates the principal annotation of a module
-// function to the principal the function must run as (§3.1, §3.3).
-func (t *Thread) resolvePrincipal(m *Module, set *annot.Set, env *argEnv) (*caps.Principal, error) {
-	switch set.Principal.Kind {
+// resolvePrincipal evaluates the compiled principal annotation of a
+// module function to the principal the function must run as (§3.1,
+// §3.3).
+func (t *Thread) resolvePrincipal(m *Module, prog *annotProg, env *argEnv) (*caps.Principal, error) {
+	switch prog.prinKind {
 	case annot.PrincipalGlobal:
 		return m.Set.Global(), nil
 	case annot.PrincipalShared, annot.PrincipalDefault:
 		// "in the absence of this annotation, LXFI uses the module's
 		// shared principal" (Fig. 3).
-		return m.Set.Shared(), nil
-	case annot.PrincipalExpr:
-		v, err := set.Principal.Expr.Eval(env)
-		if err != nil {
-			return nil, fmt.Errorf("core: principal expression %q: %v", set.Principal.Expr, err)
-		}
-		return m.Set.Instance(mem.Addr(uint64(v))), nil
-	}
-	return nil, fmt.Errorf("core: bad principal annotation")
-}
-
-// resolvePrincipalProg is resolvePrincipal over a compiled annotation
-// program (the principal expression runs as opcodes).
-func (t *Thread) resolvePrincipalProg(m *Module, prog *annotProg, env *argEnv) (*caps.Principal, error) {
-	switch prog.prinKind {
-	case annot.PrincipalGlobal:
-		return m.Set.Global(), nil
-	case annot.PrincipalShared, annot.PrincipalDefault:
 		return m.Set.Shared(), nil
 	case annot.PrincipalExpr:
 		v, err := prog.prinProg.Eval(env)

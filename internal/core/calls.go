@@ -76,11 +76,11 @@ func (t *Thread) callKernelDecl(fn *FuncDecl, args []uint64) (uint64, error) {
 			return 0, t.violation("call", fn.Addr,
 				fmt.Sprintf("no CALL capability for %s", fn.Name))
 		}
-		env = t.getEnv(fn.Params, args)
+		env = t.getEnv(args)
 		defer t.putEnv(env)
 		// pre: ownership checked on the caller (module); grants flow
 		// caller -> callee (kernel).
-		if err := t.runPre(fn, true, env, callerPrin, t.Sys.Caps.Trusted, callerMod); err != nil {
+		if err := t.runProgram("pre", fn.Name, fn.prog.pre, env, callerPrin, t.Sys.Caps.Trusted, callerMod); err != nil {
 			return 0, err
 		}
 	}
@@ -98,7 +98,7 @@ func (t *Thread) callKernelDecl(fn *FuncDecl, args []uint64) (uint64, error) {
 		env.ret, env.hasRet = ret, true
 		// post: ownership checked on the callee (kernel, trivially true);
 		// grants flow callee -> caller.
-		if err := t.runPost(fn, true, env, t.Sys.Caps.Trusted, callerPrin, callerMod); err != nil {
+		if err := t.runProgram("post", fn.Name, fn.prog.post, env, t.Sys.Caps.Trusted, callerPrin, callerMod); err != nil {
 			return ret, err
 		}
 	}
@@ -203,24 +203,6 @@ func (t *Thread) panicViolation(m *Module, p *caps.Principal, fn *FuncDecl, rec 
 	return fmt.Errorf("%w (%s): %s", ErrModuleDead, m.Name, detail)
 }
 
-// runPre and runPost execute one side of a crossing's contract. The
-// compiled action program runs when the declaration has one and the
-// caller did not substitute a foreign parameter list (useProg); the
-// tree interpreter remains the fallback for that cold case.
-func (t *Thread) runPre(fn *FuncDecl, useProg bool, env *argEnv, from, to *caps.Principal, blame *Module) error {
-	if useProg && fn.prog != nil {
-		return t.runProgram("pre", fn.Name, fn.prog.pre, env, from, to, blame)
-	}
-	return t.runActions("pre", fn.Name, fn.Annot.Pre, env, from, to, blame)
-}
-
-func (t *Thread) runPost(fn *FuncDecl, useProg bool, env *argEnv, from, to *caps.Principal, blame *Module) error {
-	if useProg && fn.prog != nil {
-		return t.runProgram("post", fn.Name, fn.prog.post, env, from, to, blame)
-	}
-	return t.runActions("post", fn.Name, fn.Annot.Post, env, from, to, blame)
-}
-
 // CallModule invokes a module function by name from the current context
 // (normally the core kernel, e.g. a driver probe or an ops callback
 // reached through a checked indirect call).
@@ -230,24 +212,19 @@ func (t *Thread) CallModule(m *Module, fname string, args ...uint64) (uint64, er
 		t.Sys.Mon.Stats.FailedResolutions.Add(1)
 		return 0, fmt.Errorf("core: module %s has no function %q", m.Name, fname)
 	}
-	return t.callModuleDecl(m, fn, args)
+	return t.callModuleDecl(m, fn, nil, args)
 }
 
-func (t *Thread) callModuleDecl(m *Module, fn *FuncDecl, args []uint64) (uint64, error) {
-	return t.callModuleDeclParams(m, fn, fn.Params, false, args)
-}
-
-// callModuleDeclParams is callModuleDecl with the effective parameter
-// list supplied by the caller (an indirect call substitutes the slot
-// type's parameters when the function declaration carries none;
-// substituted=true then forces the tree interpreter, whose by-name
-// argument binding is what the substitution relies on).
-func (t *Thread) callModuleDeclParams(m *Module, fn *FuncDecl, params []Param, substituted bool, args []uint64) (uint64, error) {
+// callModuleDecl is the wrapper of a module function. ft is the type of
+// the slot a kernel-side indirect call reached fn through, nil for a
+// direct call; a declaration without parameters runs its set compiled
+// against ft's (substProg).
+func (t *Thread) callModuleDecl(m *Module, fn *FuncDecl, ft *FPtrType, args []uint64) (uint64, error) {
 	// Entry protocol (reload.go): register the crossing in the module's
 	// active counter, park if a reload is quiescing the module, and
 	// re-bind to the successor generation if it has been retired.
 	var err error
-	m, fn, params, substituted, err = t.enterModule(m, fn, params, substituted)
+	m, fn, err = t.enterModule(m, fn)
 	if err != nil {
 		return 0, err
 	}
@@ -258,7 +235,6 @@ func (t *Thread) callModuleDeclParams(m *Module, fn *FuncDecl, params []Param, s
 	}
 	enforcing := t.Sys.Mon.Enforcing()
 	callerPrin := t.cur
-	useProg := !substituted
 
 	traced := enforcing && t.rec != nil
 	var tc traceCtx
@@ -267,26 +243,27 @@ func (t *Thread) callModuleDeclParams(m *Module, fn *FuncDecl, params []Param, s
 	}
 
 	var env *argEnv
+	var prog *annotProg
 	var callee *caps.Principal
 	if enforcing {
 		t.Sys.Mon.Stats.FuncEntries.Add(1)
-		env = t.getEnv(params, args)
+		prog = fn.prog
+		if ft != nil && len(fn.Params) == 0 {
+			prog = t.Sys.substProg(fn, ft)
+		}
+		env = t.getEnv(args)
 		defer t.putEnv(env)
 		var err error
 		// The wrapper "sets the appropriate principal" (§4.2) from the
 		// principal(...) annotation before running the module function.
-		if useProg && fn.prog != nil {
-			callee, err = t.resolvePrincipalProg(m, fn.prog, env)
-		} else {
-			callee, err = t.resolvePrincipal(m, fn.Annot, env)
-		}
+		callee, err = t.resolvePrincipal(m, prog, env)
 		if err != nil {
 			return 0, t.violationAt(m, m.Set.Shared(), "annotation", fn.Addr, err.Error())
 		}
 		t.Sys.Mon.Stats.PrincipalSwitches.Add(1)
 		// pre: ownership checked on the caller; grants flow caller ->
 		// callee principal.
-		if err := t.runPre(fn, useProg, env, callerPrin, callee, t.curMod); err != nil {
+		if err := t.runProgram("pre", fn.Name, prog.pre, env, callerPrin, callee, t.curMod); err != nil {
 			return 0, err
 		}
 	}
@@ -304,7 +281,7 @@ func (t *Thread) callModuleDeclParams(m *Module, fn *FuncDecl, params []Param, s
 		env.ret, env.hasRet = ret, true
 		// post: ownership checked on the callee (module); grants flow
 		// callee -> caller.
-		if err := t.runPost(fn, useProg, env, callee, callerPrin, m); err != nil {
+		if err := t.runProgram("post", fn.Name, prog.post, env, callee, callerPrin, m); err != nil {
 			return ret, err
 		}
 	}
@@ -327,19 +304,24 @@ func (t *Thread) IndirectCall(slot mem.Addr, typeName string, args ...uint64) (u
 	if !ok {
 		panic("core: indirect call through unregistered fptr type " + typeName)
 	}
-	return t.indirectCallFT(slot, ft, args)
-}
-
-// indirectCallFT is IndirectCall past type resolution — the body every
-// bound IndGate jumps straight into.
-func (t *Thread) indirectCallFT(slot mem.Addr, ft *FPtrType, args []uint64) (uint64, error) {
 	target, err := t.Sys.AS.ReadU64(slot)
 	if err != nil {
 		return 0, fmt.Errorf("core: indirect call: cannot load pointer at %#x: %v", uint64(slot), err)
 	}
-	taddr := mem.Addr(target)
+	fn, err := t.checkIndTarget(slot, mem.Addr(target), ft, t.mon.Enforcing())
+	if err != nil {
+		return 0, err
+	}
+	return t.dispatchFn(fn, ft, args)
+}
 
-	if t.Sys.Mon.Enforcing() {
+// checkIndTarget is the checked body shared by IndirectCall and the
+// IndGate entry. Under enforcement it runs the writer-set check on the
+// slot, then resolves the target to its declaration. enforcing is the
+// caller's one reading of the mode: a gate caches the result under
+// that reading, so the check must have run under it too.
+func (t *Thread) checkIndTarget(slot, target mem.Addr, ft *FPtrType, enforcing bool) (*FuncDecl, error) {
+	if enforcing {
 		t.Sys.Mon.Stats.IndCallAll.Add(1)
 		// Fast path: if no principal was ever granted WRITE access to the
 		// slot since it was last zeroed, no module can have supplied the
@@ -347,13 +329,19 @@ func (t *Thread) indirectCallFT(slot mem.Addr, ft *FPtrType, args []uint64) (uin
 		// tracking). The ablation flag forces the slow path everywhere.
 		if t.Sys.Mon.DisableWriterSetOpt || !t.Sys.WST.Empty(slot) {
 			t.Sys.Mon.Stats.IndCallSlow.Add(1)
-			if err := t.checkIndCallSlow(slot, taddr, ft); err != nil {
-				return 0, err
+			if err := t.checkIndCallSlow(slot, target, ft); err != nil {
+				return nil, err
 			}
 		}
 	}
-
-	return t.dispatch(taddr, ft, args)
+	fn, ok := t.Sys.FuncByAddr(target)
+	if !ok {
+		// A wild pointer: in the real kernel this is an oops (or, if the
+		// attacker mapped the page, arbitrary code execution — modeled by
+		// RegisterUserFuncAt).
+		return nil, fmt.Errorf("core: kernel oops: indirect call to invalid address %#x", uint64(target))
+	}
+	return fn, nil
 }
 
 // checkIndCallSlow validates a module-writable function-pointer slot:
@@ -392,19 +380,8 @@ func (t *Thread) checkIndCallSlow(slot, target mem.Addr, ft *FPtrType) error {
 	return nil
 }
 
-// dispatch transfers control to the function at target.
-func (t *Thread) dispatch(target mem.Addr, ft *FPtrType, args []uint64) (uint64, error) {
-	fn, ok := t.Sys.FuncByAddr(target)
-	if !ok {
-		// A wild pointer: in the real kernel this is an oops (or, if the
-		// attacker mapped the page, arbitrary code execution — modeled by
-		// RegisterUserFuncAt).
-		return 0, fmt.Errorf("core: kernel oops: indirect call to invalid address %#x", uint64(target))
-	}
-	return t.dispatchFn(fn, ft, args)
-}
-
-// dispatchFn is dispatch past target resolution.
+// dispatchFn transfers control to fn, the resolved target of a
+// kernel-side indirect call through a slot of type ft.
 func (t *Thread) dispatchFn(fn *FuncDecl, ft *FPtrType, args []uint64) (uint64, error) {
 	switch {
 	case fn.IsUser():
@@ -433,19 +410,11 @@ func (t *Thread) dispatchFn(fn *FuncDecl, ft *FPtrType, args []uint64) (uint64, 
 		if m == nil {
 			return 0, fmt.Errorf("core: function %s belongs to unloaded module", fn)
 		}
-		// Apply the *slot type's* parameter names if the function carries
-		// none (annotation propagation already guaranteed hash equality).
-		// The declaration itself is shared between threads, so the
-		// substitution is made per call rather than written back into it.
-		params := fn.Params
-		if len(params) == 0 {
-			return t.callModuleDeclParams(m, fn, ft.Params, true, args)
-		}
-		return t.callModuleDeclParams(m, fn, params, false, args)
+		return t.callModuleDecl(m, fn, ft, args)
 	}
 }
 
-// indirectCallGate is the bound IndGate entry: indirectCallFT plus the
+// indirectCallGate is the bound IndGate entry: IndirectCall plus the
 // per-gate (slot → target) cache. A hit must match the slot, the
 // loaded target value, the enforcement mode, and the capability epoch;
 // any capability mutation (grant, revoke, module load/unload/retire,
@@ -458,7 +427,6 @@ func (t *Thread) indirectCallGate(g *IndGate, slot mem.Addr, args []uint64) (uin
 	if err != nil {
 		return 0, fmt.Errorf("core: indirect call: cannot load pointer at %#x: %v", uint64(slot), err)
 	}
-	taddr := mem.Addr(target)
 	enforcing := t.mon.Enforcing()
 
 	idx := (uint64(slot) >> 3) & (indCacheSlots - 1)
@@ -474,19 +442,9 @@ func (t *Thread) indirectCallGate(g *IndGate, slot mem.Addr, args []uint64) (uin
 		return t.dispatchFn(e.fn, g.ft, args)
 	}
 
-	if enforcing {
-		t.Sys.Mon.Stats.IndCallAll.Add(1)
-		if t.Sys.Mon.DisableWriterSetOpt || !t.Sys.WST.Empty(slot) {
-			t.Sys.Mon.Stats.IndCallSlow.Add(1)
-			if err := t.checkIndCallSlow(slot, taddr, g.ft); err != nil {
-				return 0, err
-			}
-		}
-	}
-
-	fn, ok := t.Sys.FuncByAddr(taddr)
-	if !ok {
-		return 0, fmt.Errorf("core: kernel oops: indirect call to invalid address %#x", uint64(target))
+	fn, err := t.checkIndTarget(slot, mem.Addr(target), g.ft, enforcing)
+	if err != nil {
+		return 0, err
 	}
 	g.cache[idx].Store(&indCacheEnt{slot: slot, target: target, epoch: epoch, enforcing: enforcing, fn: fn})
 	return t.dispatchFn(fn, g.ft, args)
@@ -528,7 +486,7 @@ func (t *Thread) callAddrFT(target mem.Addr, ft *FPtrType, args []uint64) (uint6
 	if fn.owner != nil {
 		// The declaration's own generation, for the reason dispatchFn
 		// gives.
-		return t.callModuleDecl(fn.owner, fn, args)
+		return t.callModuleDecl(fn.owner, fn, nil, args)
 	}
 	return 0, fmt.Errorf("core: cannot dispatch %s", fn)
 }

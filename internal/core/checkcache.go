@@ -200,15 +200,15 @@ func (t *Thread) CheckCached(p *caps.Principal, c caps.Cap) bool {
 // per-thread free lists (a Thread is goroutine-confined, so these are
 // lock-free): with a warm cache a crossing performs no allocation.
 
-// getEnv returns a recycled argEnv bound to this call's parameters.
-func (t *Thread) getEnv(params []Param, args []uint64) *argEnv {
+// getEnv returns a recycled argEnv bound to this call's arguments.
+func (t *Thread) getEnv(args []uint64) *argEnv {
 	n := len(t.envFree)
 	if n == 0 {
-		return &argEnv{sys: t.Sys, params: params, args: args}
+		return &argEnv{sys: t.Sys, args: args}
 	}
 	e := t.envFree[n-1]
 	t.envFree = t.envFree[:n-1]
-	e.params, e.args, e.ret, e.hasRet = params, args, 0, false
+	e.args, e.ret, e.hasRet = args, 0, false
 	return e
 }
 
@@ -217,7 +217,7 @@ func (t *Thread) putEnv(e *argEnv) {
 	if e == nil {
 		return
 	}
-	e.params, e.args = nil, nil
+	e.args = nil
 	t.envFree = append(t.envFree, e)
 }
 

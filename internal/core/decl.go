@@ -49,18 +49,22 @@ type FuncDecl struct {
 	Impl  Impl
 	Addr  mem.Addr
 
-	// prog is the bind-time compiled form of Annot (program.go): the
-	// action program the crossing paths execute instead of
-	// re-interpreting the annotation trees per call. nil when Annot is
-	// nil or could not be lowered (the tree interpreter then runs).
+	// prog is the bind-time compiled form of Annot (program.go), the
+	// action program every crossing into the function runs. nil exactly
+	// when Annot is nil.
 	prog *annotProg
 
-	// owner is the Module instance the declaration was registered for
-	// (nil for kernel and user functions). The crossing entry protocol
-	// compares it against the module resolved by name: a mismatch means
-	// the declaration belongs to a retired generation and the call is
-	// re-bound to the successor's declaration of the same name
-	// (reload.go).
+	// subst memoizes Annot compiled against the parameters of the slot
+	// type the declaration was last reached through, for a declaration
+	// without a parameter list of its own (substProg).
+	subst atomic.Pointer[substEntry]
+
+	// owner is the module generation the declaration was registered for
+	// (nil for kernel and user functions). Indirect dispatch enters the
+	// module through it, so a stale slot reaches its own generation's
+	// entry protocol: the crossing parks while a reload drains that
+	// generation, then is re-bound to the successor's declaration of the
+	// same name (reload.go).
 	owner *Module
 }
 
@@ -85,20 +89,14 @@ func (f *FuncDecl) String() string {
 // ndo_start_xmit member of struct net_device_ops in Fig. 4. Indirect
 // calls are checked against the annotation hash of the slot's declared
 // type (§4.1).
+//
+// A crossing through the slot runs the target function's annotation
+// program, not the type's; a target declared without parameters has its
+// program compiled against the type's parameter list (substProg).
 type FPtrType struct {
 	Name   string
 	Params []Param
 	Annot  *annot.Set
-
-	// prog is the compiled action program of Annot. Production
-	// crossings run the *target function's* program; a dispatch that
-	// substitutes this type's parameter list into a declaration
-	// without one deliberately falls back to the tree interpreter
-	// (the by-name binding is what the substitution relies on, and
-	// hash equality between fn and slot annotations is not enforced
-	// on the writer-free path). The differential tracers (diff.go)
-	// execute prog to hold it equal to the tree.
-	prog *annotProg
 }
 
 // FuncSpec describes one module function for loading.
@@ -181,9 +179,10 @@ type Module struct {
 func (m *Module) Dead() bool { return m.dead.Load() }
 
 // Retired reports whether the module has been replaced by a reload.
-// A retired module's gates are permanently stale: crossings through
-// them are redirected to the successor (by-name dispatch) or refused
-// (direct Gate use under enforcement).
+// A retired generation stays stale for good: crossings into it (a stale
+// function-pointer slot, or a caller still holding the old *Module)
+// are redirected to the successor's declaration, and calls through its
+// import Gates are refused under enforcement.
 func (m *Module) Retired() bool { return m.lcState.Load() == lcRetired }
 
 // Quiescing reports whether a reload is draining the module.

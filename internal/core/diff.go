@@ -1,15 +1,11 @@
-// Differential tracing of the two annotation executors.
+// Dry-run tracing of compiled annotation programs.
 //
-// The crossing pipeline has two ways to run an annotation contract:
-// the expression-tree interpreter (actions.go, the original executor
-// and the fallback for parameter-substituted indirect calls) and the
-// bind-time compiled action programs (program.go, the hot path). The
-// tracers here dry-run both on the same synthetic crossing — resolving
-// conditions, capabilities, and ownership exactly as the real
-// executors do, but recording grants/revokes/violations instead of
-// applying them — so a test can assert the executors agree for every
-// annotated export in a booted system (internal/annotdb runs that
-// differential over the full Fig. 9 module set).
+// The tracers here run one phase of a declaration's action program on
+// a synthetic crossing — resolving conditions, capabilities, and
+// ownership exactly as runProgram does, but recording grants, revokes,
+// and violations instead of applying them. internal/annotdb records
+// these traces for every annotated export of a booted system and holds
+// them to a golden ledger, which pins the crossing semantics.
 package core
 
 import (
@@ -30,119 +26,45 @@ type ActionTrace struct {
 }
 
 // TraceCrossing dry-runs one phase ("pre" or "post") of f's annotation
-// contract for a synthetic crossing, under both executors. from is the
-// principal whose ownership the phase checks. hasProg reports whether
-// a compiled program exists (it always should for registered
-// declarations; false means the tree fallback is in production use).
-func (f *FuncDecl) TraceCrossing(t *Thread, phase string, args []uint64, ret uint64, from *caps.Principal) (tree, compiled []ActionTrace, hasProg bool) {
-	return t.traceBoth(f.Name, f.Params, f.Annot, f.prog, phase, args, ret, from)
+// program for a synthetic crossing. from is the principal whose
+// ownership the phase checks.
+func (f *FuncDecl) TraceCrossing(t *Thread, phase string, args []uint64, ret uint64, from *caps.Principal) []ActionTrace {
+	return t.traceProgram(phase, f.Name, f.prog, args, ret, from)
 }
 
-// TraceCrossing is the FPtrType analogue of FuncDecl.TraceCrossing.
-func (ft *FPtrType) TraceCrossing(t *Thread, phase string, args []uint64, ret uint64, from *caps.Principal) (tree, compiled []ActionTrace, hasProg bool) {
-	return t.traceBoth(ft.Name, ft.Params, ft.Annot, ft.prog, phase, args, ret, from)
+// TraceCrossing is the FPtrType analogue, over the type's annotations
+// compiled against its own parameter list.
+func (ft *FPtrType) TraceCrossing(t *Thread, phase string, args []uint64, ret uint64, from *caps.Principal) []ActionTrace {
+	return t.traceProgram(phase, ft.Name, t.Sys.compileAnnot(ft.Name, ft.Params, ft.Annot), args, ret, from)
 }
 
-// TracePrincipalValue evaluates f's principal annotation under both
-// executors without materializing an instance principal. kind is the
-// annotation's principal kind; for PrincipalExpr the values and error
-// texts are the comparison surface.
-func (f *FuncDecl) TracePrincipalValue(t *Thread, args []uint64) (kind annot.PrincipalKind, treeVal, progVal int64, treeErr, progErr error, hasProg bool) {
-	return t.tracePrincipal(f.Params, f.Annot, f.prog, args)
-}
-
-// TracePrincipalValue is the FPtrType analogue.
-func (ft *FPtrType) TracePrincipalValue(t *Thread, args []uint64) (kind annot.PrincipalKind, treeVal, progVal int64, treeErr, progErr error, hasProg bool) {
-	return t.tracePrincipal(ft.Params, ft.Annot, ft.prog, args)
-}
-
-func (t *Thread) tracePrincipal(params []Param, set *annot.Set, prog *annotProg, args []uint64) (kind annot.PrincipalKind, treeVal, progVal int64, treeErr, progErr error, hasProg bool) {
-	if set == nil {
-		return annot.PrincipalDefault, 0, 0, nil, nil, prog != nil
+// TracePrincipalValue evaluates ft's principal(...) expression on args
+// without materializing an instance principal. isExpr is false when the
+// annotation names no expression (shared, global, or the default).
+func (ft *FPtrType) TracePrincipalValue(t *Thread, args []uint64) (v int64, isExpr bool, err error) {
+	prog := t.Sys.compileAnnot(ft.Name, ft.Params, ft.Annot)
+	if prog.prinKind != annot.PrincipalExpr {
+		return 0, false, nil
 	}
-	kind = set.Principal.Kind
-	if kind != annot.PrincipalExpr {
-		return kind, 0, 0, nil, nil, prog != nil
-	}
-	env := t.getEnv(params, args)
+	env := t.getEnv(args)
 	defer t.putEnv(env)
-	treeVal, treeErr = set.Principal.Expr.Eval(env)
-	if prog != nil {
-		progVal, progErr = prog.prinProg.Eval(env)
-		hasProg = true
-	}
-	return kind, treeVal, progVal, treeErr, progErr, hasProg
+	v, err = prog.prinProg.Eval(env)
+	return v, true, err
 }
 
-func (t *Thread) traceBoth(name string, params []Param, set *annot.Set, prog *annotProg, phase string, args []uint64, ret uint64, from *caps.Principal) (tree, compiled []ActionTrace, hasProg bool) {
-	env := t.getEnv(params, args)
+// traceProgram mirrors runProgram with recording effects. The
+// violation formats are kept textually identical to the executor's.
+func (t *Thread) traceProgram(phase, fnName string, prog *annotProg, args []uint64, ret uint64, from *caps.Principal) []ActionTrace {
+	if prog == nil {
+		return nil
+	}
+	env := t.getEnv(args)
 	defer t.putEnv(env)
+	steps := prog.pre
 	if phase == "post" {
+		steps = prog.post
 		env.ret, env.hasRet = ret, true
 	}
-	var actions []*annot.Action
-	if set != nil {
-		actions = set.Pre
-		if phase == "post" {
-			actions = set.Post
-		}
-	}
-	tree = t.traceTreeActions(phase, name, actions, env, from)
-	if prog != nil {
-		steps := prog.pre
-		if phase == "post" {
-			steps = prog.post
-		}
-		compiled = t.traceProgActions(phase, name, steps, env, from)
-		hasProg = true
-	}
-	return tree, compiled, hasProg
-}
-
-// traceTreeActions mirrors runActions/runAction with recording
-// effects. The violation formats are kept textually identical to the
-// production executor so traces compare exactly.
-func (t *Thread) traceTreeActions(phase, fnName string, actions []*annot.Action, env *argEnv, from *caps.Principal) []ActionTrace {
-	var out []ActionTrace
-	for _, a := range actions {
-		var stop bool
-		out, stop = t.traceTreeAction(phase, fnName, a, env, from, out)
-		if stop {
-			return out
-		}
-	}
-	return out
-}
-
-func (t *Thread) traceTreeAction(phase, fnName string, a *annot.Action, env *argEnv, from *caps.Principal, out []ActionTrace) ([]ActionTrace, bool) {
-	if a.Op == annot.If {
-		v, err := a.Cond.Eval(env)
-		if err != nil {
-			return append(out, ActionTrace{Op: "violation",
-				Err: fmt.Sprintf("%s %s: bad condition %q: %v", phase, fnName, a.Cond, err)}), true
-		}
-		if v == 0 {
-			return out, false
-		}
-		return t.traceTreeAction(phase, fnName, a.Then, env, from, out)
-	}
-	capsList, err := t.resolveCaps(a.Caps, env, t.getCapBuf())
-	defer t.putCapBuf(capsList)
-	if err != nil {
-		return append(out, ActionTrace{Op: "violation",
-			Err: fmt.Sprintf("%s %s: %v", phase, fnName, err)}), true
-	}
-	for _, c := range capsList {
-		var stop bool
-		out, stop = t.traceCapOp(phase, fnName, a.Op, c, from, out)
-		if stop {
-			return out, true
-		}
-	}
-	return out, false
-}
-
-func (t *Thread) traceProgActions(phase, fnName string, steps []actionStep, env *argEnv, from *caps.Principal) []ActionTrace {
 	var out []ActionTrace
 steps:
 	for i := range steps {
@@ -191,8 +113,8 @@ steps:
 
 // traceCapOp records the effect of one operator on one capability.
 // Ownership consults the authoritative tables directly (no per-thread
-// cache) so both executors read the same verdict; nothing is granted
-// or revoked.
+// cache, so a dry run leaves no cached verdicts behind); nothing is
+// granted or revoked.
 func (t *Thread) traceCapOp(phase, fnName string, op annot.Op, c caps.Cap, from *caps.Principal, out []ActionTrace) ([]ActionTrace, bool) {
 	if op == annot.Revoke {
 		return append(out, ActionTrace{Op: "revoke", Cap: c.String()}), false

@@ -2,20 +2,21 @@
 //
 // The paper's loader compiles annotations into checking wrappers once,
 // at module load (§4.2); calls then run the compiled checks. This file
-// is that compile step for the simulation: when a function or
-// function-pointer type is registered, its annot.Set is lowered into an
-// annotProg — a flat slice of fixed-size actionSteps whose expressions
-// are opcode programs (annot.ExprProg) with parameter names resolved to
-// argument indices, whose iterators and REF cache tags are
-// pre-resolved, and whose if-chains are flattened into per-step
-// condition lists. The crossing paths in calls.go execute programs;
-// the expression-tree interpreter in actions.go remains as the
-// fallback for the one cold case a program cannot cover (an indirect
-// call substituting the slot type's parameter list into a function
-// declared without one) and as the oracle for the differential tests.
+// is that compile step for the simulation: when a function is
+// registered, its annot.Set is lowered into an annotProg — a flat slice
+// of fixed-size actionSteps whose expressions are opcode programs
+// (annot.ExprProg) with parameter names resolved to argument indices,
+// whose iterators and REF cache tags are pre-resolved, and whose
+// if-chains are flattened into per-step condition lists. Every crossing
+// in calls.go runs a program. A declaration without a parameter list
+// that is reached through a function-pointer slot borrows the slot
+// type's parameter names; substProg compiles that variant on first use
+// and memoizes it on the declaration.
 package core
 
 import (
+	"fmt"
+
 	"lxfi/internal/annot"
 	"lxfi/internal/caps"
 )
@@ -33,8 +34,8 @@ type actionStep struct {
 	op annot.Op // Copy, Transfer, Check, or Revoke (If is flattened into conds)
 
 	// conds must all evaluate nonzero for the step to run (a flattened
-	// `if (a) if (b) action` chain, evaluated in order with the tree
-	// interpreter's short-circuit semantics).
+	// `if (a) if (b) action` chain, evaluated in order and stopping at
+	// the first zero).
 	conds []compiledCond
 
 	// src is the source caplist, used only in cold-path error text.
@@ -50,14 +51,14 @@ type actionStep struct {
 	// sizeof(*ptr) resolution when the size expression is omitted:
 	// sizeofVal is the layout size resolved at compile time; when 0,
 	// sizeofType (the named parameter's declared C type) is resolved
-	// against the layout registry at run time, matching the tree
-	// interpreter for layouts defined after registration.
+	// against the layout registry at run time, for layouts defined
+	// after registration.
 	sizeofType string
 	sizeofVal  uint64
 
 	// Iterator form (iterName != "" selects it): iter is the function
 	// resolved at compile time, nil when the iterator was registered
-	// later (run time then resolves by name, as the tree does).
+	// later (run time then resolves it by name).
 	iterName string
 	iter     IterFunc
 	iterArgs []annot.ExprProg
@@ -105,31 +106,53 @@ func (e bindEnv) ConstValue(name string) (int64, bool) {
 	return e.sys.Const(name)
 }
 
-// compileAnnot lowers set into an action program against params. A nil
-// or uncompilable set yields nil, which the call paths read as "use
-// the tree interpreter" — so a malformed set degrades to the old
-// behavior instead of changing it.
-func (s *System) compileAnnot(params []Param, set *annot.Set) *annotProg {
+// compileAnnot lowers set into an action program against params; a
+// nil set (an unannotated kernel function) yields nil. The parser never
+// produces a set that fails to compile, so a compile error is a broken
+// invariant and panics at registration, like a parse error.
+func (s *System) compileAnnot(name string, params []Param, set *annot.Set) *annotProg {
 	if set == nil {
 		return nil
 	}
 	cenv := bindEnv{params: params, sys: s}
 	prog := &annotProg{prinKind: set.Principal.Kind}
-	if set.Principal.Kind == annot.PrincipalExpr {
-		p, err := annot.Compile(set.Principal.Expr, cenv)
-		if err != nil {
-			return nil
-		}
-		prog.prinProg, prog.prinSrc = p, set.Principal.Expr
-	}
 	var err error
-	if prog.pre, err = s.compileActions(set.Pre, cenv, params); err != nil {
-		return nil
+	if set.Principal.Kind == annot.PrincipalExpr {
+		prog.prinProg, err = annot.Compile(set.Principal.Expr, cenv)
+		prog.prinSrc = set.Principal.Expr
 	}
-	if prog.post, err = s.compileActions(set.Post, cenv, params); err != nil {
-		return nil
+	if err == nil {
+		prog.pre, err = s.compileActions(set.Pre, cenv, params)
+	}
+	if err == nil {
+		prog.post, err = s.compileActions(set.Post, cenv, params)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("core: annotation for %s does not compile: %v", name, err))
 	}
 	return prog
+}
+
+// substEntry is a declaration's annotation set compiled against the
+// parameter list of the slot type ft it was reached through.
+type substEntry struct {
+	ft   *FPtrType
+	prog *annotProg
+}
+
+// substProg returns the program of fn, a declaration without a
+// parameter list, reached through a function-pointer slot of type ft.
+// Such a declaration names its arguments by the slot type's parameters,
+// so its set is compiled against ft.Params. The last such program is
+// memoized on fn: a declaration is normally reached through one slot
+// type, and threads that alternate types only recompile.
+func (s *System) substProg(fn *FuncDecl, ft *FPtrType) *annotProg {
+	if e := fn.subst.Load(); e != nil && e.ft == ft {
+		return e.prog
+	}
+	e := &substEntry{ft: ft, prog: s.compileAnnot(fn.Name, ft.Params, fn.Annot)}
+	fn.subst.Store(e)
+	return e.prog
 }
 
 func (s *System) compileActions(actions []*annot.Action, cenv annot.CompileEnv, params []Param) ([]actionStep, error) {
@@ -158,7 +181,7 @@ func (s *System) compileStep(a *annot.Action, cenv annot.CompileEnv, params []Pa
 		a = a.Then
 	}
 	if a == nil || a.Caps == nil {
-		return st, errBadAction
+		return st, fmt.Errorf("core: action without a capability list")
 	}
 	st.op = a.Op
 	cl := a.Caps
@@ -209,14 +232,6 @@ func (s *System) compileStep(a *annot.Action, cenv annot.CompileEnv, params []Pa
 	}
 	return st, nil
 }
-
-// errBadAction marks an action shape the compiler cannot lower; the
-// set falls back to tree interpretation.
-var errBadAction = &badActionError{}
-
-type badActionError struct{}
-
-func (*badActionError) Error() string { return "core: uncompilable annotation action" }
 
 // refTypeTag interns a REF type name and returns its packed check-cache
 // tag: a process-unique nonzero ID below the kind shift, or'd with the

@@ -19,10 +19,10 @@
 //     use of a retired generation's Gate is a violation under
 //     enforcement (gate.go).
 //
-// The bind-time gate architecture (PR 5) is what makes this tractable:
-// every crossing enters through a small number of choke points
-// (callModuleDeclParams for inbound, Gate/IndGate for outbound), so
-// quiescing the module means parking exactly those.
+// The bind-time gate architecture is what makes this tractable: every
+// crossing enters through a small number of choke points
+// (callModuleDecl for inbound, Gate/IndGate for outbound), so quiescing
+// the module means parking exactly those.
 package core
 
 import (
@@ -64,7 +64,7 @@ func (t *Thread) insideModule(m *Module) bool {
 // The increment-then-check order is what makes the quiesce race-free:
 // a crossing that observed the live state has already published itself
 // in active, so the quiescer's active==0 read cannot miss it.
-func (t *Thread) enterModule(m *Module, fn *FuncDecl, params []Param, substituted bool) (*Module, *FuncDecl, []Param, bool, error) {
+func (t *Thread) enterModule(m *Module, fn *FuncDecl) (*Module, *FuncDecl, error) {
 	for {
 		m.active.Add(1)
 		state := m.lcState.Load()
@@ -91,29 +91,26 @@ func (t *Thread) enterModule(m *Module, fn *FuncDecl, params []Param, substitute
 		// Retired: follow the successor chain.
 		succ := m.successor.Load()
 		if succ == nil {
-			return nil, nil, nil, false, fmt.Errorf("%w (%s: reload failed)", ErrModuleDead, m.Name)
+			return nil, nil, fmt.Errorf("%w (%s: reload failed)", ErrModuleDead, m.Name)
 		}
 		m = succ
 	}
-	// The generation check: a declaration owned by an earlier generation
-	// (a stale function-pointer slot, or a by-name dispatch that raced a
-	// reload) is re-bound to the entered generation's declaration of the
-	// same name.
+	// The generation check: callers enter through the declaration's own
+	// generation (dispatch goes through fn.owner), so fn belongs to an
+	// earlier generation exactly when the loop above followed the
+	// successor chain — a stale function-pointer slot, or a caller still
+	// holding the retired *Module. The crossing is re-bound to the
+	// entered generation's declaration of the same name.
 	if fn.owner != nil && fn.owner != m {
 		nf, ok := m.Funcs[fn.Name]
 		if !ok {
 			m.active.Add(-1)
-			return nil, nil, nil, false, fmt.Errorf(
+			return nil, nil, fmt.Errorf(
 				"core: reload of %s removed function %q", m.Name, fn.Name)
-		}
-		// Keep the slot type's substituted parameters only if the fresh
-		// declaration also carries none.
-		if !substituted || len(nf.Params) != 0 {
-			params, substituted = nf.Params, false
 		}
 		fn = nf
 	}
-	return m, fn, params, substituted, nil
+	return m, fn, nil
 }
 
 // BeginReload quiesces module m: new crossings park at the gate while

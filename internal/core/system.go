@@ -136,7 +136,7 @@ func (s *System) RegisterKernelFunc(name string, params []Param, annotSrc string
 	}
 	s.validateAnnot(name, params, set)
 	f := &FuncDecl{Name: name, Params: params, Annot: set, Impl: impl}
-	f.prog = s.compileAnnot(params, set)
+	f.prog = s.compileAnnot(name, params, set)
 	s.registerFunc(f, s.kernelText)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -196,7 +196,6 @@ func (s *System) RegisterFPtrType(name string, params []Param, annotSrc string) 
 	}
 	s.validateAnnot(name, params, set)
 	ft := &FPtrType{Name: name, Params: params, Annot: set}
-	ft.prog = s.compileAnnot(params, set)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.fptrTypes[name]; dup {
@@ -222,8 +221,9 @@ func (s *System) RegisterIterator(name string, fn IterFunc) {
 // table is fully mutable; after it freezes (LoadModule), rebinding a
 // name to a different value panics — compiled action programs may have
 // folded the old value into their opcode streams, so a silent rebind
-// would split the two evaluators. Registering new names, or re-stating
-// an existing binding, stays legal at any time.
+// would leave them disagreeing with programs that resolve the name at
+// run time. Registering new names, or re-stating an existing binding,
+// stays legal at any time.
 func (s *System) RegisterConst(name string, v int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -431,7 +431,7 @@ func (s *System) LoadModule(spec ModuleSpec) (*Module, error) {
 		// Bind-time compilation (§4.2): the annotation set is lowered
 		// into its action program once, here, instead of being
 		// re-interpreted on every crossing into the module.
-		f.prog = s.compileAnnot(fs.Params, set)
+		f.prog = s.compileAnnot(fs.Name, fs.Params, set)
 		s.registerFunc(f, s.moduleArea)
 		m.Funcs[fs.Name] = f
 		if fs.Type != "" {
