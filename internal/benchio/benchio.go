@@ -1,5 +1,6 @@
-// Package benchio is the shared report-emission plumbing of the
-// benchmark commands (lxfi-fsperf, lxfi-netperf, lxfi-microbench).
+// Package benchio is the shared report plumbing of the benchmark
+// commands (lxfi-fsperf, lxfi-netperf, lxfi-microbench): the one
+// BENCH_*.json schema and the emission helpers.
 //
 // Every benchmark command follows the same contract:
 //
@@ -19,9 +20,88 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"reflect"
 )
+
+// Report is the schema of every BENCH_*.json: the run's parameters,
+// every measured number under a slash path ("minix/journal/writes_per_op"),
+// and the gate each gated path declares. scripts/perf_gate.py checks
+// the declared gates and knows no report's layout.
+type Report struct {
+	Bench  string             `json:"bench"`
+	Params map[string]any     `json:"params"`
+	Values map[string]float64 `json:"values"`
+	Gates  map[string]Gate    `json:"gates"`
+}
+
+// Gate bounds one report value. Min and Max are inclusive. A non-zero
+// Rel fails a value more than that fraction over the previous run's.
+type Gate struct {
+	Min *float64 `json:"min,omitempty"`
+	Max *float64 `json:"max,omitempty"`
+	Rel float64  `json:"rel,omitempty"`
+}
+
+// relTolerance is the run-over-run growth a relative gate allows.
+const relTolerance = 0.30
+
+// AtLeast, AtMost and Between declare absolute bounds.
+func AtLeast(lo float64) Gate     { return Gate{Min: &lo} }
+func AtMost(hi float64) Gate      { return Gate{Max: &hi} }
+func Between(lo, hi float64) Gate { return Gate{Min: &lo, Max: &hi} }
+
+// relative returns g with the run-over-run check added.
+func (g Gate) relative() Gate {
+	g.Rel = relTolerance
+	return g
+}
+
+// The gates more than one report declares.
+var (
+	// Rel holds a value to the previous run's and nothing else.
+	Rel = Gate{Rel: relTolerance}
+	// Positive holds a value above zero: a cost or rate that was
+	// measured. Its inclusive min is the smallest positive float64.
+	Positive = AtLeast(math.SmallestNonzeroFloat64)
+	// Timing is a measured cost held to the previous run.
+	Timing = Positive.relative()
+	// Reload is a hot-reload latency in ns: measured, under 50 ms even
+	// on a first run with no baseline, and held to the previous run.
+	Reload = Between(math.SmallestNonzeroFloat64, 50e6).relative()
+	// AllocFree holds a phase that must not allocate: 0.01 allocs/op
+	// allows MemStats sampling noise, well under one real allocation
+	// per op.
+	AllocFree = AtMost(0.01)
+)
+
+// NewReport starts an empty report.
+func NewReport(bench string, params map[string]any) *Report {
+	return &Report{Bench: bench, Params: params, Values: map[string]float64{}, Gates: map[string]Gate{}}
+}
+
+// Record stores v under path and declares g as its gate; the zero Gate
+// declares none.
+func (r *Report) Record(path string, v float64, g Gate) {
+	r.Values[path] = v
+	if g != (Gate{}) {
+		r.Gates[path] = g
+	}
+}
+
+// Pair records a stock/enforced cost under path: stock_ns and lxfi_ns,
+// each held to g, and the ungated overhead_pct of the enforced build.
+func (r *Report) Pair(path string, stock, lxfi float64, g Gate) {
+	r.Record(path+"/stock_ns", stock, g)
+	r.Record(path+"/lxfi_ns", lxfi, g)
+	if stock > 0 {
+		r.Record(path+"/overhead_pct", 100*(lxfi-stock)/stock, Gate{})
+	}
+}
+
+// JSON encodes the report as the BENCH artifact.
+func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // Stdout and Stderr are the emission targets, swappable in tests.
 var (

@@ -2,6 +2,9 @@ package benchio
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -74,3 +77,35 @@ func TestFailPathsUseStderrAndExitCodes(t *testing.T) {
 type errString string
 
 func (e errString) Error() string { return string(e) }
+
+// TestReportWireFormat pins the schema scripts/perf_gate.py reads: flat
+// values, and gates with only the bounds they declare.
+func TestReportWireFormat(t *testing.T) {
+	r := NewReport("demo", map[string]any{"iters": 10})
+	r.Pair("op", 100, 150, Timing)
+	r.Record("op/count", 3, AtLeast(1))
+	r.Record("op/ratio", 1.2, AtMost(1.5))
+	r.Record("op/note", 7, Gate{})
+	out, err := r.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Bench  string
+		Params map[string]any
+		Values map[string]float64
+		Gates  map[string]map[string]float64
+	}
+	if err := json.Unmarshal(out, &doc); err != nil {
+		t.Fatal(err)
+	}
+	wantValues := map[string]float64{"op/stock_ns": 100, "op/lxfi_ns": 150, "op/overhead_pct": 50,
+		"op/count": 3, "op/ratio": 1.2, "op/note": 7}
+	timing := map[string]float64{"min": math.SmallestNonzeroFloat64, "rel": relTolerance}
+	wantGates := map[string]map[string]float64{"op/stock_ns": timing, "op/lxfi_ns": timing,
+		"op/count": {"min": 1}, "op/ratio": {"max": 1.5}}
+	if doc.Bench != "demo" || doc.Params["iters"] != 10.0 ||
+		!reflect.DeepEqual(doc.Values, wantValues) || !reflect.DeepEqual(doc.Gates, wantGates) {
+		t.Fatalf("report = %s", out)
+	}
+}

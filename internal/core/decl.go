@@ -188,14 +188,6 @@ func (m *Module) Retired() bool { return m.lcState.Load() == lcRetired }
 // Quiescing reports whether a reload is draining the module.
 func (m *Module) Quiescing() bool { return m.lcState.Load() == lcQuiescing }
 
-// Successor returns the module generation that replaced this one after
-// a reload, or nil.
-func (m *Module) Successor() *Module { return m.successor.Load() }
-
-// ActiveCrossings returns the number of crossings currently executing
-// inside the module (diagnostics; the quiesce loop polls it).
-func (m *Module) ActiveCrossings() int64 { return m.active.Load() }
-
 // lcTransition publishes a lifecycle state and wakes every crossing
 // parked on the previous wake channel so it re-checks the state.
 func (m *Module) lcTransition(state int32) {

@@ -75,7 +75,7 @@ func (g *Gate) Func() *FuncDecl { return g.fn }
 
 func (t *Thread) popArgs(base int) { t.argStack = t.argStack[:base] }
 
-// Call0 through Call6 are the fixed-arity crossing entry points.
+// Call0 through Call4 are the fixed-arity crossing entry points.
 
 // Call0 invokes the gate with no arguments.
 func (g *Gate) Call0(t *Thread) (uint64, error) {
@@ -136,32 +136,8 @@ func (g *Gate) Call4(t *Thread, a0, a1, a2, a3 uint64) (uint64, error) {
 	return ret, err
 }
 
-// Call5 invokes the gate with five arguments.
-func (g *Gate) Call5(t *Thread, a0, a1, a2, a3, a4 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2, a3, a4)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call6 invokes the gate with six arguments.
-func (g *Gate) Call6(t *Thread, a0, a1, a2, a3, a4, a5 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2, a3, a4, a5)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
 // CallArgs invokes the gate with a caller-owned argument slice (for
-// arities beyond Call6 or callers with their own scratch).
+// arities beyond Call4 or callers with their own scratch).
 func (g *Gate) CallArgs(t *Thread, args []uint64) (uint64, error) {
 	if err := g.guard(t); err != nil {
 		return 0, err
@@ -259,27 +235,10 @@ func (g *IndGate) Call4(t *Thread, slot mem.Addr, a0, a1, a2, a3 uint64) (uint64
 	return ret, err
 }
 
-// CallAddrArgs is the module-side indirect call through the gate's
-// interface type: module code invoking a function pointer value it
-// holds (e.g. a kernel-provided callback), with the CALL capability
-// and annotation-hash checks of Thread.CallAddr.
-func (g *IndGate) CallAddrArgs(t *Thread, target mem.Addr, args []uint64) (uint64, error) {
-	return t.callAddrFT(target, g.ft, args)
-}
-
 // CallAddr1 is the one-argument module-side indirect call.
 func (g *IndGate) CallAddr1(t *Thread, target mem.Addr, a0 uint64) (uint64, error) {
 	base := len(t.argStack)
 	t.argStack = append(t.argStack, a0)
-	ret, err := t.callAddrFT(target, g.ft, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// CallAddr2 is the two-argument module-side indirect call.
-func (g *IndGate) CallAddr2(t *Thread, target mem.Addr, a0, a1 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1)
 	ret, err := t.callAddrFT(target, g.ft, t.argStack[base:])
 	t.popArgs(base)
 	return ret, err

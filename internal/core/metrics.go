@@ -1,10 +1,6 @@
 package core
 
-import (
-	"encoding/json"
-
-	"lxfi/internal/trace"
-)
+import "lxfi/internal/trace"
 
 // MetricsSnapshot is the monitor's exportable metrics registry: the
 // guard counters of Figure 13, the capability-system shape, the
@@ -109,9 +105,4 @@ func (s *System) Metrics() MetricsSnapshot {
 		m.Supervisor = (*fp)()
 	}
 	return m
-}
-
-// MetricsJSON renders the registry as indented JSON.
-func (s *System) MetricsJSON() ([]byte, error) {
-	return json.MarshalIndent(s.Metrics(), "", "  ")
 }

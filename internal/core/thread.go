@@ -324,12 +324,6 @@ func (t *Thread) SwitchInstance(addr mem.Addr) (restore func(), err error) {
 	return func() { t.cur = prev }, nil
 }
 
-// DropPrincipal removes the instance principal named addr (object
-// destroyed). Kernel context only.
-func (t *Thread) DropPrincipal(m *Module, addr mem.Addr) {
-	m.Set.DropInstance(addr)
-}
-
 // Interrupt runs handler in trusted kernel context, saving the current
 // principal on the shadow stack and restoring it afterwards — "if an
 // interrupt comes in while a module is executing, the module's

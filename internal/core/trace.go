@@ -27,9 +27,6 @@ import (
 // they care about (or use Thread.EnableTrace on a thread they own).
 func (s *System) EnableTracing() { s.tracing.Store(true) }
 
-// TracingEnabled reports whether new threads get trace rings.
-func (s *System) TracingEnabled() bool { return s.tracing.Load() }
-
 // EnableTrace attaches a fresh default-sized ring to the thread and
 // returns it. Owner-only, like every other mutation of per-thread
 // state.

@@ -11,13 +11,13 @@
 package fsperf
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/blockdev"
 	"lxfi/internal/core"
 	"lxfi/internal/kernel"
@@ -890,144 +890,55 @@ func FormatJournal(j *JournalCosts) string {
 		"journal rename", stock, lxfi, overhead, j.WritesPerOp)
 }
 
-// jsonRow mirrors Row with stable snake_case keys for the CI artifact.
-type jsonRow struct {
-	Op          string  `json:"op"`
-	StockNs     float64 `json:"stock_ns"`
-	LxfiNs      float64 `json:"lxfi_ns"`
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-type jsonWBSide struct {
-	PagesFlushed           uint64 `json:"pages_flushed"`
-	ForcedForegroundWrites uint64 `json:"forced_foreground_writes"`
-}
-
-type jsonWB struct {
-	Stock jsonWBSide `json:"stock"`
-	Lxfi  jsonWBSide `json:"lxfi"`
-}
-
-type jsonFS struct {
-	FS        string       `json:"fs"`
-	Rows      []jsonRow    `json:"rows"`
-	Writeback *jsonWB      `json:"writeback,omitempty"`
-	Reload    *jsonReload  `json:"reload,omitempty"`
-	Journal   *jsonJournal `json:"journal,omitempty"`
-}
-
-// jsonJournal reports the journaled-metadata phase: write-ahead rename
-// and exchange costs under both builds and the sector writes one
-// journaled rename performs. perf_gate.py gates the rename overhead and
-// the write amplification.
-type jsonJournal struct {
-	StockRenameNs   float64 `json:"stock_rename_ns"`
-	LxfiRenameNs    float64 `json:"lxfi_rename_ns"`
-	StockExchangeNs float64 `json:"stock_exchange_ns"`
-	LxfiExchangeNs  float64 `json:"lxfi_exchange_ns"`
-	OverheadPct     float64 `json:"overhead_pct"`
-	WritesPerOp     float64 `json:"writes_per_op"`
-}
-
-// jsonReload reports the hot-reload-under-traffic phase: mean service
-// interruption per reload (quiesce wait and full quiesce+swap+migrate
-// span) under both builds, with the live-traffic proof (worker op-cycles
-// completed while the reloads ran) and the migrated-capability count.
-type jsonReload struct {
-	Reloads        int     `json:"reloads"`
-	StockQuiesceNs float64 `json:"stock_quiesce_ns"`
-	LxfiQuiesceNs  float64 `json:"lxfi_quiesce_ns"`
-	StockTotalNs   float64 `json:"stock_total_ns"`
-	LxfiTotalNs    float64 `json:"lxfi_total_ns"`
-	StockCycles    int     `json:"stock_worker_cycles"`
-	LxfiCycles     int     `json:"lxfi_worker_cycles"`
-	MigratedCaps   int     `json:"migrated_caps"`
-}
-
-type jsonConc struct {
-	Workers     int      `json:"workers"`
-	Mounts      []string `json:"mounts"`
-	StockNs     float64  `json:"stock_ns"`
-	LxfiNs      float64  `json:"lxfi_ns"`
-	OverheadPct float64  `json:"overhead_pct"`
-}
-
-type jsonDoc struct {
-	Bench       string    `json:"bench"`
-	Files       int       `json:"files"`
-	FileSize    uint64    `json:"file_size"`
-	Results     []jsonFS  `json:"results"`
-	Concurrency *jsonConc `json:"concurrency,omitempty"`
-}
-
-// JSON serializes measured costs as the machine-readable report CI
-// archives as BENCH_fsperf.json, so the perf trajectory of every op is
-// tracked run over run. conc may be nil when the concurrency phase was
+// JSON serializes measured costs as the BENCH_fsperf.json report, each
+// number with its gate. conc may be nil when the concurrency phase was
 // not measured; rls and jrns entries are matched to results by
 // filesystem name.
 func JSON(cs []*Costs, conc *ConcurrencyCosts, rls []*ReloadCosts, jrns []*JournalCosts, files int, fileSize uint64) ([]byte, error) {
-	doc := jsonDoc{Bench: "fsperf", Files: files, FileSize: fileSize}
+	r := benchio.NewReport("fsperf", map[string]any{"files": files, "file_size": fileSize})
 	for _, c := range cs {
-		f := jsonFS{FS: string(c.Kind), Rows: []jsonRow{}}
-		for _, j := range jrns {
-			if j != nil && j.FS == string(c.Kind) {
-				jj := &jsonJournal{
-					StockRenameNs:   j.RenameNs[core.Off],
-					LxfiRenameNs:    j.RenameNs[core.Enforce],
-					StockExchangeNs: j.ExchangeNs[core.Off],
-					LxfiExchangeNs:  j.ExchangeNs[core.Enforce],
-					WritesPerOp:     j.WritesPerOp,
-				}
-				if jj.StockRenameNs > 0 {
-					jj.OverheadPct = 100 * (jj.LxfiRenameNs - jj.StockRenameNs) / jj.StockRenameNs
-				}
-				f.Journal = jj
-			}
+		fs := string(c.Kind)
+		for _, row := range BuildTable(c) {
+			r.Pair(fs+"/"+row.Op, row.StockNs, row.LxfiNs, benchio.Timing)
+		}
+		for mode, wb := range c.WB {
+			p := fs + "/writeback/" + mode.String()
+			r.Record(p+"/pages_flushed", float64(wb.PagesFlushed), benchio.Gate{})
+			r.Record(p+"/forced_foreground_writes", float64(wb.ForcedForeground), benchio.Gate{})
 		}
 		for _, rl := range rls {
-			if rl != nil && rl.FS == string(c.Kind) {
-				f.Reload = &jsonReload{
-					Reloads:        rl.Reloads,
-					StockQuiesceNs: rl.Quiesce[core.Off],
-					LxfiQuiesceNs:  rl.Quiesce[core.Enforce],
-					StockTotalNs:   rl.Total[core.Off],
-					LxfiTotalNs:    rl.Total[core.Enforce],
-					StockCycles:    rl.Cycles[core.Off],
-					LxfiCycles:     rl.Cycles[core.Enforce],
-					MigratedCaps:   rl.Migrated,
-				}
+			if rl == nil || rl.FS != fs {
+				continue
 			}
-		}
-		for _, r := range BuildTable(c) {
-			f.Rows = append(f.Rows, jsonRow{Op: r.Op, StockNs: r.StockNs, LxfiNs: r.LxfiNs, OverheadPct: r.Overhead})
-		}
-		if len(c.WB) > 0 {
-			f.Writeback = &jsonWB{
-				Stock: jsonWBSide{
-					PagesFlushed:           c.WB[core.Off].PagesFlushed,
-					ForcedForegroundWrites: c.WB[core.Off].ForcedForeground,
-				},
-				Lxfi: jsonWBSide{
-					PagesFlushed:           c.WB[core.Enforce].PagesFlushed,
-					ForcedForegroundWrites: c.WB[core.Enforce].ForcedForeground,
-				},
+			p := fs + "/reload"
+			r.Record(p+"/reloads", float64(rl.Reloads), benchio.AtLeast(1))
+			r.Pair(p+"/total", rl.Total[core.Off], rl.Total[core.Enforce], benchio.Reload)
+			r.Pair(p+"/quiesce", rl.Quiesce[core.Off], rl.Quiesce[core.Enforce], benchio.Rel)
+			// The worker kept the mount busy while the reloads ran.
+			for _, mode := range []core.Mode{core.Off, core.Enforce} {
+				r.Record(p+"/"+mode.String()+"_worker_cycles", float64(rl.Cycles[mode]), benchio.AtLeast(1))
 			}
+			r.Record(p+"/migrated_caps", float64(rl.Migrated), benchio.AtLeast(1))
 		}
-		doc.Results = append(doc.Results, f)
+		for _, j := range jrns {
+			if j == nil || j.FS != fs {
+				continue
+			}
+			p := fs + "/journal"
+			r.Pair(p+"/rename", j.RenameNs[core.Off], j.RenameNs[core.Enforce], benchio.Timing)
+			r.Pair(p+"/exchange", j.ExchangeNs[core.Off], j.ExchangeNs[core.Enforce], benchio.Timing)
+			// One journaled rename is intent + commit + apply (+
+			// checkpoint): more than one sector write, and the
+			// crash-consistency protocol may not silently grow its I/O.
+			r.Record(p+"/writes_per_op", j.WritesPerOp, benchio.Between(2, 8))
+		}
 	}
 	if conc != nil {
-		jc := &jsonConc{
-			Workers: conc.Workers,
-			Mounts:  conc.Mounts,
-			StockNs: conc.Ns[core.Off],
-			LxfiNs:  conc.Ns[core.Enforce],
-		}
-		if jc.StockNs > 0 {
-			jc.OverheadPct = 100 * (jc.LxfiNs - jc.StockNs) / jc.StockNs
-		}
-		doc.Concurrency = jc
+		r.Params["mounts"] = conc.Mounts
+		r.Record("concurrency/workers", float64(conc.Workers), benchio.AtLeast(2))
+		r.Pair("concurrency", conc.Ns[core.Off], conc.Ns[core.Enforce], benchio.Timing)
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	return r.JSON()
 }
 
 // FormatConcurrency renders the multi-mount phase line.

@@ -2,8 +2,10 @@ package fsperf_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/core"
 	"lxfi/internal/fsperf"
 	"lxfi/internal/mem"
@@ -76,22 +78,26 @@ func TestMeasureCostsProducesAllOps(t *testing.T) {
 	}
 }
 
-// TestJSONReportShape: the CI artifact must carry both filesystems and
-// every measured op with nonzero costs under both builds.
+// TestJSONReportShape: the CI artifact must carry both filesystems,
+// every measured op with nonzero costs under both builds, and the
+// writeback, reload, journal and concurrency phases, each number the
+// gate checks declared with its gate.
 func TestJSONReportShape(t *testing.T) {
 	var all []*fsperf.Costs
+	var rls []*fsperf.ReloadCosts
 	for _, kind := range []fsperf.Kind{fsperf.Tmpfs, fsperf.Minix} {
 		c, err := fsperf.MeasureCosts(kind, 4, mem.PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, c)
+		rl, err := fsperf.MeasureReload(kind, mem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rls = append(rls, rl)
 	}
 	conc, err := fsperf.MeasureConcurrency(4, mem.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl, err := fsperf.MeasureReload(fsperf.Tmpfs, mem.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,109 +105,79 @@ func TestJSONReportShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := fsperf.JSON(all, conc, []*fsperf.ReloadCosts{rl}, []*fsperf.JournalCosts{jrn}, 4, mem.PageSize)
+	out, err := fsperf.JSON(all, conc, rls, []*fsperf.JournalCosts{jrn}, 4, mem.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Bench   string `json:"bench"`
-		Files   int    `json:"files"`
-		Results []struct {
-			FS   string `json:"fs"`
-			Rows []struct {
-				Op      string  `json:"op"`
-				StockNs float64 `json:"stock_ns"`
-				LxfiNs  float64 `json:"lxfi_ns"`
-			} `json:"rows"`
-			Reload *struct {
-				Reloads      int     `json:"reloads"`
-				LxfiTotalNs  float64 `json:"lxfi_total_ns"`
-				LxfiCycles   int     `json:"lxfi_worker_cycles"`
-				MigratedCaps int     `json:"migrated_caps"`
-			} `json:"reload"`
-			Journal *struct {
-				StockRenameNs  float64 `json:"stock_rename_ns"`
-				LxfiRenameNs   float64 `json:"lxfi_rename_ns"`
-				LxfiExchangeNs float64 `json:"lxfi_exchange_ns"`
-				WritesPerOp    float64 `json:"writes_per_op"`
-			} `json:"journal"`
-		} `json:"results"`
-		Concurrency *struct {
-			Workers int      `json:"workers"`
-			Mounts  []string `json:"mounts"`
-			StockNs float64  `json:"stock_ns"`
-			LxfiNs  float64  `json:"lxfi_ns"`
-		} `json:"concurrency"`
-	}
-	if err := json.Unmarshal(out, &doc); err != nil {
+	var rep benchio.Report
+	if err := json.Unmarshal(out, &rep); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
-	if doc.Bench != "fsperf" || doc.Files != 4 || len(doc.Results) != 2 {
-		t.Fatalf("bad document shape: %s", out)
+	if rep.Bench != "fsperf" || rep.Params["files"] != 4.0 {
+		t.Fatalf("bad report header: %s", out)
 	}
-	for _, res := range doc.Results {
-		if len(res.Rows) == 0 {
-			t.Fatalf("%s has no rows", res.FS)
+	// gated returns the value at path, failing unless the report holds
+	// it and declares its gate.
+	gated := func(path string) float64 {
+		t.Helper()
+		v, ok := rep.Values[path]
+		if !ok {
+			t.Fatalf("report is missing %s", path)
 		}
-		for _, row := range res.Rows {
-			if row.StockNs <= 0 || row.LxfiNs <= 0 {
-				t.Fatalf("%s/%s has a zero cost", res.FS, row.Op)
+		if _, ok := rep.Gates[path]; !ok {
+			t.Fatalf("%s declares no gate", path)
+		}
+		return v
+	}
+	for _, c := range all {
+		fs := string(c.Kind)
+		for _, op := range []string{"create", "readdir", "rename", "cache pressure", "unlink"} {
+			if _, ok := c.Op[op]; !ok {
+				t.Fatalf("%s did not measure %q", fs, op)
 			}
 		}
-	}
-	var sawReload bool
-	for _, res := range doc.Results {
-		if res.FS != "tmpfs" {
-			continue
+		for op := range c.Op {
+			for _, side := range []string{"stock_ns", "lxfi_ns"} {
+				if v := gated(fs + "/" + op + "/" + side); v <= 0 {
+					t.Fatalf("%s/%s has a zero cost", fs, op)
+				}
+			}
 		}
-		if res.Reload == nil {
-			t.Fatal("tmpfs result is missing the hot-reload phase")
+		for _, p := range []string{"stock/pages_flushed", "lxfi/pages_flushed",
+			"stock/forced_foreground_writes", "lxfi/forced_foreground_writes"} {
+			if _, ok := rep.Values[fs+"/writeback/"+p]; !ok {
+				t.Fatalf("%s is missing writeback counter %s", fs, p)
+			}
 		}
-		sawReload = true
-		if res.Reload.Reloads < 1 || res.Reload.LxfiTotalNs <= 0 {
-			t.Fatalf("bad reload phase: %+v", *res.Reload)
+		rl := fs + "/reload/"
+		if gated(rl+"reloads") < 1 || gated(rl+"total/stock_ns") <= 0 || gated(rl+"total/lxfi_ns") <= 0 {
+			t.Fatalf("%s: bad reload phase: %s", fs, out)
 		}
-		if res.Reload.LxfiCycles < 1 {
-			t.Fatal("reload phase ran without live worker traffic")
+		gated(rl + "quiesce/stock_ns")
+		gated(rl + "quiesce/lxfi_ns")
+		if gated(rl+"stock_worker_cycles") < 1 || gated(rl+"lxfi_worker_cycles") < 1 {
+			t.Fatalf("%s: reload phase ran without live worker traffic", fs)
 		}
-		if res.Reload.MigratedCaps < 1 {
-			t.Fatal("enforced reload migrated no capabilities")
-		}
-	}
-	if !sawReload {
-		t.Fatal("no tmpfs result in the artifact")
-	}
-	var sawJournal bool
-	for _, res := range doc.Results {
-		if res.FS != "minix" {
-			continue
-		}
-		if res.Journal == nil {
-			t.Fatal("minix result is missing the journal phase")
-		}
-		sawJournal = true
-		j := res.Journal
-		if j.StockRenameNs <= 0 || j.LxfiRenameNs <= 0 || j.LxfiExchangeNs <= 0 {
-			t.Fatalf("journal phase has a zero cost: %+v", *j)
-		}
-		// A journaled rename is intent + commit + apply (+ checkpoint):
-		// more than one sector write, but bounded.
-		if j.WritesPerOp < 2 || j.WritesPerOp > 16 {
-			t.Fatalf("journal writes/op = %.1f, outside the sane [2,16] band", j.WritesPerOp)
+		if gated(rl+"migrated_caps") < 1 {
+			t.Fatalf("%s: enforced reload migrated no capabilities", fs)
 		}
 	}
-	if !sawJournal {
-		t.Fatal("no minix result in the artifact")
+	for _, p := range []string{"rename/stock_ns", "rename/lxfi_ns", "exchange/stock_ns", "exchange/lxfi_ns"} {
+		if gated("minix/journal/"+p) <= 0 {
+			t.Fatalf("journal %s is zero", p)
+		}
 	}
-	if doc.Concurrency == nil {
-		t.Fatal("artifact is missing the multi-mount concurrency phase")
+	// The band is the gate's: a journaled rename is intent + commit +
+	// apply (+ checkpoint), more than one sector write but bounded.
+	w, g := gated("minix/journal/writes_per_op"), rep.Gates["minix/journal/writes_per_op"]
+	if g.Min == nil || g.Max == nil || w < *g.Min || w > *g.Max {
+		t.Fatalf("journal writes/op = %.1f, outside its gate %s", w, out)
 	}
-	if doc.Concurrency.Workers < 2 || len(doc.Concurrency.Mounts) < 2 {
-		t.Fatalf("concurrency phase used %d workers on %v, want >= 2 simultaneous mounts",
-			doc.Concurrency.Workers, doc.Concurrency.Mounts)
+	if gated("concurrency/workers") < 2 || gated("concurrency/stock_ns") <= 0 || gated("concurrency/lxfi_ns") <= 0 {
+		t.Fatalf("bad concurrency phase: %s", out)
 	}
-	if doc.Concurrency.StockNs <= 0 || doc.Concurrency.LxfiNs <= 0 {
-		t.Fatalf("concurrency phase has a zero cost: %+v", *doc.Concurrency)
+	if mounts := fmt.Sprint(rep.Params["mounts"]); mounts != "[tmpfs minix]" {
+		t.Fatalf("concurrency phase ran on %s, want tmpfs and minix at once", mounts)
 	}
 }
 

@@ -41,12 +41,12 @@
 package microbench
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
 	"time"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/caps"
 	"lxfi/internal/core"
 	"lxfi/internal/kernel"
@@ -59,34 +59,24 @@ import (
 
 // CrossingRow is one phase of the crossing benchmark.
 type CrossingRow struct {
-	Op          string  `json:"op"`
-	StockNs     float64 `json:"stock_ns"`
-	LxfiNs      float64 `json:"lxfi_ns"`
-	OverheadPct float64 `json:"overhead_pct"`
-	AllocsPerOp float64 `json:"allocs_per_op"` // enforced build
-	Workers     int     `json:"workers"`
+	Op          string
+	StockNs     float64
+	LxfiNs      float64
+	OverheadPct float64
+	// AllocsPerOp is the enforced build's heap allocations per op, read
+	// from MemStats only by the phases with AllocsMeasured set.
+	AllocsPerOp    float64
+	AllocsMeasured bool
+	Workers        int
 	// ScalingRatio is set on the contended phase only: aggregate
 	// contended ns/op divided by single-thread cached ns/op, per build.
 	// ~1.0 means the shards scale; the old global lock sat well above.
-	ScalingRatio      float64 `json:"scaling_ratio,omitempty"`
-	StockScalingRatio float64 `json:"stock_scaling_ratio,omitempty"`
+	ScalingRatio      float64
+	StockScalingRatio float64
 	// TraceOverheadPct is set on the traced phase only: its enforced
 	// ns/op against the untraced "crossing gate" row, i.e. the flight
-	// recorder's cost. The perf gate holds it under 10%.
-	TraceOverheadPct float64 `json:"trace_overhead_pct,omitempty"`
-}
-
-// CrossingReport is the BENCH_crossings.json document. The results
-// shape matches the fsperf report so the generic perf gate reads both.
-type CrossingReport struct {
-	Bench   string `json:"bench"`
-	Iters   int    `json:"iters"`
-	Shards  int    `json:"shards"`
-	Threads int    `json:"gomaxprocs"`
-	Results []struct {
-		FS   string        `json:"fs"`
-		Rows []CrossingRow `json:"rows"`
-	} `json:"results"`
+	// recorder's cost.
+	TraceOverheadPct float64
 }
 
 // crossRig is one booted check-engine bench: a module whose functions
@@ -370,14 +360,14 @@ func MeasureCrossingsWithMetrics(iters int) ([]CrossingRow, *core.MetricsSnapsho
 		iters = coldSet
 	}
 	rows := []CrossingRow{
-		{Op: "check cold", Workers: 1},
-		{Op: "check cached", Workers: 1},
+		{Op: "check cold", Workers: 1, AllocsMeasured: true},
+		{Op: "check cached", Workers: 1, AllocsMeasured: true},
 		{Op: "check contended", Workers: contendedWorkers},
 		{Op: "revoke storm", Workers: 1},
-		{Op: "crossing gate", Workers: 1},
-		{Op: "crossing named", Workers: 1},
-		{Op: "crossing batch", Workers: 1},
-		{Op: "crossing traced", Workers: 1},
+		{Op: "crossing gate", Workers: 1, AllocsMeasured: true},
+		{Op: "crossing named", Workers: 1, AllocsMeasured: true},
+		{Op: "crossing batch", Workers: 1, AllocsMeasured: true},
+		{Op: "crossing traced", Workers: 1, AllocsMeasured: true},
 		{Op: "reload", Workers: 1},
 	}
 	var metrics *core.MetricsSnapshot
@@ -480,19 +470,36 @@ func MeasureCrossingsWithMetrics(iters int) ([]CrossingRow, *core.MetricsSnapsho
 	return rows, metrics, nil
 }
 
-// CrossingsJSON serializes the report for the CI artifact.
+// CrossingsJSON serializes the phases as the BENCH_crossings.json
+// report, each number with its gate.
 func CrossingsJSON(rows []CrossingRow, iters int) ([]byte, error) {
-	doc := CrossingReport{
-		Bench:   "crossings",
-		Iters:   iters,
-		Shards:  caps.NewSystem().ShardCount(),
-		Threads: runtime.GOMAXPROCS(0),
+	r := benchio.NewReport("crossings", map[string]any{
+		"iters":      iters,
+		"shards":     caps.NewSystem().ShardCount(),
+		"gomaxprocs": runtime.GOMAXPROCS(0),
+	})
+	for _, row := range rows {
+		timing, allocs := benchio.Timing, benchio.AllocFree
+		switch row.Op {
+		case "check contended":
+			r.Record(row.Op+"/scaling_ratio", row.ScalingRatio, benchio.Positive)
+			r.Record(row.Op+"/stock_scaling_ratio", row.StockScalingRatio, benchio.Gate{})
+		case "crossing named":
+			// The string-keyed path allocates its variadic arguments.
+			allocs = benchio.Rel
+		case "crossing traced":
+			// The flight recorder's budget over the untraced crossing.
+			r.Record(row.Op+"/trace_overhead_pct", row.TraceOverheadPct, benchio.AtMost(10))
+		case "reload":
+			timing = benchio.Reload
+		}
+		r.Pair(row.Op, row.StockNs, row.LxfiNs, timing)
+		r.Record(row.Op+"/workers", float64(row.Workers), benchio.Gate{})
+		if row.AllocsMeasured {
+			r.Record(row.Op+"/allocs_per_op", row.AllocsPerOp, allocs)
+		}
 	}
-	doc.Results = append(doc.Results, struct {
-		FS   string        `json:"fs"`
-		Rows []CrossingRow `json:"rows"`
-	}{FS: "crossings", Rows: rows})
-	return json.MarshalIndent(doc, "", "  ")
+	return r.JSON()
 }
 
 // FormatCrossings renders the crossing table.
@@ -505,8 +512,12 @@ func FormatCrossings(rows []CrossingRow) string {
 		if r.ScalingRatio > 0 {
 			ratio = fmt.Sprintf("%9.2f", r.ScalingRatio)
 		}
-		fmt.Fprintf(&b, "%-16s %12.1f %12.1f %9.0f%% %12.4f %8d %s\n",
-			r.Op, r.StockNs, r.LxfiNs, r.OverheadPct, r.AllocsPerOp, r.Workers, ratio)
+		allocs := "-"
+		if r.AllocsMeasured {
+			allocs = fmt.Sprintf("%.4f", r.AllocsPerOp)
+		}
+		fmt.Fprintf(&b, "%-16s %12.1f %12.1f %9.0f%% %12s %8d %s\n",
+			r.Op, r.StockNs, r.LxfiNs, r.OverheadPct, allocs, r.Workers, ratio)
 	}
 	return b.String()
 }

@@ -2,8 +2,15 @@ package microbench
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
+
+	"lxfi/internal/benchio"
 )
+
+// unmeasuredAllocs are the phases that never read MemStats.
+var unmeasuredAllocs = map[string]bool{"check contended": true, "revoke storm": true, "reload": true}
 
 // TestMeasureCrossings runs the phases at a small iteration count and
 // checks the report invariants CI relies on: all nine phases present,
@@ -49,6 +56,14 @@ func TestMeasureCrossings(t *testing.T) {
 		if r.Op != "crossing traced" && r.TraceOverheadPct != 0 {
 			t.Fatalf("trace overhead leaked onto phase %q: %+v", r.Op, r)
 		}
+		if r.AllocsMeasured == unmeasuredAllocs[r.Op] {
+			t.Fatalf("phase %q: AllocsMeasured = %v", r.Op, r.AllocsMeasured)
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(FormatCrossings(rows)), "\n")[1:] {
+		if op := strings.TrimSpace(line[:16]); unmeasuredAllocs[op] != strings.Contains(line, " - ") {
+			t.Fatalf("allocs column of %q", line)
+		}
 	}
 	// The traced run's sampled latencies must have reached the shared
 	// histogram, and the enforced crossings the shared counters.
@@ -66,6 +81,9 @@ func TestMeasureCrossings(t *testing.T) {
 	}
 }
 
+// TestCrossingsJSONShape: the CI artifact carries all nine phases by
+// name, each timing and every measured allocs count declared with its
+// gate, and no allocs value for the phases that do not measure one.
 func TestCrossingsJSONShape(t *testing.T) {
 	rows, err := MeasureCrossings(coldSet)
 	if err != nil {
@@ -75,24 +93,43 @@ func TestCrossingsJSONShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Bench   string `json:"bench"`
-		Shards  int    `json:"shards"`
-		Results []struct {
-			FS   string `json:"fs"`
-			Rows []struct {
-				Op     string  `json:"op"`
-				LxfiNs float64 `json:"lxfi_ns"`
-			} `json:"rows"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(out, &doc); err != nil {
+	var rep benchio.Report
+	if err := json.Unmarshal(out, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Bench != "crossings" || doc.Shards < 1 {
-		t.Fatalf("bad header: %+v", doc)
+	if rep.Bench != "crossings" || rep.Params["shards"].(float64) < 1 {
+		t.Fatalf("bad header: %s", out)
 	}
-	if len(doc.Results) != 1 || doc.Results[0].FS != "crossings" || len(doc.Results[0].Rows) != 9 {
-		t.Fatalf("bad results shape: %+v", doc.Results)
+	gated := func(path string) benchio.Gate {
+		t.Helper()
+		g, ok := rep.Gates[path]
+		if _, has := rep.Values[path]; !has || !ok {
+			t.Fatalf("report is missing gated %s", path)
+		}
+		return g
 	}
+	for _, op := range []string{"check cold", "check cached", "check contended", "revoke storm",
+		"crossing gate", "crossing named", "crossing batch", "crossing traced", "reload"} {
+		gated(op + "/stock_ns")
+		gated(op + "/lxfi_ns")
+		switch {
+		case unmeasuredAllocs[op]:
+			if _, ok := rep.Values[op+"/allocs_per_op"]; ok {
+				t.Fatalf("%s reports allocs it never measured", op)
+			}
+		case op == "crossing named":
+			if g := gated(op + "/allocs_per_op"); !reflect.DeepEqual(g, benchio.Rel) {
+				t.Fatalf("%s allocs gate %+v is not relative", op, g)
+			}
+		default:
+			if g := gated(op + "/allocs_per_op"); !reflect.DeepEqual(g, benchio.AllocFree) {
+				t.Fatalf("%s allocs gate %+v is not allocation-free", op, g)
+			}
+		}
+	}
+	if g := gated("reload/lxfi_ns"); !reflect.DeepEqual(g, benchio.Reload) {
+		t.Fatalf("reload latency gate %+v", g)
+	}
+	gated("check contended/scaling_ratio")
+	gated("crossing traced/trace_overhead_pct")
 }

@@ -29,7 +29,7 @@ var guardMethods = map[string]bool{
 	// Bound-gate crossing entry points (gate.go): same wrapper, same
 	// guards, resolved at bind time.
 	"Call0": true, "Call1": true, "Call2": true, "Call3": true,
-	"Call4": true, "Call5": true, "Call6": true, "CallArgs": true,
+	"Call4": true, "CallArgs": true,
 }
 
 // workloadFuncs maps each Fig. 11 benchmark to the constructor whose

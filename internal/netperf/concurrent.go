@@ -9,11 +9,11 @@ package netperf
 // is hit from many kernel threads at once.
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/core"
 	"lxfi/internal/kernel"
 	"lxfi/internal/mem"
@@ -155,137 +155,50 @@ func MeasureConcurrentSockets(pairs, msgs int) (*ConcurrentCosts, error) {
 	return out, nil
 }
 
-// --- BENCH_netperf.json ---
-
-type jsonNetRow struct {
-	Op          string  `json:"op"`
-	StockNs     float64 `json:"stock_ns"`
-	LxfiNs      float64 `json:"lxfi_ns"`
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-type jsonNetConc struct {
-	Workers     int     `json:"workers"`
-	StockNs     float64 `json:"stock_ns"`
-	LxfiNs      float64 `json:"lxfi_ns"`
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// jsonNetReload reports the hot-reload-under-traffic phase: mean service
-// interruption per reload under both builds, the live-traffic proof
-// (packets the TX workers pushed while the reloads ran), and the
-// migrated-capability count.
-type jsonNetReload struct {
-	Reloads        int     `json:"reloads"`
-	Workers        int     `json:"workers"`
-	StockQuiesceNs float64 `json:"stock_quiesce_ns"`
-	LxfiQuiesceNs  float64 `json:"lxfi_quiesce_ns"`
-	StockTotalNs   float64 `json:"stock_total_ns"`
-	LxfiTotalNs    float64 `json:"lxfi_total_ns"`
-	StockPackets   int     `json:"stock_packets"`
-	LxfiPackets    int     `json:"lxfi_packets"`
-	MigratedCaps   int     `json:"migrated_caps"`
-}
-
-// jsonNetStreaming reports the windowed TCP-like transfer phase: goodput
-// per build on the batched path, measured crossings/byte on both data
-// paths under enforcement, and the reload-under-streaming delivery
-// counters (which must stay zero).
-type jsonNetStreaming struct {
-	Segments               int     `json:"segments"`
-	SegmentBytes           int     `json:"segment_bytes"`
-	Window                 int     `json:"window"`
-	BatchBudget            int     `json:"batch_budget"`
-	StockBytesPerSec       float64 `json:"stock_bytes_per_sec"`
-	LxfiBytesPerSec        float64 `json:"lxfi_bytes_per_sec"`
-	CPURatio               float64 `json:"cpu_ratio"`
-	PerPktCrossingsPerByte float64 `json:"perpkt_crossings_per_byte"`
-	BatchCrossingsPerByte  float64 `json:"batch_crossings_per_byte"`
-	CrossingsReduction     float64 `json:"crossings_reduction"`
-	Reloads                int     `json:"reloads"`
-	Dropped                uint64  `json:"dropped"`
-	Reordered              uint64  `json:"reordered"`
-}
-
-type jsonNetDoc struct {
-	Bench   string `json:"bench"`
-	Packets int    `json:"packets"`
-	Results []struct {
-		FS   string       `json:"fs"`
-		Rows []jsonNetRow `json:"rows"`
-	} `json:"results"`
-	Concurrency *jsonNetConc      `json:"concurrency,omitempty"`
-	Reload      *jsonNetReload    `json:"reload,omitempty"`
-	Streaming   *jsonNetStreaming `json:"streaming,omitempty"`
-}
-
 // JSON serializes the per-packet path costs plus the concurrent
-// socket-pair and hot-reload phases as the machine-readable report CI
-// archives as BENCH_netperf.json. The results shape matches fsperf's so
-// the generic perf gate reads every BENCH_*.json the same way.
+// socket-pair, hot-reload and streaming phases as the
+// BENCH_netperf.json report, each number with its gate.
 func JSON(c *Costs, conc *ConcurrentCosts, rl *ReloadCosts, stream *StreamingCosts, packets int) ([]byte, error) {
-	doc := jsonNetDoc{Bench: "netperf", Packets: packets}
-	rows := []jsonNetRow{}
-	add := func(op string, m map[core.Mode]float64) {
-		r := jsonNetRow{Op: op, StockNs: m[core.Off], LxfiNs: m[core.Enforce]}
-		if r.StockNs > 0 {
-			r.OverheadPct = 100 * (r.LxfiNs - r.StockNs) / r.StockNs
-		}
-		rows = append(rows, r)
-	}
-	add("tx tcp", c.TxTCP)
-	add("tx udp", c.TxUDP)
-	add("rx tcp", c.RxTCP)
-	add("rx udp", c.RxUDP)
-	doc.Results = append(doc.Results, struct {
-		FS   string       `json:"fs"`
-		Rows []jsonNetRow `json:"rows"`
-	}{FS: "netperf", Rows: rows})
+	r := benchio.NewReport("netperf", map[string]any{"packets": packets})
+	r.Pair("tx tcp", c.TxTCP[core.Off], c.TxTCP[core.Enforce], benchio.Timing)
+	r.Pair("tx udp", c.TxUDP[core.Off], c.TxUDP[core.Enforce], benchio.Timing)
+	r.Pair("rx tcp", c.RxTCP[core.Off], c.RxTCP[core.Enforce], benchio.Timing)
+	r.Pair("rx udp", c.RxUDP[core.Off], c.RxUDP[core.Enforce], benchio.Timing)
 	if conc != nil {
-		jc := &jsonNetConc{
-			Workers: conc.Pairs,
-			StockNs: conc.Ns[core.Off],
-			LxfiNs:  conc.Ns[core.Enforce],
-		}
-		if jc.StockNs > 0 {
-			jc.OverheadPct = 100 * (jc.LxfiNs - jc.StockNs) / jc.StockNs
-		}
-		doc.Concurrency = jc
+		r.Record("concurrency/workers", float64(conc.Pairs), benchio.AtLeast(2))
+		r.Pair("concurrency", conc.Ns[core.Off], conc.Ns[core.Enforce], benchio.Timing)
 	}
 	if rl != nil {
-		doc.Reload = &jsonNetReload{
-			Reloads:        rl.Reloads,
-			Workers:        rl.Workers,
-			StockQuiesceNs: rl.Quiesce[core.Off],
-			LxfiQuiesceNs:  rl.Quiesce[core.Enforce],
-			StockTotalNs:   rl.Total[core.Off],
-			LxfiTotalNs:    rl.Total[core.Enforce],
-			StockPackets:   rl.Packets[core.Off],
-			LxfiPackets:    rl.Packets[core.Enforce],
-			MigratedCaps:   rl.Migrated,
+		r.Record("reload/reloads", float64(rl.Reloads), benchio.AtLeast(1))
+		r.Record("reload/workers", float64(rl.Workers), benchio.AtLeast(2))
+		r.Pair("reload/total", rl.Total[core.Off], rl.Total[core.Enforce], benchio.Reload)
+		r.Pair("reload/quiesce", rl.Quiesce[core.Off], rl.Quiesce[core.Enforce], benchio.Rel)
+		// Live-traffic proof: the TX workers pushed packets while the
+		// reloads ran, and the enforced swaps migrated capabilities.
+		for _, mode := range []core.Mode{core.Off, core.Enforce} {
+			r.Record("reload/"+mode.String()+"_packets", float64(rl.Packets[mode]), benchio.AtLeast(1))
 		}
+		r.Record("reload/migrated_caps", float64(rl.Migrated), benchio.AtLeast(1))
 	}
-	if stream != nil {
-		js := &jsonNetStreaming{
-			Segments:               stream.Segments,
-			SegmentBytes:           StreamSegBytes,
-			Window:                 stream.Window,
-			BatchBudget:            stream.BatchBudget,
-			StockBytesPerSec:       stream.BytesPerSec[core.Off],
-			LxfiBytesPerSec:        stream.BytesPerSec[core.Enforce],
-			CPURatio:               stream.CPURatio,
-			PerPktCrossingsPerByte: stream.PerPktCrossingsPerByte,
-			BatchCrossingsPerByte:  stream.BatchCrossingsPerByte,
-			Reloads:                stream.Reloads * 2, // per mode
-			Dropped:                stream.Dropped,
-			Reordered:              stream.Reordered,
-		}
-		if js.BatchCrossingsPerByte > 0 {
-			js.CrossingsReduction = js.PerPktCrossingsPerByte / js.BatchCrossingsPerByte
-		}
-		doc.Streaming = js
+	if s := stream; s != nil {
+		r.Record("streaming/segments", float64(s.Segments), benchio.AtLeast(1))
+		r.Record("streaming/segment_bytes", StreamSegBytes, benchio.Gate{})
+		r.Record("streaming/window", float64(s.Window), benchio.Gate{})
+		r.Record("streaming/batch_budget", float64(s.BatchBudget), benchio.AtLeast(2))
+		r.Record("streaming/stock_bytes_per_sec", s.BytesPerSec[core.Off], benchio.Positive)
+		r.Record("streaming/lxfi_bytes_per_sec", s.BytesPerSec[core.Enforce], benchio.Positive)
+		// Batching keeps isolation within 1.5x of stock CPU (the TCP
+		// side of Fig. 12) and cuts crossings per byte at least 4x.
+		r.Record("streaming/cpu_ratio", s.CPURatio, benchio.AtMost(1.5))
+		r.Record("streaming/perpkt_crossings_per_byte", s.PerPktCrossingsPerByte, benchio.Rel)
+		r.Record("streaming/batch_crossings_per_byte", s.BatchCrossingsPerByte, benchio.Rel)
+		r.Record("streaming/crossings_reduction", s.CrossingsReduction(), benchio.AtLeast(4))
+		// Every segment arrives, in order, across the mid-stream reloads.
+		r.Record("streaming/reloads", float64(s.Reloads*2), benchio.AtLeast(1)) // both builds
+		r.Record("streaming/dropped", float64(s.Dropped), benchio.AtMost(0))
+		r.Record("streaming/reordered", float64(s.Reordered), benchio.AtMost(0))
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	return r.JSON()
 }
 
 // FormatConcurrent renders the concurrent phase line.

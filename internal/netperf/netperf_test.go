@@ -1,8 +1,10 @@
 package netperf_test
 
 import (
+	"encoding/json"
 	"testing"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/core"
 	"lxfi/internal/mem"
 	"lxfi/internal/netperf"
@@ -244,5 +246,60 @@ func TestConcurrentSocketPairs(t *testing.T) {
 		if c.Ns[mode] <= 0 {
 			t.Fatalf("[%v] non-positive ns/op", mode)
 		}
+	}
+}
+
+// TestJSONReportShape: the CI artifact carries the four per-packet
+// paths and the concurrency, reload and streaming phases, each number
+// the gate checks declared with its gate.
+func TestJSONReportShape(t *testing.T) {
+	costs, err := netperf.MeasureCosts(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conc, err := netperf.MeasureConcurrentSockets(2, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl, err := netperf.MeasureReload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := netperf.MeasureStreaming(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := netperf.JSON(costs, conc, rl, stream, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep benchio.Report
+	if err := json.Unmarshal(out, &rep); err != nil {
+		t.Fatalf("artifact is not valid JSON: %v", err)
+	}
+	if rep.Bench != "netperf" || rep.Params["packets"] != 50.0 {
+		t.Fatalf("bad report header: %s", out)
+	}
+	var paths []string
+	for _, op := range []string{"tx tcp", "tx udp", "rx tcp", "rx udp", "concurrency", "reload/total", "reload/quiesce"} {
+		paths = append(paths, op+"/stock_ns", op+"/lxfi_ns")
+	}
+	paths = append(paths, "concurrency/workers",
+		"reload/reloads", "reload/workers", "reload/stock_packets", "reload/lxfi_packets", "reload/migrated_caps",
+		"streaming/segments", "streaming/batch_budget",
+		"streaming/stock_bytes_per_sec", "streaming/lxfi_bytes_per_sec",
+		"streaming/perpkt_crossings_per_byte", "streaming/batch_crossings_per_byte",
+		"streaming/crossings_reduction", "streaming/cpu_ratio",
+		"streaming/reloads", "streaming/dropped", "streaming/reordered")
+	for _, p := range paths {
+		if _, ok := rep.Values[p]; !ok {
+			t.Fatalf("report is missing %s", p)
+		}
+		if _, ok := rep.Gates[p]; !ok {
+			t.Fatalf("%s declares no gate", p)
+		}
+	}
+	if rep.Values["streaming/dropped"] != 0 || rep.Values["streaming/reordered"] != 0 {
+		t.Fatalf("streaming lost segments across the reloads: %s", out)
 	}
 }

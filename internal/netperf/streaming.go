@@ -366,18 +366,23 @@ func streamAcrossReload(mode core.Mode, segments int) (dropped, reordered uint64
 	return dropped, atomic.LoadUint64(&peer.reordered), nil
 }
 
+// CrossingsReduction is how many times fewer crossings per byte the
+// batched path takes than the per-packet one.
+func (s *StreamingCosts) CrossingsReduction() float64 {
+	if s.BatchCrossingsPerByte <= 0 {
+		return 0
+	}
+	return s.PerPktCrossingsPerByte / s.BatchCrossingsPerByte
+}
+
 // FormatStreaming renders the streaming phase lines.
 func FormatStreaming(s *StreamingCosts) string {
-	reduction := 0.0
-	if s.BatchCrossingsPerByte > 0 {
-		reduction = s.PerPktCrossingsPerByte / s.BatchCrossingsPerByte
-	}
 	return fmt.Sprintf(
 		"%-20s %9.1f MB/s %9.1f MB/s %7.2fx  (window %d, budget %d)\n"+
 			"%-20s %9.4f /KB %10.4f /KB %7.1fx fewer crossings\n"+
 			"%-20s %d reloads under stream: %d dropped, %d reordered\n",
 		"streaming", s.BytesPerSec[core.Off]/1e6, s.BytesPerSec[core.Enforce]/1e6, s.CPURatio,
 		s.Window, s.BatchBudget,
-		"  crossings", s.PerPktCrossingsPerByte*1024, s.BatchCrossingsPerByte*1024, reduction,
+		"  crossings", s.PerPktCrossingsPerByte*1024, s.BatchCrossingsPerByte*1024, s.CrossingsReduction(),
 		"  reload", s.Reloads*2, s.Dropped, s.Reordered)
 }

@@ -568,9 +568,6 @@ func (s *Stack) BacklogLen() int {
 
 // --- socket syscalls ---
 
-// SockSize is exported for modules granting write access to sockets.
-func (s *Stack) SockSize() uint64 { return s.sock.Size }
-
 // Socket implements socket(2): allocates the socket object and calls the
 // family's create function (which the module registered) through a
 // checked indirect call. The new socket is registered with its own

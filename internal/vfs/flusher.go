@@ -174,6 +174,3 @@ func (v *VFS) FlushAged(t *core.Thread) {
 		mnt.mu.Unlock()
 	}
 }
-
-// FlushTick returns the current aging tick (diagnostics and tests).
-func (v *VFS) FlushTick() uint64 { return v.flushTick.Load() }

@@ -38,13 +38,6 @@ func (v *VFS) SetPageBudget(n int) {
 	v.pageBudget = n
 }
 
-// PageBudget returns the configured page-cache budget (0 = unlimited).
-func (v *VFS) PageBudget() int {
-	v.pageMu.Lock()
-	defer v.pageMu.Unlock()
-	return v.pageBudget
-}
-
 // ShrinkToBudget applies the page budget to the cache as it stands —
 // the explicit memory-pressure edge of the policy that otherwise runs
 // on every insert. Dirty victims go through writeback, so the caller's

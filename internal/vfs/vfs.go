@@ -691,17 +691,6 @@ func (v *VFS) Ioctl(t *core.Thread, sb mem.Addr, cmd, arg uint64) (uint64, error
 	return v.gIoctl.CallArgs(t, v.OpsSlot(mnt.fs.ops, "ioctl"), mnt.args(uint64(sb), cmd, arg))
 }
 
-// Filesystems returns the ids of all registered filesystems.
-func (v *VFS) Filesystems() []uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]uint64, 0, len(v.filesystems))
-	for id := range v.filesystems {
-		out = append(out, id)
-	}
-	return out
-}
-
 // splitPath normalizes a path into components.
 func splitPath(path string) []string {
 	var out []string

@@ -1,49 +1,23 @@
 #!/usr/bin/env python3
-"""Generic perf gate for the BENCH_*.json CI artifacts.
+"""Perf gate for the BENCH_*.json reports.
 
-Walks every benchmark report (fsperf, crossings, netperf, and whatever
-lands next), collects all numeric leaves whose key ends in `_ns` plus
-every `allocs_per_op` leaf, and compares the previous run's values
-against the fresh ones. The gate fails (exit 1) when any phase
-regressed by more than THRESHOLD percent ns/op, or when allocations
-regressed: a phase that was allocation-free (0 allocs/op) must stay at
-0 — any increase fails — and a phase that allocated may grow at most
-THRESHOLD percent. Phases or files present in only one run are listed
-but never fail the gate, so adding or removing a benchmark does not
-wedge CI; a completely missing baseline (first run, expired retention)
-skips the relative gate for that file.
+Every report has the one schema internal/benchio writes:
 
-`trace_overhead_pct` leaves (the flight recorder's cost over the
-untraced enforced crossing) are gated absolutely instead: the current
-value must stay under TRACE_THRESHOLD percent, baseline or not, so the
-very first traced run is already held to the budget.
+    {"bench": "...", "params": {...},
+     "values": {"slash/path": number, ...},
+     "gates":  {"slash/path": {"min": lo, "max": hi, "rel": tol}, ...}}
 
-Hot-reload latency is gated absolutely the same way: every ns leaf of a
-`reload` phase (the crossings "reload" row, the fsperf per-filesystem
-and netperf top-level reload objects' `*_total_ns`) must stay under
-RELOAD_MAX_NS — a module swap that stalls crossings for longer than
-that ceiling fails even on a first run with no baseline.
-
-The netperf streaming phase is gated twice: its `*_crossings_per_byte`
-leaves ride the generic relative gate (the batched data path growing
-its boundary-crossing rate per byte by more than THRESHOLD percent
-fails), and its `cpu_ratio` leaf — enforced CPU cost over stock for the
-same windowed transfer — is held absolutely under
-STREAM_MAX_CPU_RATIO, baseline or not, so the very first streaming run
-is already held to the line-rate budget.
-
-The fsperf `journal` phase is gated twice: its ns leaves ride the
-generic relative gate (a journaled rename more than THRESHOLD percent
-slower than the baseline fails), and its `writes_per_op` leaf — the
-sector writes one write-ahead rename performs — is held absolutely
-under JOURNAL_MAX_WRITES_PER_OP, so the crash-consistency protocol
-cannot silently grow its write amplification.
+The gate loops over the current report's declared gates and knows no
+report, phase or field by name. A gated value fails when it is missing,
+below its inclusive `min`, above its inclusive `max`, or, for a `rel`
+gate, more than `rel` (a fraction) over the previous run's value. With
+no previous report, a previous report in another shape, or no positive
+previous value for the path, only the relative check is skipped.
 
 Usage:
     perf_gate.py PREV.json CURRENT.json       # one report
     perf_gate.py PREV_DIR  CURRENT_DIR        # every BENCH_*.json in CURRENT_DIR
-    perf_gate.py --summary PREV CUR           # benchstat-style delta table
-                                              # over every numeric field,
+    perf_gate.py --summary PREV CUR           # delta table over every value,
                                               # informational only (exit 0)
 """
 
@@ -52,246 +26,99 @@ import json
 import os
 import sys
 
-THRESHOLD = 30.0  # percent
-TRACE_THRESHOLD = 10.0  # absolute ceiling for trace_overhead_pct leaves
-RELOAD_MAX_NS = 5e7  # absolute ceiling (50 ms) for reload-phase latency
-# Absolute ceiling on journal write amplification: sector writes per
-# journaled rename (intent + commit + applies + checkpoint).
-JOURNAL_MAX_WRITES_PER_OP = 8.0
-# Absolute ceiling on the streaming workload's enforced/stock CPU
-# ratio: batching must keep isolation within 1.5x of stock.
-STREAM_MAX_CPU_RATIO = 1.5
-# A phase whose baseline is allocation-free must stay below this many
-# allocs/op (MemStats sampling noise allowance, well under one real
-# allocation per op).
-ALLOC_ZERO_EPS = 0.01
-
-# Keys that label an element of a JSON array of objects, in preference
-# order, so paths read "tmpfs/create/stock_ns" instead of
-# "results/0/rows/3/stock_ns".
-LABEL_KEYS = ("op", "fs", "phase", "test", "name")
-
-
-def leaves(node, path=""):
-    """Yield (path, key, value) for every numeric leaf in the report."""
-    if isinstance(node, dict):
-        for key, val in node.items():
-            if isinstance(val, (dict, list)):
-                yield from leaves(val, f"{path}/{key}" if path else key)
-            elif isinstance(val, (int, float)) and not isinstance(val, bool):
-                yield (path, key, float(val))
-    elif isinstance(node, list):
-        for i, val in enumerate(node):
-            label = str(i)
-            if isinstance(val, dict):
-                for lk in LABEL_KEYS:
-                    if isinstance(val.get(lk), str):
-                        label = val[lk]
-                        break
-            yield from leaves(val, f"{path}/{label}" if path else label)
-
-
-def collect(doc, ns_only):
-    out = {}
-    bench = doc.get("bench", "?")
-    for path, key, val in leaves(doc):
-        if ns_only and not (key.endswith("_ns") or key == "allocs_per_op"
-                            or key == "trace_overhead_pct"
-                            or key == "writes_per_op"
-                            or key.endswith("_crossings_per_byte")
-                            or key == "cpu_ratio"):
-            continue
-        # Container keys like "results"/"rows" carry no information once
-        # elements are labeled; drop them from the display path.
-        parts = [p for p in path.split("/") if p not in ("results", "rows")]
-        out[(bench, "/".join(parts), key)] = val
-    return out
-
-
-def load(path, ns_only):
-    with open(path) as f:
-        return collect(json.load(f), ns_only)
-
 
 def pair_files(prev, cur):
     """Yield (name, prev_path_or_None, cur_path) report pairs."""
     if os.path.isdir(cur):
         for cpath in sorted(glob.glob(os.path.join(cur, "BENCH_*.json"))):
-            name = os.path.basename(cpath)
-            ppath = os.path.join(prev, name)
-            yield name, (ppath if os.path.isfile(ppath) else None), cpath
+            ppath = os.path.join(prev, os.path.basename(cpath))
+            yield os.path.basename(cpath), (ppath if os.path.isfile(ppath) else None), cpath
     else:
         yield os.path.basename(cur), (prev if os.path.isfile(prev) else None), cur
 
 
-def alloc_regressed(was, now):
-    """The allocation-free guarantee is absolute: a phase whose baseline
-    was 0 allocs/op fails on any measurable increase; a phase that
-    already allocated may grow by at most THRESHOLD percent."""
-    if was <= ALLOC_ZERO_EPS:
-        return now > ALLOC_ZERO_EPS
-    return 100.0 * (now - was) / was > THRESHOLD
+def load_values(path):
+    """The values map of a report, or {} when there is none to compare."""
+    if path is None:
+        return {}
+    with open(path) as f:
+        doc = json.load(f)
+    values = doc.get("values")
+    return values if isinstance(values, dict) else {}
 
 
-def trace_failures(cur_vals, gate):
-    """Absolute gate on trace_overhead_pct: no baseline required."""
+def check(gates, values, prev):
+    """Print one line per gated path; return the failing paths."""
     failures = []
-    for key in sorted(cur_vals):
-        bench, path, field = key
-        if field != "trace_overhead_pct":
-            continue
-        now = cur_vals[key]
-        over = gate and now > TRACE_THRESHOLD
-        flag = "  <-- TRACE OVERHEAD OVER %.0f%% BUDGET" % TRACE_THRESHOLD if over else ""
-        print("%-10s %-40s %-14s %12.2f%%%s" % (bench, path, field, now, flag))
-        if over:
-            failures.append(key)
+    for path in sorted(gates):
+        gate, now, was = gates[path], values.get(path), prev.get(path)
+        problems = []
+        if now is None:
+            problems.append("missing")
+        else:
+            if "min" in gate and now < gate["min"]:
+                problems.append("below min %g" % gate["min"])
+            if "max" in gate and now > gate["max"]:
+                problems.append("above max %g" % gate["max"])
+            if gate.get("rel") and was and was > 0 and now > was * (1 + gate["rel"]):
+                problems.append("%+.1f%% over previous %g (rel %g%%)"
+                                % (100 * (now - was) / was, was, 100 * gate["rel"]))
+        print("%-44s %14s  %s" % (path, "-" if now is None else "%.6g" % now,
+                                  "FAIL: " + "; ".join(problems) if problems else "ok"))
+        if problems:
+            failures.append(path)
     return failures
 
 
-def reload_failures(cur_vals, gate):
-    """Absolute gate on hot-reload latency: no baseline required. Every
-    ns leaf of a reload phase must stay under RELOAD_MAX_NS."""
-    failures = []
-    for key in sorted(cur_vals):
-        bench, path, field = key
-        if path.split("/")[-1] != "reload":
-            continue
-        if not (field.endswith("_total_ns") or field in ("stock_ns", "lxfi_ns")):
-            continue
-        now = cur_vals[key]
-        over = gate and now > RELOAD_MAX_NS
-        flag = ("  <-- RELOAD LATENCY OVER %.0f ms CEILING" % (RELOAD_MAX_NS / 1e6)
-                if over else "")
-        print("%-10s %-40s %-14s %12.1f%s" % (bench, path, field, now, flag))
-        if over:
-            failures.append(key)
-    return failures
+def summary(values, prev):
+    for path in sorted(set(values) | set(prev)):
+        now, was = values.get(path), prev.get(path)
+        if now is None or was is None:
+            print("%-44s %s" % (path, "(removed)" if now is None else "(new) %.6g" % now))
+        elif was:
+            print("%-44s %14.6g -> %14.6g (%+6.1f%%)" % (path, was, now, 100 * (now - was) / was))
+        else:
+            print("%-44s %14.6g -> %14.6g" % (path, was, now))
 
 
-def journal_failures(cur_vals, gate):
-    """Absolute gate on journal write amplification: no baseline
-    required. A journaled rename may not perform more than
-    JOURNAL_MAX_WRITES_PER_OP sector writes."""
-    failures = []
-    for key in sorted(cur_vals):
-        bench, path, field = key
-        if field != "writes_per_op" or path.split("/")[-1] != "journal":
-            continue
-        now = cur_vals[key]
-        over = gate and now > JOURNAL_MAX_WRITES_PER_OP
-        flag = ("  <-- JOURNAL WRITE AMPLIFICATION OVER %.0f/op CEILING"
-                % JOURNAL_MAX_WRITES_PER_OP if over else "")
-        print("%-10s %-40s %-14s %12.1f%s" % (bench, path, field, now, flag))
-        if over:
-            failures.append(key)
-    return failures
-
-
-def streaming_failures(cur_vals, gate):
-    """Absolute gate on the streaming workload's enforced/stock CPU
-    ratio: no baseline required."""
-    failures = []
-    for key in sorted(cur_vals):
-        bench, path, field = key
-        if field != "cpu_ratio":
-            continue
-        now = cur_vals[key]
-        over = gate and now > STREAM_MAX_CPU_RATIO
-        flag = ("  <-- STREAMING CPU RATIO OVER %.1fx CEILING"
-                % STREAM_MAX_CPU_RATIO if over else "")
-        print("%-10s %-40s %-14s %12.3f%s" % (bench, path, field, now, flag))
-        if over:
-            failures.append(key)
-    return failures
-
-
-def compare(prev_vals, cur_vals, gate):
-    failures = []
-    for key in sorted(cur_vals):
-        bench, path, field = key
-        now = cur_vals[key]
-        was = prev_vals.get(key)
-        tag = "%-10s %-40s %-14s" % (bench, path, field)
-        if field == "trace_overhead_pct":
-            continue  # gated absolutely by trace_failures, not by delta
-        if field == "writes_per_op":
-            continue  # gated absolutely by journal_failures, not by delta
-        if field == "cpu_ratio":
-            continue  # gated absolutely by streaming_failures, not by delta
-        if was is None:
-            print("%s %38s" % (tag, "(new phase)"))
-            continue
-        if field == "allocs_per_op":
-            regressed = gate and alloc_regressed(was, now)
-            flag = "  <-- ALLOC REGRESSION" if regressed else ""
-            print("%s %12.4f -> %12.4f%s" % (tag, was, now, flag))
-            if regressed:
-                failures.append(key)
-            continue
-        if was <= 0 or now <= 0:
-            continue
-        delta = 100.0 * (now - was) / was
-        flag = "  <-- REGRESSION" if gate and delta > THRESHOLD else ""
-        print("%s %12.1f -> %12.1f (%+6.1f%%)%s" % (tag, was, now, delta, flag))
-        if gate and delta > THRESHOLD:
-            failures.append(key)
-    for key in sorted(set(prev_vals) - set(cur_vals)):
-        print("%-10s %-40s %-14s %38s" % (key[0], key[1], key[2], "(phase removed)"))
-    return failures
-
-
-def main():
-    args = sys.argv[1:]
-    summary = "--summary" in args
-    args = [a for a in args if a != "--summary"]
+def main(argv):
+    is_summary = "--summary" in argv
+    args = [a for a in argv if a != "--summary"]
     if len(args) != 2:
-        sys.exit(__doc__)
-    prev, cur = args
-
+        print(__doc__, file=sys.stderr)
+        return 2
     failures = []
-    saw_any = False
-    for name, ppath, cpath in pair_files(prev, cur):
-        print(f"== {name} ==")
-        cur_vals = load(cpath, ns_only=not summary)
-        if ppath is None:
-            print("   (no previous report; delta gate skipped for this file)")
-            for key in sorted(cur_vals):
-                if key[2] in ("trace_overhead_pct", "writes_per_op", "cpu_ratio"):
-                    continue  # printed (and gated) by the absolute gates below
-                print("%-10s %-40s %-14s %12.1f" % (key[0], key[1], key[2], cur_vals[key]))
-            failures += trace_failures(cur_vals, gate=not summary)
-            failures += reload_failures(cur_vals, gate=not summary)
-            failures += journal_failures(cur_vals, gate=not summary)
-            failures += streaming_failures(cur_vals, gate=not summary)
+    for name, ppath, cpath in pair_files(*args):
+        print("== %s ==" % name)
+        if is_summary:
+            try:
+                summary(load_values(cpath), load_values(ppath))
+            except (OSError, ValueError) as err:
+                print("   (unreadable: %s)" % err)
             print()
             continue
-        saw_any = True
-        failures += compare(load(ppath, ns_only=not summary), cur_vals, gate=not summary)
-        failures += trace_failures(cur_vals, gate=not summary)
-        failures += reload_failures(cur_vals, gate=not summary)
-        failures += journal_failures(cur_vals, gate=not summary)
-        failures += streaming_failures(cur_vals, gate=not summary)
+        prev = load_values(ppath)
+        if not prev:
+            print("   (no previous values; relative checks skipped)")
+        with open(cpath) as f:
+            doc = json.load(f)
+        gates = doc.get("gates")
+        if not gates:
+            print("   FAIL: the report declares no gates")
+            failures.append(name)
+        else:
+            failures += [name + ": " + p for p in check(gates, doc.get("values", {}), prev)]
         print()
-
-    if summary:
+    if is_summary:
         print("delta summary: informational only")
-        return
+        return 0
     if failures:
-        print("perf gate: %d phase(s) regressed (>%.0f%% ns/op, allocations "
-              "above an allocation-free baseline, trace overhead past "
-              "%.0f%%, reload latency past %.0f ms, journal write "
-              "amplification past %.0f/op, or streaming CPU ratio past "
-              "%.1fx)"
-              % (len(failures), THRESHOLD, TRACE_THRESHOLD, RELOAD_MAX_NS / 1e6,
-                 JOURNAL_MAX_WRITES_PER_OP, STREAM_MAX_CPU_RATIO),
-              file=sys.stderr)
-        sys.exit(1)
-    if saw_any:
-        print("perf gate: OK")
-    else:
-        print("perf gate: no baselines available; absolute gates only")
+        print("perf gate: %d gated value(s) failed:\n  %s"
+              % (len(failures), "\n  ".join(failures)), file=sys.stderr)
+        return 1
+    print("perf gate: OK")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
