@@ -34,7 +34,10 @@ func (t *Thread) CallKernel(name string, args ...uint64) (uint64, error) {
 		t.Sys.Mon.Stats.FailedResolutions.Add(1)
 		return 0, fmt.Errorf("core: no such kernel function %q", name)
 	}
-	return t.callKernelDecl(fn, args)
+	frame, base := t.pushArgs(args)
+	ret, err := t.callKernelDecl(fn, frame)
+	t.popArgs(base)
+	return ret, err
 }
 
 func (t *Thread) callKernelDecl(fn *FuncDecl, args []uint64) (uint64, error) {
@@ -85,7 +88,7 @@ func (t *Thread) callKernelDecl(fn *FuncDecl, args []uint64) (uint64, error) {
 		}
 	}
 
-	ret, err := t.runKernelImpl(callerMod, callerPrin, fn, args)
+	ret, err := t.runBody(fn, args, nil, nil, callerMod, callerPrin)
 	if err != nil {
 		return ret, err
 	}
@@ -108,14 +111,17 @@ func (t *Thread) callKernelDecl(fn *FuncDecl, args []uint64) (uint64, error) {
 	return ret, nil
 }
 
-// runKernelImpl pushes the shadow frame, switches to trusted kernel
-// context, runs the kernel function, and pops the frame. A panic raised
-// in a kernel function called from module context is blamed on the
-// calling module (the kernel was fed bad state through this crossing)
-// and contained as a synthetic violation; in pure kernel context there
-// is nothing to contain it with — it propagates as a genuine kernel
-// panic.
-func (t *Thread) runKernelImpl(callerMod *Module, callerPrin *caps.Principal, fn *FuncDecl, args []uint64) (ret uint64, err error) {
+// runBody is every crossing's body: it pushes the shadow frame, runs
+// fn as principal p of module m (both nil for trusted kernel and user
+// code; p is nil in a module when enforcement is off), and pops the
+// frame. A panic raised anywhere inside the crossing — the body, or a
+// nested call that unwound back into it — is recovered into a
+// synthetic "panic" violation blamed on blameMod and blamePrin instead
+// of unwinding the host kernel: a module oopsed, or a kernel function
+// was fed bad state by its calling module. With no module to blame
+// there is nothing to contain the panic with, and it propagates as a
+// genuine kernel panic.
+func (t *Thread) runBody(fn *FuncDecl, args []uint64, m *Module, p *caps.Principal, blameMod *Module, blamePrin *caps.Principal) (ret uint64, err error) {
 	depth := len(t.shadow)
 	argBase := len(t.argStack)
 	defer func() {
@@ -123,37 +129,14 @@ func (t *Thread) runKernelImpl(callerMod *Module, callerPrin *caps.Principal, fn
 		if rec == nil {
 			return
 		}
-		if callerMod == nil {
+		if blameMod == nil {
 			panic(rec)
 		}
 		t.recoverCrossing(depth, argBase)
-		ret, err = 0, t.panicViolation(callerMod, callerPrin, fn, rec)
+		ret, err = 0, t.panicViolation(blameMod, blamePrin, fn, rec)
 	}()
 	tok := t.pushFrame(fn)
-	t.cur, t.curMod = nil, nil // kernel code runs trusted
-	ret = fn.Impl(t, args)
-	err = t.popFrame(tok)
-	return ret, err
-}
-
-// runModuleImpl pushes the shadow frame, switches principal, runs the
-// module function, and pops the frame. A panic raised anywhere inside
-// the crossing — module code, or a nested call that unwound back into
-// it — is recovered here into a synthetic "panic" violation instead of
-// unwinding the host kernel: the module oopsed, the kernel survives.
-func (t *Thread) runModuleImpl(m *Module, callee *caps.Principal, fn *FuncDecl, args []uint64) (ret uint64, err error) {
-	depth := len(t.shadow)
-	argBase := len(t.argStack)
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		t.recoverCrossing(depth, argBase)
-		ret, err = 0, t.panicViolation(m, callee, fn, rec)
-	}()
-	tok := t.pushFrame(fn)
-	t.cur, t.curMod = callee, m // callee == nil when enforcement is off
+	t.cur, t.curMod = p, m
 	ret = fn.Impl(t, args)
 	err = t.popFrame(tok)
 	return ret, err
@@ -165,15 +148,15 @@ func (t *Thread) runModuleImpl(m *Module, callee *caps.Principal, fn *FuncDecl, 
 // wholesale — per-frame CFI return-token validation is meaningless
 // mid-unwind, and running it would misreport the oops as shadow-stack
 // tampering — and the caller context is restored from the frame this
-// gate pushed. The argument stack is truncated the same way (the gates
-// pop it manually after a normal return).
+// crossing pushed. The argument stack is truncated the same way (the
+// entry points pop it after a normal return).
 func (t *Thread) recoverCrossing(depth, argBase int) {
 	if len(t.shadow) > depth {
 		f := t.shadow[depth]
 		t.cur, t.curMod = f.savedCur, f.savedMod
 		t.shadow = t.shadow[:depth]
 	}
-	t.argStack = t.argStack[:argBase]
+	t.popArgs(argBase)
 }
 
 // panicViolation routes a panic recovered at a crossing boundary into
@@ -212,7 +195,10 @@ func (t *Thread) CallModule(m *Module, fname string, args ...uint64) (uint64, er
 		t.Sys.Mon.Stats.FailedResolutions.Add(1)
 		return 0, fmt.Errorf("core: module %s has no function %q", m.Name, fname)
 	}
-	return t.callModuleDecl(m, fn, nil, args)
+	frame, base := t.pushArgs(args)
+	ret, err := t.callModuleDecl(m, fn, nil, frame)
+	t.popArgs(base)
+	return ret, err
 }
 
 // callModuleDecl is the wrapper of a module function. ft is the type of
@@ -268,7 +254,7 @@ func (t *Thread) callModuleDecl(m *Module, fn *FuncDecl, ft *FPtrType, args []ui
 		}
 	}
 
-	ret, err := t.runModuleImpl(m, callee, fn, args)
+	ret, err := t.runBody(fn, args, m, callee, m, callee)
 	if err != nil {
 		return ret, err
 	}
@@ -312,7 +298,10 @@ func (t *Thread) IndirectCall(slot mem.Addr, typeName string, args ...uint64) (u
 	if err != nil {
 		return 0, err
 	}
-	return t.dispatchFn(fn, ft, args)
+	frame, base := t.pushArgs(args)
+	ret, err := t.dispatchFn(fn, ft, frame)
+	t.popArgs(base)
+	return ret, err
 }
 
 // checkIndTarget is the checked body shared by IndirectCall and the
@@ -388,15 +377,7 @@ func (t *Thread) dispatchFn(fn *FuncDecl, ft *FPtrType, args []uint64) (uint64, 
 		// The kernel jumping to user-mapped code: the exploit payload runs
 		// with full kernel privilege. (Under Enforce this is unreachable
 		// for module-supplied pointers; the slow-path check rejects it.)
-		tok := t.pushFrame(fn)
-		saved, savedMod := t.cur, t.curMod
-		t.cur, t.curMod = nil, nil
-		ret := fn.Impl(t, args)
-		if err := t.popFrame(tok); err != nil {
-			return ret, err
-		}
-		t.cur, t.curMod = saved, savedMod
-		return ret, nil
+		return t.runBody(fn, args, nil, nil, nil, nil)
 	case fn.IsKernel():
 		return t.callKernelDecl(fn, args)
 	default:
@@ -459,11 +440,14 @@ func (t *Thread) CallAddr(target mem.Addr, typeName string, args ...uint64) (uin
 	if !ok {
 		panic("core: indirect call through unregistered fptr type " + typeName)
 	}
-	return t.callAddrFT(target, ft, args)
+	frame, base := t.pushArgs(args)
+	ret, err := t.callAddrFT(target, ft, frame)
+	t.popArgs(base)
+	return ret, err
 }
 
-// callAddrFT is CallAddr past type resolution (the IndGate CallAddr
-// entry points land here).
+// callAddrFT is CallAddr past type resolution (IndGate.CallAddr lands
+// here).
 func (t *Thread) callAddrFT(target mem.Addr, ft *FPtrType, args []uint64) (uint64, error) {
 	fn, known := t.Sys.FuncByAddr(target)
 

@@ -52,7 +52,7 @@ func TestConstTableFreezeAndFold(t *testing.T) {
 		Funcs: []FuncSpec{
 			{Name: "cross", Params: []Param{P("p", "u64"), P("n", "u64")},
 				Impl: func(th *Thread, a []uint64) uint64 {
-					ret, err := th.CurrentModule().Gate("freeze_sink").Call2(th, a[0], a[1])
+					ret, err := th.CurrentModule().Gate("freeze_sink").Call(th, a[0], a[1])
 					if err != nil || ret != 0 {
 						return 1
 					}

@@ -5,9 +5,10 @@
 // (§4.2). The simulation's analogue is the Gate: the loader resolves
 // each import into a *Gate holding the pre-resolved declaration (whose
 // annotation program was compiled at registration), and module code
-// calls through the gate with fixed-arity entry points. A gate call
+// calls through the gate's one variadic entry point. A gate call
 // therefore performs no name lookup, no registry lock, and no argument
-// slice allocation — the arguments ride the thread's crossing stack.
+// slice allocation — the arguments are copied onto the thread's
+// crossing stack (pushArgs), so the caller's slice never escapes.
 //
 // Gates do not weaken isolation: the CALL capability check, the
 // annotation programs, and the shadow stack still run on every
@@ -68,81 +69,15 @@ func (m *Module) Gate(name string) *Gate {
 // Func returns the gate's resolved declaration.
 func (g *Gate) Func() *FuncDecl { return g.fn }
 
-// pushArgs* copy fixed arguments onto the thread's crossing stack and
-// return the frame base. Frames nest with crossings; popArgs truncates
-// back. The backing array is retained across calls, so steady-state
-// crossings push without allocating.
-
-func (t *Thread) popArgs(base int) { t.argStack = t.argStack[:base] }
-
-// Call0 through Call4 are the fixed-arity crossing entry points.
-
-// Call0 invokes the gate with no arguments.
-func (g *Gate) Call0(t *Thread) (uint64, error) {
+// Call crosses into the gate's kernel export with args.
+func (g *Gate) Call(t *Thread, args ...uint64) (uint64, error) {
 	if err := g.guard(t); err != nil {
 		return 0, err
 	}
-	base := len(t.argStack)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
+	frame, base := t.pushArgs(args)
+	ret, err := t.callKernelDecl(g.fn, frame)
 	t.popArgs(base)
 	return ret, err
-}
-
-// Call1 invokes the gate with one argument.
-func (g *Gate) Call1(t *Thread, a0 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call2 invokes the gate with two arguments.
-func (g *Gate) Call2(t *Thread, a0, a1 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call3 invokes the gate with three arguments.
-func (g *Gate) Call3(t *Thread, a0, a1, a2 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call4 invokes the gate with four arguments.
-func (g *Gate) Call4(t *Thread, a0, a1, a2, a3 uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2, a3)
-	ret, err := t.callKernelDecl(g.fn, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// CallArgs invokes the gate with a caller-owned argument slice (for
-// arities beyond Call4 or callers with their own scratch).
-func (g *Gate) CallArgs(t *Thread, args []uint64) (uint64, error) {
-	if err := g.guard(t); err != nil {
-		return 0, err
-	}
-	return t.callKernelDecl(g.fn, args)
 }
 
 // IndGate is a bound indirect-call interface: a pre-resolved
@@ -192,54 +127,21 @@ func (s *System) BindIndirect(typeName string) *IndGate {
 // Type returns the gate's resolved function-pointer type.
 func (g *IndGate) Type() *FPtrType { return g.ft }
 
-// CallArgs performs the kernel-side checked indirect call through the
-// pointer stored at slot (the lxfi_check_indcall path of §4.1) with a
-// caller-owned argument slice.
-func (g *IndGate) CallArgs(t *Thread, slot mem.Addr, args []uint64) (uint64, error) {
-	return t.indirectCallGate(g, slot, args)
-}
-
-// Call1 is the one-argument kernel-side checked indirect call.
-func (g *IndGate) Call1(t *Thread, slot mem.Addr, a0 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0)
-	ret, err := t.indirectCallGate(g, slot, t.argStack[base:])
+// Call performs the kernel-side checked indirect call through the
+// pointer stored at slot (the lxfi_check_indcall path of §4.1).
+func (g *IndGate) Call(t *Thread, slot mem.Addr, args ...uint64) (uint64, error) {
+	frame, base := t.pushArgs(args)
+	ret, err := t.indirectCallGate(g, slot, frame)
 	t.popArgs(base)
 	return ret, err
 }
 
-// Call2 is the two-argument kernel-side checked indirect call.
-func (g *IndGate) Call2(t *Thread, slot mem.Addr, a0, a1 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1)
-	ret, err := t.indirectCallGate(g, slot, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call3 is the three-argument kernel-side checked indirect call.
-func (g *IndGate) Call3(t *Thread, slot mem.Addr, a0, a1, a2 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2)
-	ret, err := t.indirectCallGate(g, slot, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// Call4 is the four-argument kernel-side checked indirect call.
-func (g *IndGate) Call4(t *Thread, slot mem.Addr, a0, a1, a2, a3 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0, a1, a2, a3)
-	ret, err := t.indirectCallGate(g, slot, t.argStack[base:])
-	t.popArgs(base)
-	return ret, err
-}
-
-// CallAddr1 is the one-argument module-side indirect call.
-func (g *IndGate) CallAddr1(t *Thread, target mem.Addr, a0 uint64) (uint64, error) {
-	base := len(t.argStack)
-	t.argStack = append(t.argStack, a0)
-	ret, err := t.callAddrFT(target, g.ft, t.argStack[base:])
+// CallAddr is the module-side indirect call to target, a function
+// pointer of the gate's type: Thread.CallAddr without the per-call
+// type lookup.
+func (g *IndGate) CallAddr(t *Thread, target mem.Addr, args ...uint64) (uint64, error) {
+	frame, base := t.pushArgs(args)
+	ret, err := t.callAddrFT(target, g.ft, frame)
 	t.popArgs(base)
 	return ret, err
 }

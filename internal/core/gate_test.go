@@ -9,7 +9,8 @@ import (
 )
 
 // gateSys boots a system with one annotated kernel export and one
-// module importing it, returning the pieces gate tests need.
+// module importing it, returning the pieces gate tests need. The
+// module's leaf function is an unannotated kernel→module target.
 func gateSys(t *testing.T, annot string) (*System, *Thread, *Module, *Gate) {
 	t.Helper()
 	s := NewSystem()
@@ -29,12 +30,14 @@ func gateSys(t *testing.T, annot string) (*System, *Thread, *Module, *Gate) {
 		Funcs: []FuncSpec{
 			{Name: "cross", Params: []Param{P("p", "u64"), P("n", "u64")},
 				Impl: func(th *Thread, a []uint64) uint64 {
-					ret, err := th.CurrentModule().Gate("gate_sink").Call2(th, a[0], a[1])
+					ret, err := th.CurrentModule().Gate("gate_sink").Call(th, a[0], a[1])
 					if err != nil || ret != 0 {
 						return 1
 					}
 					return 0
 				}},
+			{Name: "leaf", Params: []Param{P("p", "u64"), P("n", "u64")},
+				Impl: func(*Thread, []uint64) uint64 { return 0 }},
 		},
 	})
 	if err != nil {
@@ -63,26 +66,55 @@ func TestGateCallRunsFullContract(t *testing.T) {
 }
 
 // TestGateCallAllocationFree is the 0 allocs/op guarantee at unit
-// level: a warm module-side gate crossing performs no allocation.
+// level for every crossing entry point: called warm with literal
+// arguments, none allocates. Each copies its arguments onto the
+// thread's crossing stack, so no caller's variadic slice escapes.
 func TestGateCallAllocationFree(t *testing.T) {
-	_, th, m, _ := gateSys(t, "pre(check(write, p, 8)) post(if (return == 0) check(write, p, 8))")
-	// The driver's argument slice is preallocated so the measurement
-	// sees only the crossing itself (module code calls gates with fixed
-	// arity; the variadic CallModule here is just the test's doorway).
-	args := []uint64{uint64(m.Data), 8}
-	// Warm the env pool, the arg stack, and the check cache.
-	for i := 0; i < 16; i++ {
-		if ret, err := th.CallModule(m, "cross", args...); err != nil || ret != 0 {
-			t.Fatalf("warmup crossing failed: ret=%d err=%v", ret, err)
-		}
+	const annot = "pre(check(write, p, 8)) post(if (return == 0) check(write, p, 8))"
+	s, th, m, g := gateSys(t, annot)
+	s.RegisterFPtrType("sink_t", []Param{P("p", "void *"), P("n", "u64")}, annot)
+	s.RegisterFPtrType("leaf_t", []Param{P("p", "u64"), P("n", "u64")}, "")
+	sinkT, leafT := s.BindIndirect("sink_t"), s.BindIndirect("leaf_t")
+	sink := g.Func().Addr
+	slot := s.Statics.Alloc(8, 8)
+	if err := s.AS.WriteU64(slot, uint64(m.Funcs["leaf"].Addr)); err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if ret, err := th.CallModule(m, "cross", args...); err != nil || ret != 0 {
-			t.Fatal("crossing failed")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm gate crossing allocates %.2f allocs/op, want 0", allocs)
+	p := uint64(m.Data) // module owns its data section
+	for _, e := range []struct {
+		name     string
+		inModule bool // called from module code, not the kernel
+		call     func() (uint64, error)
+	}{
+		{"Gate.Call", true, func() (uint64, error) { return g.Call(th, p, 8) }},
+		{"IndGate.CallAddr", true, func() (uint64, error) { return sinkT.CallAddr(th, sink, p, 8) }},
+		{"CallKernel", true, func() (uint64, error) { return th.CallKernel("gate_sink", p, 8) }},
+		{"CallAddr", true, func() (uint64, error) { return th.CallAddr(sink, "sink_t", p, 8) }},
+		{"IndGate.Call", false, func() (uint64, error) { return leafT.Call(th, slot, 1, 2) }},
+		{"IndirectCall", false, func() (uint64, error) { return th.IndirectCall(slot, "leaf_t", 1, 2) }},
+		{"CallModule", false, func() (uint64, error) { return th.CallModule(m, "leaf", 1, 2) }},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			if e.inModule {
+				// The context a module body runs in.
+				th.cur, th.curMod = m.Set.Shared(), m
+				defer func() { th.cur, th.curMod = nil, nil }()
+			}
+			// Warm the env pool, the arg stack, and the check caches.
+			for i := 0; i < 16; i++ {
+				if ret, err := e.call(); err != nil || ret != 0 {
+					t.Fatalf("warmup crossing failed: ret=%d err=%v", ret, err)
+				}
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if ret, err := e.call(); err != nil || ret != 0 {
+					t.Fatal("crossing failed")
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("warm crossing allocates %.2f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -139,7 +171,7 @@ func TestRefVerdictCachedAndRevocable(t *testing.T) {
 		Funcs: []FuncSpec{
 			{Name: "cross", Params: []Param{P("obj", "u64")},
 				Impl: func(th *Thread, a []uint64) uint64 {
-					ret, err := th.CurrentModule().Gate("ref_sink").Call1(th, a[0])
+					ret, err := th.CurrentModule().Gate("ref_sink").Call(th, a[0])
 					if err != nil || ret != 0 {
 						return 1
 					}
@@ -199,7 +231,7 @@ func TestRefCacheTypeConfusion(t *testing.T) {
 		Funcs: []FuncSpec{
 			{Name: "crossa", Params: []Param{P("obj", "u64")},
 				Impl: func(th *Thread, a []uint64) uint64 {
-					ret, err := th.CurrentModule().Gate("sink_a").Call1(th, a[0])
+					ret, err := th.CurrentModule().Gate("sink_a").Call(th, a[0])
 					if err != nil || ret != 0 {
 						return 1
 					}
@@ -207,7 +239,7 @@ func TestRefCacheTypeConfusion(t *testing.T) {
 				}},
 			{Name: "crossb", Params: []Param{P("obj", "u64")},
 				Impl: func(th *Thread, a []uint64) uint64 {
-					ret, err := th.CurrentModule().Gate("sink_b").Call1(th, a[0])
+					ret, err := th.CurrentModule().Gate("sink_b").Call(th, a[0])
 					if err != nil || ret != 0 {
 						return 1
 					}

@@ -149,7 +149,7 @@ func benchGateSys(b *testing.B) (*Thread, *Module) {
 			{Name: "gateloop", Params: []Param{P("n", "u64"), P("p", "u64")},
 				Impl: func(t *Thread, a []uint64) uint64 {
 					for i := uint64(0); i < a[0]; i++ {
-						if ret, err := gSink.Call2(t, a[1], 8); err != nil || ret != 0 {
+						if ret, err := gSink.Call(t, a[1], 8); err != nil || ret != 0 {
 							return 1
 						}
 					}

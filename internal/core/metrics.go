@@ -12,19 +12,8 @@ type MetricsSnapshot struct {
 	CapEpoch uint64 `json:"capability_epoch"`
 	Shards   int    `json:"shards"`
 
-	AnnotationActions uint64 `json:"annotation_actions"`
-	FuncEntries       uint64 `json:"func_entries"`
-	FuncExits         uint64 `json:"func_exits"`
-	MemWriteChecks    uint64 `json:"mem_write_checks"`
-	IndCallAll        uint64 `json:"ind_call_all"`
-	IndCallSlow       uint64 `json:"ind_call_slow"`
-	IndCacheHits      uint64 `json:"ind_cache_hits"`
-	PrincipalSwitches uint64 `json:"principal_switches"`
-	CapGrants         uint64 `json:"cap_grants"`
-	CapRevokes        uint64 `json:"cap_revokes"`
-	CapChecks         uint64 `json:"cap_checks"`
-	CapCacheHits      uint64 `json:"cap_cache_hits"`
-	FailedResolutions uint64 `json:"failed_resolutions"`
+	// The guard counters of Figure 13, inlined into the JSON object.
+	Snapshot
 
 	// CacheHitRatio is CapCacheHits/CapChecks (0 with no checks).
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
@@ -71,20 +60,7 @@ func (s *System) Metrics() MetricsSnapshot {
 		Mode:     s.Mon.Mode().String(),
 		CapEpoch: s.Caps.Epoch(),
 		Shards:   s.Caps.ShardCount(),
-
-		AnnotationActions: st.AnnotationActions,
-		FuncEntries:       st.FuncEntries,
-		FuncExits:         st.FuncExits,
-		MemWriteChecks:    st.MemWriteChecks,
-		IndCallAll:        st.IndCallAll,
-		IndCallSlow:       st.IndCallSlow,
-		IndCacheHits:      st.IndCacheHits,
-		PrincipalSwitches: st.PrincipalSwitches,
-		CapGrants:         st.CapGrants,
-		CapRevokes:        st.CapRevokes,
-		CapChecks:         st.CapChecks,
-		CapCacheHits:      st.CapCacheHits,
-		FailedResolutions: st.FailedResolutions,
+		Snapshot: st,
 
 		Violations: len(s.Mon.Violations()),
 

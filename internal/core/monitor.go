@@ -87,21 +87,22 @@ type Stats struct {
 	FailedResolutions atomic.Uint64 // CallKernel/CallModule lookups of unknown names
 }
 
-// Snapshot is a point-in-time copy of Stats.
+// Snapshot is a point-in-time copy of Stats. MetricsSnapshot embeds
+// it, so its JSON tags are the metrics registry's keys.
 type Snapshot struct {
-	AnnotationActions uint64
-	FuncEntries       uint64
-	FuncExits         uint64
-	MemWriteChecks    uint64
-	IndCallAll        uint64
-	IndCallSlow       uint64
-	IndCacheHits      uint64
-	PrincipalSwitches uint64
-	CapGrants         uint64
-	CapRevokes        uint64
-	CapChecks         uint64
-	CapCacheHits      uint64
-	FailedResolutions uint64
+	AnnotationActions uint64 `json:"annotation_actions"`
+	FuncEntries       uint64 `json:"func_entries"`
+	FuncExits         uint64 `json:"func_exits"`
+	MemWriteChecks    uint64 `json:"mem_write_checks"`
+	IndCallAll        uint64 `json:"ind_call_all"`
+	IndCallSlow       uint64 `json:"ind_call_slow"`
+	IndCacheHits      uint64 `json:"ind_cache_hits"`
+	PrincipalSwitches uint64 `json:"principal_switches"`
+	CapGrants         uint64 `json:"cap_grants"`
+	CapRevokes        uint64 `json:"cap_revokes"`
+	CapChecks         uint64 `json:"cap_checks"`
+	CapCacheHits      uint64 `json:"cap_cache_hits"`
+	FailedResolutions uint64 `json:"failed_resolutions"`
 }
 
 // Snapshot returns a copy of all counters.

@@ -159,7 +159,7 @@ func TestStaleGateBlockedUnderEnforcement(t *testing.T) {
 		fresh := f.loadModule(t, "m", []string{"printk"}, v2)
 		f.sys.CompleteReload(old, fresh)
 
-		_, err := stale.Call1(f.t, 0)
+		_, err := stale.Call(f.t, 0)
 		if mode == core.Enforce {
 			if !errors.Is(err, core.ErrViolation) {
 				t.Fatalf("stale gate crossing not flagged under enforcement: %v", err)

@@ -92,18 +92,18 @@ func TestSubstitutedIndirectCall(t *testing.T) {
 		g := f.sys.BindIndirect("ops.handler")
 		for i, hits := range []uint64{0, 1} {
 			d := call(t, func(dev mem.Addr) (uint64, error) {
-				return g.Call2(f.t, slot, uint64(dev), 5)
+				return g.Call(f.t, slot, uint64(dev), 5)
 			})
 			if d.IndCacheHits != hits {
 				t.Fatalf("call %d: %d gate cache hits, want %d", i, d.IndCacheHits, hits)
 			}
 		}
 		dev := uint64(f.sys.Statics.Alloc(16, 8))
-		if _, err := g.Call2(f.t, slot, dev, 5); err != nil {
+		if _, err := g.Call(f.t, slot, dev, 5); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := g.Call2(f.t, slot, dev, 5); err != nil {
+			if _, err := g.Call(f.t, slot, dev, 5); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -190,9 +190,9 @@ func TestConcurrentSubstitutedIndirectCall(t *testing.T) {
 				var err error
 				switch r % 4 {
 				case 0:
-					ret, err = fwd.Call2(th, slot, dev, 5)
+					ret, err = fwd.Call(th, slot, dev, 5)
 				case 1:
-					ret, err = rev.Call2(th, slot, 5, dev)
+					ret, err = rev.Call(th, slot, 5, dev)
 				case 2:
 					ret, err = th.IndirectCall(slot, "ops.handler", dev, 5)
 				default:

@@ -59,11 +59,11 @@ type Thread struct {
 	envFree []*argEnv
 	capFree [][]caps.Cap
 
-	// argStack is the thread's crossing-argument stack: the Gate fast
-	// calls (gate.go) push their fixed arguments here and pass a slice
-	// of it down the wrapper path, so module-side crossings build no
-	// argument slice. Frames nest with crossings; each call truncates
-	// back to its base on return.
+	// argStack is the thread's crossing-argument stack: every crossing
+	// entry point (gate.go, calls.go) pushes its arguments here and
+	// passes a slice of it down the wrapper path, so no crossing
+	// allocates an argument slice. Frames nest with crossings; each
+	// entry truncates back to its base on return.
 	argStack []uint64
 
 	// iterBuf and emit serve capability-iterator resolution: emit is a
@@ -358,6 +358,19 @@ func (t *Thread) CallerModule() *Module {
 func (t *Thread) token() uint64 {
 	return t.Sys.nextToken.Add(1)
 }
+
+// pushArgs copies a crossing's arguments onto the argument stack and
+// returns the copy, which is what flows down the wrapper path, and the
+// base popArgs restores. The entry points' variadic slices therefore
+// never escape, and the stack's backing array is retained across
+// calls, so steady-state crossings push without allocating.
+func (t *Thread) pushArgs(args []uint64) ([]uint64, int) {
+	base := len(t.argStack)
+	t.argStack = append(t.argStack, args...)
+	return t.argStack[base:], base
+}
+
+func (t *Thread) popArgs(base int) { t.argStack = t.argStack[:base] }
 
 // pushFrame records a wrapper entry on the shadow stack and returns the
 // frame's return token.

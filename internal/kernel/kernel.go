@@ -571,7 +571,7 @@ func (k *Kernel) ShmCtl(t *core.Thread, shm mem.Addr, cmd uint64) (uint64, error
 	if err != nil {
 		return 0, err
 	}
-	return k.gShmCtl.Call2(t, mem.Addr(table), uint64(shm), cmd)
+	return k.gShmCtl.Call(t, mem.Addr(table), uint64(shm), cmd)
 }
 
 func must(err error) {

@@ -97,7 +97,7 @@ func (k *Kernel) AdvanceTime(t *core.Thread, now uint64) (fired int) {
 		// call (the value was validated when armed; the dispatch still
 		// verifies the target exists and runs it under its module's
 		// principal via the wrapper).
-		if _, err := k.gTimerFn.CallAddr1(t, tm.fn, tm.arg); err != nil {
+		if _, err := k.gTimerFn.CallAddr(t, tm.fn, tm.arg); err != nil {
 			k.Printk("timer %d: dispatch failed: %v", tm.id, err)
 			continue
 		}

@@ -21,6 +21,8 @@
 //     bound at load time. The acceptance gate: 0 allocs/op.
 //   - "crossing named": the same crossing through the string-keyed
 //     CallKernel path — the bind-time-resolution delta made visible.
+//     Its arguments ride the same crossing stack, so it is held to
+//     the same 0 allocs/op.
 //   - "crossing batch": one crossing whose annotation checks an
 //     8-element pointer array through a capability iterator — the
 //     netstack batch-gate shape. Per-element WRITE verdicts ride the
@@ -166,14 +168,14 @@ func newCrossRig(mode core.Mode) (*crossRig, error) {
 			{Name: "crossgate", Params: []core.Param{core.P("n", "u64"), core.P("addr", "u64")},
 				Impl: func(t *core.Thread, a []uint64) uint64 {
 					for i := uint64(0); i < a[0]; i++ {
-						if ret, err := gSink.Call2(t, a[1], sinkArgBytes); err != nil || ret != 0 {
+						if ret, err := gSink.Call(t, a[1], sinkArgBytes); err != nil || ret != 0 {
 							return 1
 						}
 					}
 					return 0
 				}},
 			// crossnamed: the same crossings through the string-keyed
-			// CallKernel path (per-call symbol lookup + variadic args).
+			// CallKernel path (per-call symbol lookup).
 			{Name: "crossnamed", Params: []core.Param{core.P("n", "u64"), core.P("addr", "u64")},
 				Impl: func(t *core.Thread, a []uint64) uint64 {
 					for i := uint64(0); i < a[0]; i++ {
@@ -196,7 +198,7 @@ func newCrossRig(mode core.Mode) (*crossRig, error) {
 						}
 					}
 					for i := uint64(0); i < a[0]; i++ {
-						if ret, err := gBatchSink.Call2(t, uint64(arr), batchElems); err != nil || ret != 0 {
+						if ret, err := gBatchSink.Call(t, uint64(arr), batchElems); err != nil || ret != 0 {
 							return 1
 						}
 					}
@@ -484,9 +486,6 @@ func CrossingsJSON(rows []CrossingRow, iters int) ([]byte, error) {
 		case "check contended":
 			r.Record(row.Op+"/scaling_ratio", row.ScalingRatio, benchio.Positive)
 			r.Record(row.Op+"/stock_scaling_ratio", row.StockScalingRatio, benchio.Gate{})
-		case "crossing named":
-			// The string-keyed path allocates its variadic arguments.
-			allocs = benchio.Rel
 		case "crossing traced":
 			// The flight recorder's budget over the untraced crossing.
 			r.Record(row.Op+"/trace_overhead_pct", row.TraceOverheadPct, benchio.AtMost(10))

@@ -117,10 +117,6 @@ func TestCrossingsJSONShape(t *testing.T) {
 			if _, ok := rep.Values[op+"/allocs_per_op"]; ok {
 				t.Fatalf("%s reports allocs it never measured", op)
 			}
-		case op == "crossing named":
-			if g := gated(op + "/allocs_per_op"); !reflect.DeepEqual(g, benchio.Rel) {
-				t.Fatalf("%s allocs gate %+v is not relative", op, g)
-			}
 		default:
 			if g := gated(op + "/allocs_per_op"); !reflect.DeepEqual(g, benchio.AllocFree) {
 				t.Fatalf("%s allocs gate %+v is not allocation-free", op, g)

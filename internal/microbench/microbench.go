@@ -58,7 +58,7 @@ func NewHotlist(mode core.Mode) (*Workload, error) {
 					// Nodes are {key u64, next u64}, kmalloc'd.
 					var prev uint64
 					for i := uint64(0); i < args[0]; i++ {
-						node, err := gKmalloc.Call1(t, 16)
+						node, err := gKmalloc.Call(t, 16)
 						if err != nil || node == 0 {
 							return 1
 						}
@@ -131,19 +131,19 @@ func NewLld(mode core.Mode) (*Workload, error) {
 				Name: "attach",
 				Impl: func(t *core.Thread, args []uint64) uint64 {
 					var err1 error
-					disk, err1 = gKmalloc.Call1(t, 8*lldBlockSize)
+					disk, err1 = gKmalloc.Call(t, 8*lldBlockSize)
 					if err1 != nil || disk == 0 {
 						return 1
 					}
-					meta, err1 = gKmalloc.Call1(t, 256)
+					meta, err1 = gKmalloc.Call(t, 256)
 					if err1 != nil || meta == 0 {
 						return 1
 					}
-					lock, err1 = gKmalloc.Call1(t, 8)
+					lock, err1 = gKmalloc.Call(t, 8)
 					if err1 != nil || lock == 0 {
 						return 1
 					}
-					if _, err := gSpinLockInit.Call1(t, lock); err != nil {
+					if _, err := gSpinLockInit.Call(t, lock); err != nil {
 						return 1
 					}
 					return 0
@@ -152,7 +152,7 @@ func NewLld(mode core.Mode) (*Workload, error) {
 			{
 				Name: "request", Params: []core.Param{core.P("block", "u64"), core.P("val", "u64")},
 				Impl: func(t *core.Thread, args []uint64) uint64 {
-					if _, err := gSpinLock.Call1(t, lock); err != nil {
+					if _, err := gSpinLock.Call(t, lock); err != nil {
 						return 1
 					}
 					base := mem.Addr(disk) + mem.Addr((args[0]%8)*lldBlockSize)
@@ -168,7 +168,7 @@ func NewLld(mode core.Mode) (*Workload, error) {
 					if err := t.WriteU64(mem.Addr(meta)+8, args[1]); err != nil {
 						return 1
 					}
-					if _, err := gSpinUnlock.Call1(t, lock); err != nil {
+					if _, err := gSpinUnlock.Call(t, lock); err != nil {
 						return 1
 					}
 					return 0
@@ -228,7 +228,7 @@ func NewMD5(mode core.Mode) (*Workload, error) {
 				Name: "setup",
 				Impl: func(t *core.Thread, args []uint64) uint64 {
 					var err1 error
-					out, err1 = gKmalloc.Call1(t, 16)
+					out, err1 = gKmalloc.Call(t, 16)
 					if err1 != nil || out == 0 {
 						return 1
 					}

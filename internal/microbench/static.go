@@ -26,10 +26,9 @@ var guardMethods = map[string]bool{
 	"Write": true, "WriteU64": true, "WriteU32": true, "WriteU16": true,
 	"WriteU8": true, "Zero": true,
 	"CallKernel": true, "CallAddr": true,
-	// Bound-gate crossing entry points (gate.go): same wrapper, same
+	// The bound-gate crossing entry point (gate.go): same wrapper, same
 	// guards, resolved at bind time.
-	"Call0": true, "Call1": true, "Call2": true, "Call3": true,
-	"Call4": true, "CallArgs": true,
+	"Call": true,
 }
 
 // workloadFuncs maps each Fig. 11 benchmark to the constructor whose

@@ -91,7 +91,7 @@ func (p *Proto) init(t *core.Thread, args []uint64) uint64 {
 			return 1
 		}
 	}
-	if ret, err := p.gSockRegister.Call2(t, Family, uint64(mod.Funcs["create"].Addr)); err != nil || kernel.IsErr(ret) {
+	if ret, err := p.gSockRegister.Call(t, Family, uint64(mod.Funcs["create"].Addr)); err != nil || kernel.IsErr(ret) {
 		return 2
 	}
 	return 0
@@ -103,7 +103,7 @@ func (p *Proto) skField(sk mem.Addr, f string) mem.Addr {
 
 func (p *Proto) create(t *core.Thread, args []uint64) uint64 {
 	sock := mem.Addr(args[0])
-	sk, err := p.gKmalloc.Call1(t, p.sockLay.Size)
+	sk, err := p.gKmalloc.Call(t, p.sockLay.Size)
 	if err != nil || sk == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -160,15 +160,15 @@ func (p *Proto) recvmsg(t *core.Thread, args []uint64) uint64 {
 	// Unlike rds, can uses the checked uaccess path: copy_to_user
 	// performs access_ok itself, so a kernel-space destination EFAULTs
 	// even on a stock kernel (no CVE here).
-	staging, err := p.gKmalloc.Call1(t, n)
+	staging, err := p.gKmalloc.Call(t, n)
 	if err != nil || staging == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
 	if err := t.Write(mem.Addr(staging), frame[:n]); err != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
-	ret, cerr := p.gCopyToUser.Call3(t, uint64(buf), staging, n)
-	if _, ferr := p.gKfree.Call1(t, staging); ferr != nil {
+	ret, cerr := p.gCopyToUser.Call(t, uint64(buf), staging, n)
+	if _, ferr := p.gKfree.Call(t, staging); ferr != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	if cerr != nil || kernel.IsErr(ret) {
@@ -182,7 +182,7 @@ func (p *Proto) release(t *core.Thread, args []uint64) uint64 {
 	delete(p.rxq, sock)
 	sk, _ := t.ReadU64(p.St.SockField(sock, "sk"))
 	if sk != 0 {
-		if _, err := p.gKfree.Call1(t, sk); err != nil {
+		if _, err := p.gKfree.Call(t, sk); err != nil {
 			return kernel.Err(kernel.EFAULT)
 		}
 	}

@@ -107,7 +107,7 @@ func (p *Proto) init(t *core.Thread, args []uint64) uint64 {
 			return 1
 		}
 	}
-	if ret, err := p.gSockRegister.Call2(t, Family, uint64(mod.Funcs["create"].Addr)); err != nil || kernel.IsErr(ret) {
+	if ret, err := p.gSockRegister.Call(t, Family, uint64(mod.Funcs["create"].Addr)); err != nil || kernel.IsErr(ret) {
 		return 2
 	}
 	return 0
@@ -119,7 +119,7 @@ func (p *Proto) skField(sk mem.Addr, f string) mem.Addr {
 
 func (p *Proto) create(t *core.Thread, args []uint64) uint64 {
 	sock := mem.Addr(args[0])
-	sk, err := p.gKmalloc.Call1(t, p.sockLay.Size)
+	sk, err := p.gKmalloc.Call(t, p.sockLay.Size)
 	if err != nil || sk == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -167,7 +167,7 @@ func (p *Proto) rxSetup(t *core.Thread, sk mem.Addr, nframes uint64) uint64 {
 	if allocSize == 0 {
 		return kernel.Err(kernel.EINVAL)
 	}
-	frames, err := p.gKmalloc.Call1(t, allocSize)
+	frames, err := p.gKmalloc.Call(t, allocSize)
 	if err != nil || frames == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -212,11 +212,11 @@ func (p *Proto) release(t *core.Thread, args []uint64) uint64 {
 	if sk != 0 {
 		frames, _ := t.ReadU64(p.skField(mem.Addr(sk), "frames"))
 		if frames != 0 {
-			if _, err := p.gKfree.Call1(t, frames); err != nil {
+			if _, err := p.gKfree.Call(t, frames); err != nil {
 				return kernel.Err(kernel.EFAULT)
 			}
 		}
-		if _, err := p.gKfree.Call1(t, sk); err != nil {
+		if _, err := p.gKfree.Call(t, sk); err != nil {
 			return kernel.Err(kernel.EFAULT)
 		}
 	}

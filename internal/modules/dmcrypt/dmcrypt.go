@@ -87,7 +87,7 @@ func (tg *Target) init(t *core.Thread, args []uint64) uint64 {
 // cannot read^Wwrite it.
 func (tg *Target) ctr(t *core.Thread, args []uint64) uint64 {
 	ti, key := mem.Addr(args[0]), args[1]
-	keyBuf, err := tg.gKmalloc.Call1(t, 8)
+	keyBuf, err := tg.gKmalloc.Call(t, 8)
 	if err != nil || keyBuf == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -104,7 +104,7 @@ func (tg *Target) dtr(t *core.Thread, args []uint64) uint64 {
 	ti := mem.Addr(args[0])
 	keyBuf, _ := t.ReadU64(tg.L.TargetField(ti, "private"))
 	if keyBuf != 0 {
-		if _, err := tg.gKfree.Call1(t, keyBuf); err != nil {
+		if _, err := tg.gKfree.Call(t, keyBuf); err != nil {
 			return kernel.Err(kernel.EFAULT)
 		}
 	}
@@ -138,7 +138,7 @@ func (tg *Target) mapBio(t *core.Thread, args []uint64) uint64 {
 		if ret := tg.xorPayload(t, mem.Addr(data), n, key); ret != 0 {
 			return ret
 		}
-		if ret, err := tg.gSubmitBio.Call1(t, uint64(bio)); err != nil || kernel.IsErr(ret) {
+		if ret, err := tg.gSubmitBio.Call(t, uint64(bio)); err != nil || kernel.IsErr(ret) {
 			return kernel.Err(kernel.EFAULT)
 		}
 		return blockdev.MapSubmitted
@@ -146,13 +146,13 @@ func (tg *Target) mapBio(t *core.Thread, args []uint64) uint64 {
 
 	// Read: fetch ciphertext into the payload we own, decrypt in place,
 	// complete.
-	if ret, err := tg.gDmReadSectors.Call4(t, dev, sector+begin, data, n); err != nil || kernel.IsErr(ret) {
+	if ret, err := tg.gDmReadSectors.Call(t, dev, sector+begin, data, n); err != nil || kernel.IsErr(ret) {
 		return kernel.Err(kernel.EFAULT)
 	}
 	if ret := tg.xorPayload(t, mem.Addr(data), n, key); ret != 0 {
 		return ret
 	}
-	if ret, err := tg.gBioEndio.Call1(t, uint64(bio)); err != nil || kernel.IsErr(ret) {
+	if ret, err := tg.gBioEndio.Call(t, uint64(bio)); err != nil || kernel.IsErr(ret) {
 		return kernel.Err(kernel.EFAULT)
 	}
 	return blockdev.MapSubmitted

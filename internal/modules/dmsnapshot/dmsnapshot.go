@@ -80,7 +80,7 @@ func (tg *Target) init(t *core.Thread, args []uint64) uint64 {
 
 func (tg *Target) ctr(t *core.Thread, args []uint64) uint64 {
 	ti := mem.Addr(args[0])
-	table, err := tg.gKmalloc.Call1(t, tableSize)
+	table, err := tg.gKmalloc.Call(t, tableSize)
 	if err != nil || table == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -94,7 +94,7 @@ func (tg *Target) dtr(t *core.Thread, args []uint64) uint64 {
 	ti := mem.Addr(args[0])
 	table, _ := t.ReadU64(tg.L.TargetField(ti, "private"))
 	if table != 0 {
-		if _, err := tg.gKfree.Call1(t, table); err != nil {
+		if _, err := tg.gKfree.Call(t, table); err != nil {
 			return kernel.Err(kernel.EFAULT)
 		}
 	}

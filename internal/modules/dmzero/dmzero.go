@@ -82,7 +82,7 @@ func (tg *Target) mapBio(t *core.Thread, args []uint64) uint64 {
 			return kernel.Err(kernel.EFAULT)
 		}
 	}
-	if ret, err := tg.gBioEndio.Call1(t, uint64(bio)); err != nil || kernel.IsErr(ret) {
+	if ret, err := tg.gBioEndio.Call(t, uint64(bio)); err != nil || kernel.IsErr(ret) {
 		return kernel.Err(kernel.EFAULT)
 	}
 	return blockdev.MapSubmitted

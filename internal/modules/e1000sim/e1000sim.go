@@ -226,7 +226,7 @@ func Load(t *core.Thread, k *kernel.Kernel, bus *pci.Bus, stack *netstack.Stack)
 func (d *Driver) probe(t *core.Thread, args []uint64) uint64 {
 	pcidev := mem.Addr(args[0])
 
-	ndev, err := d.gAllocEtherdev.Call0(t)
+	ndev, err := d.gAllocEtherdev.Call(t)
 	if err != nil || ndev == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -240,7 +240,7 @@ func (d *Driver) probe(t *core.Thread, args []uint64) uint64 {
 		return kernel.Err(kernel.EINVAL)
 	}
 
-	if ret, err := d.gPciEnableDevice.Call1(t, uint64(pcidev)); err != nil || kernel.IsErr(ret) {
+	if ret, err := d.gPciEnableDevice.Call(t, uint64(pcidev)); err != nil || kernel.IsErr(ret) {
 		return kernel.Err(kernel.EPERM)
 	}
 
@@ -266,7 +266,7 @@ func (d *Driver) probe(t *core.Thread, args []uint64) uint64 {
 	}
 
 	// TX descriptor ring (device-owned memory, Guideline 2).
-	ring, err := d.gKmalloc.Call1(t, TxRingEntries*descSize)
+	ring, err := d.gKmalloc.Call(t, TxRingEntries*descSize)
 	if err != nil || ring == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -275,20 +275,20 @@ func (d *Driver) probe(t *core.Thread, args []uint64) uint64 {
 	// RX batch array: the pointer array the kernel fills on
 	// alloc_skb_batch. Module-owned so the crossing's write check pins
 	// API integrity.
-	rxArr, err := d.gKmalloc.Call1(t, RxBatchEntries*8)
+	rxArr, err := d.gKmalloc.Call(t, RxBatchEntries*8)
 	if err != nil || rxArr == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
 	d.rxArr = mem.Addr(rxArr)
 
-	if ret, err := d.gRegisterNetdev.Call1(t, ndev); err != nil || kernel.IsErr(ret) {
+	if ret, err := d.gRegisterNetdev.Call(t, ndev); err != nil || kernel.IsErr(ret) {
 		return kernel.Err(kernel.EINVAL)
 	}
 	// Fig. 1 line 37: netif_napi_add(ndev, napi, my_poll_cb).
-	if ret, err := d.gNetifNapiAdd.Call2(t, ndev, uint64(mod.Funcs["poll"].Addr)); err != nil || kernel.IsErr(ret) {
+	if ret, err := d.gNetifNapiAdd.Call(t, ndev, uint64(mod.Funcs["poll"].Addr)); err != nil || kernel.IsErr(ret) {
 		return kernel.Err(kernel.EINVAL)
 	}
-	if ret, err := d.gRequestIrq.Call2(t, uint64(pcidev), uint64(mod.Funcs["irq"].Addr)); err != nil || kernel.IsErr(ret) {
+	if ret, err := d.gRequestIrq.Call(t, uint64(pcidev), uint64(mod.Funcs["irq"].Addr)); err != nil || kernel.IsErr(ret) {
 		return kernel.Err(kernel.EINVAL)
 	}
 
@@ -336,7 +336,7 @@ func (d *Driver) xmit(t *core.Thread, args []uint64) uint64 {
 	if !d.txOne(t, skb) {
 		return ^uint64(0)
 	}
-	if _, err := d.gKfreeSkb.Call1(t, uint64(skb)); err != nil {
+	if _, err := d.gKfreeSkb.Call(t, uint64(skb)); err != nil {
 		return ^uint64(0)
 	}
 	return 0
@@ -385,7 +385,7 @@ func (d *Driver) poll(t *core.Thread, args []uint64) uint64 {
 		}
 		frame := frames[0]
 
-		skb, err := d.gAllocSkb.Call1(t, uint64(len(frame)))
+		skb, err := d.gAllocSkb.Call(t, uint64(len(frame)))
 		if err != nil || skb == 0 {
 			return done
 		}
@@ -399,7 +399,7 @@ func (d *Driver) poll(t *core.Thread, args []uint64) uint64 {
 		if err := t.WriteU64(st.SkbField(mem.Addr(skb), "dev"), uint64(d.Dev)); err != nil {
 			return done
 		}
-		if ret, err := d.gNetifRx.Call1(t, skb); err != nil || kernel.IsErr(ret) {
+		if ret, err := d.gNetifRx.Call(t, skb); err != nil || kernel.IsErr(ret) {
 			return done
 		}
 		done++
@@ -428,7 +428,7 @@ func (d *Driver) pollBatch(t *core.Thread, budget uint64) uint64 {
 		}
 	}
 
-	got, err := d.gAllocSkbBatch.Call3(t, uint64(d.rxArr), uint64(len(frames)), uint64(maxLen))
+	got, err := d.gAllocSkbBatch.Call(t, uint64(d.rxArr), uint64(len(frames)), uint64(maxLen))
 	if err != nil || got == 0 {
 		d.Nic.requeueFront(frames)
 		return 0
@@ -456,7 +456,7 @@ func (d *Driver) pollBatch(t *core.Thread, budget uint64) uint64 {
 		}
 	}
 
-	accepted, err := d.gNetifRxBatch.Call2(t, uint64(d.rxArr), uint64(len(frames)))
+	accepted, err := d.gNetifRxBatch.Call(t, uint64(d.rxArr), uint64(len(frames)))
 	if err != nil {
 		return 0
 	}

@@ -126,7 +126,7 @@ func (p *Proto) init(t *core.Thread, args []uint64) uint64 {
 			return 1
 		}
 	}
-	if ret, err := p.gSockRegister.Call2(t, Family, uint64(mod.Funcs["create"].Addr)); err != nil || kernel.IsErr(ret) {
+	if ret, err := p.gSockRegister.Call(t, Family, uint64(mod.Funcs["create"].Addr)); err != nil || kernel.IsErr(ret) {
 		return 2
 	}
 	return 0
@@ -142,7 +142,7 @@ func (p *Proto) skField(sk mem.Addr, f string) mem.Addr {
 // data section), so no principal switch is needed to prepend.
 func (p *Proto) create(t *core.Thread, args []uint64) uint64 {
 	sock := mem.Addr(args[0])
-	sk, err := p.gKmalloc.Call1(t, p.sockLay.Size)
+	sk, err := p.gKmalloc.Call(t, p.sockLay.Size)
 	if err != nil || sk == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -256,7 +256,7 @@ func (p *Proto) release(t *core.Thread, args []uint64) uint64 {
 			cur = next
 		}
 	}
-	if _, err := p.gKfree.Call1(t, sk); err != nil {
+	if _, err := p.gKfree.Call(t, sk); err != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	return 0

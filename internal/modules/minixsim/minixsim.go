@@ -255,7 +255,7 @@ func (fs *FS) init(t *core.Thread, args []uint64) uint64 {
 			return 1
 		}
 	}
-	if ret, err := fs.gRegisterFilesystem.Call2(t, FsID, uint64(fs.Ops())); err != nil || kernel.IsErr(ret) {
+	if ret, err := fs.gRegisterFilesystem.Call(t, FsID, uint64(fs.Ops())); err != nil || kernel.IsErr(ret) {
 		return 2
 	}
 	return 0
@@ -303,7 +303,7 @@ func (fs *FS) setUsedBit(t *core.Thread, sb, priv mem.Addr, slot, used uint64) b
 		return false
 	}
 	dev, _ := t.ReadU64(fs.V.SBField(sb, "dev"))
-	ret, err := fs.gDmWriteSectors.Call4(t, dev, BitmapStart, buf, blockdev.SectorSize)
+	ret, err := fs.gDmWriteSectors.Call(t, dev, BitmapStart, buf, blockdev.SectorSize)
 	return err == nil && !kernel.IsErr(ret)
 }
 
@@ -389,7 +389,7 @@ func (fs *FS) jwriteSector(t *core.Thread, sb, priv mem.Addr, sector uint64, img
 		return false
 	}
 	dev, _ := t.ReadU64(fs.V.SBField(sb, "dev"))
-	ret, err := fs.gDmWriteSectors.Call4(t, dev, sector, buf, blockdev.SectorSize)
+	ret, err := fs.gDmWriteSectors.Call(t, dev, sector, buf, blockdev.SectorSize)
 	return err == nil && !kernel.IsErr(ret)
 }
 
@@ -420,7 +420,7 @@ func (fs *FS) applyRec(t *core.Thread, sb, priv mem.Addr, r jrec) bool {
 		return false
 	}
 	dev, _ := t.ReadU64(fs.V.SBField(sb, "dev"))
-	ret, err := fs.gDmWriteSectors.Call4(t, dev, DirTabStart+r.slot, uint64(rb), RecSize)
+	ret, err := fs.gDmWriteSectors.Call(t, dev, DirTabStart+r.slot, uint64(rb), RecSize)
 	if err != nil || kernel.IsErr(ret) {
 		return false
 	}
@@ -467,7 +467,7 @@ func (fs *FS) commitTxn(t *core.Thread, sb, priv mem.Addr, recs []jrec) bool {
 // the size stored in the slot's on-disk record, so writepage only
 // rewrites the record when the size actually changed.
 func (fs *FS) addDirent(t *core.Thread, priv mem.Addr, dir, ino uint64, name []byte, recsize, slot uint64) uint64 {
-	de, err := fs.gKmalloc.Call1(t, fs.deLay.Size)
+	de, err := fs.gKmalloc.Call(t, fs.deLay.Size)
 	if err != nil || de == 0 {
 		return 0
 	}
@@ -479,7 +479,7 @@ func (fs *FS) addDirent(t *core.Thread, priv mem.Addr, dir, ino uint64, name []b
 		t.WriteU64(fs.deField(mem.Addr(de), "recsize"), recsize) != nil ||
 		t.Write(fs.deField(mem.Addr(de), "name"), append(append([]byte{}, name...), 0)) != nil ||
 		t.WriteU64(fs.pvField(priv, "head"), de) != nil {
-		_, _ = fs.gKfree.Call1(t, de)
+		_, _ = fs.gKfree.Call(t, de)
 		return 0
 	}
 	return de
@@ -487,43 +487,43 @@ func (fs *FS) addDirent(t *core.Thread, priv mem.Addr, dir, ino uint64, name []b
 
 func (fs *FS) mount(t *core.Thread, args []uint64) uint64 {
 	sb := mem.Addr(args[0])
-	priv, err := fs.gKmalloc.Call1(t, fs.privLay.Size)
+	priv, err := fs.gKmalloc.Call(t, fs.privLay.Size)
 	if err != nil || priv == 0 {
 		return 0
 	}
-	stack, err := fs.gKmalloc.Call1(t, 8*MaxSlots)
+	stack, err := fs.gKmalloc.Call(t, 8*MaxSlots)
 	if err != nil || stack == 0 {
-		_, _ = fs.gKfree.Call1(t, priv)
+		_, _ = fs.gKfree.Call(t, priv)
 		return 0
 	}
-	recbuf, err := fs.gKmalloc.Call1(t, RecSize)
+	recbuf, err := fs.gKmalloc.Call(t, RecSize)
 	if err != nil || recbuf == 0 {
-		_, _ = fs.gKfree.Call1(t, stack)
-		_, _ = fs.gKfree.Call1(t, priv)
+		_, _ = fs.gKfree.Call(t, stack)
+		_, _ = fs.gKfree.Call(t, priv)
 		return 0
 	}
-	bmbuf, err := fs.gKmalloc.Call1(t, blockdev.SectorSize)
+	bmbuf, err := fs.gKmalloc.Call(t, blockdev.SectorSize)
 	if err != nil || bmbuf == 0 {
-		_, _ = fs.gKfree.Call1(t, recbuf)
-		_, _ = fs.gKfree.Call1(t, stack)
-		_, _ = fs.gKfree.Call1(t, priv)
+		_, _ = fs.gKfree.Call(t, recbuf)
+		_, _ = fs.gKfree.Call(t, stack)
+		_, _ = fs.gKfree.Call(t, priv)
 		return 0
 	}
-	jbuf, err := fs.gKmalloc.Call1(t, blockdev.SectorSize)
+	jbuf, err := fs.gKmalloc.Call(t, blockdev.SectorSize)
 	if err != nil || jbuf == 0 {
-		_, _ = fs.gKfree.Call1(t, bmbuf)
-		_, _ = fs.gKfree.Call1(t, recbuf)
-		_, _ = fs.gKfree.Call1(t, stack)
-		_, _ = fs.gKfree.Call1(t, priv)
+		_, _ = fs.gKfree.Call(t, bmbuf)
+		_, _ = fs.gKfree.Call(t, recbuf)
+		_, _ = fs.gKfree.Call(t, stack)
+		_, _ = fs.gKfree.Call(t, priv)
 		return 0
 	}
-	root, err := fs.gIget.Call1(t, uint64(sb))
+	root, err := fs.gIget.Call(t, uint64(sb))
 	if err != nil || root == 0 {
-		_, _ = fs.gKfree.Call1(t, jbuf)
-		_, _ = fs.gKfree.Call1(t, bmbuf)
-		_, _ = fs.gKfree.Call1(t, recbuf)
-		_, _ = fs.gKfree.Call1(t, stack)
-		_, _ = fs.gKfree.Call1(t, priv)
+		_, _ = fs.gKfree.Call(t, jbuf)
+		_, _ = fs.gKfree.Call(t, bmbuf)
+		_, _ = fs.gKfree.Call(t, recbuf)
+		_, _ = fs.gKfree.Call(t, stack)
+		_, _ = fs.gKfree.Call(t, priv)
 		return 0
 	}
 	if t.WriteU64(fs.V.InodeField(mem.Addr(root), "mode"), vfs.ModeDir) != nil ||
@@ -543,21 +543,21 @@ func (fs *FS) mount(t *core.Thread, args []uint64) uint64 {
 		// writes up front instead of caching pages that can never be
 		// persisted.
 		t.WriteU64(fs.V.SBField(sb, "maxbytes"), MaxFilePages*mem.PageSize) != nil {
-		_, _ = fs.gIput.Call1(t, root)
-		_, _ = fs.gKfree.Call1(t, jbuf)
-		_, _ = fs.gKfree.Call1(t, bmbuf)
-		_, _ = fs.gKfree.Call1(t, recbuf)
-		_, _ = fs.gKfree.Call1(t, stack)
-		_, _ = fs.gKfree.Call1(t, priv)
+		_, _ = fs.gIput.Call(t, root)
+		_, _ = fs.gKfree.Call(t, jbuf)
+		_, _ = fs.gKfree.Call(t, bmbuf)
+		_, _ = fs.gKfree.Call(t, recbuf)
+		_, _ = fs.gKfree.Call(t, stack)
+		_, _ = fs.gKfree.Call(t, priv)
 		return 0
 	}
 	if !fs.recoverNamespace(t, sb, mem.Addr(priv)) {
-		_, _ = fs.gIput.Call1(t, root)
-		_, _ = fs.gKfree.Call1(t, jbuf)
-		_, _ = fs.gKfree.Call1(t, bmbuf)
-		_, _ = fs.gKfree.Call1(t, recbuf)
-		_, _ = fs.gKfree.Call1(t, stack)
-		_, _ = fs.gKfree.Call1(t, priv)
+		_, _ = fs.gIput.Call(t, root)
+		_, _ = fs.gKfree.Call(t, jbuf)
+		_, _ = fs.gKfree.Call(t, bmbuf)
+		_, _ = fs.gKfree.Call(t, recbuf)
+		_, _ = fs.gKfree.Call(t, stack)
+		_, _ = fs.gKfree.Call(t, priv)
 		return 0
 	}
 	return root
@@ -576,7 +576,7 @@ func (fs *FS) mount(t *core.Thread, args []uint64) uint64 {
 func (fs *FS) replayJournal(t *core.Thread, sb, priv mem.Addr) bool {
 	dev, _ := t.ReadU64(fs.V.SBField(sb, "dev"))
 	jbuf, _ := t.ReadU64(fs.pvField(priv, "jbuf"))
-	if ret, err := fs.gDmReadSectors.Call4(t, dev, JournalStart, jbuf, blockdev.SectorSize); err != nil || kernel.IsErr(ret) {
+	if ret, err := fs.gDmReadSectors.Call(t, dev, JournalStart, jbuf, blockdev.SectorSize); err != nil || kernel.IsErr(ret) {
 		return false
 	}
 	commit, err := t.ReadBytes(mem.Addr(jbuf), blockdev.SectorSize)
@@ -601,7 +601,7 @@ func (fs *FS) replayJournal(t *core.Thread, sb, priv mem.Addr) bool {
 	if valid {
 		recs := make([]jrec, 0, count)
 		for i := uint64(0); i < count; i++ {
-			if ret, err := fs.gDmReadSectors.Call4(t, dev, JournalStart+1+i, jbuf, blockdev.SectorSize); err != nil || kernel.IsErr(ret) {
+			if ret, err := fs.gDmReadSectors.Call(t, dev, JournalStart+1+i, jbuf, blockdev.SectorSize); err != nil || kernel.IsErr(ret) {
 				return false
 			}
 			img, err := t.ReadBytes(mem.Addr(jbuf), blockdev.SectorSize)
@@ -654,7 +654,7 @@ func (fs *FS) recoverNamespace(t *core.Thread, sb, priv mem.Addr) bool {
 
 	// The bitmap must be resident before replay: applyRec maintains the
 	// used-slot bits through the in-memory copy.
-	if ret, err := fs.gDmReadSectors.Call4(t, dev, BitmapStart, bmbuf, blockdev.SectorSize); err != nil || kernel.IsErr(ret) {
+	if ret, err := fs.gDmReadSectors.Call(t, dev, BitmapStart, bmbuf, blockdev.SectorSize); err != nil || kernel.IsErr(ret) {
 		return false
 	}
 	if !fs.replayJournal(t, sb, priv) {
@@ -674,7 +674,7 @@ func (fs *FS) recoverNamespace(t *core.Thread, sb, priv mem.Addr) bool {
 		if bitmap[slot/8]&(1<<(slot%8)) == 0 {
 			continue
 		}
-		ret, err := fs.gDmReadSectors.Call4(t, dev, DirTabStart+slot, buf, RecSize)
+		ret, err := fs.gDmReadSectors.Call(t, dev, DirTabStart+slot, buf, RecSize)
 		if err != nil || kernel.IsErr(ret) {
 			return false
 		}
@@ -746,12 +746,12 @@ func (fs *FS) recoverNamespace(t *core.Thread, sb, priv mem.Addr) bool {
 		cur, _ := t.ReadU64(fs.pvField(priv, "head"))
 		for cur != 0 {
 			next, _ := t.ReadU64(fs.deField(mem.Addr(cur), "next"))
-			_, _ = fs.gKfree.Call1(t, cur)
+			_, _ = fs.gKfree.Call(t, cur)
 			cur = next
 		}
 		_ = t.WriteU64(fs.pvField(priv, "head"), 0)
 		for _, ino := range inoByTarget {
-			_, _ = fs.gIput.Call1(t, ino)
+			_, _ = fs.gIput.Call(t, ino)
 		}
 		return false
 	}
@@ -762,7 +762,7 @@ func (fs *FS) recoverNamespace(t *core.Thread, sb, priv mem.Addr) bool {
 	// can lag — the max is the one that was persisted last).
 	maxUsed := int64(-1)
 	for target, slots := range groups {
-		ino, err := fs.gIget.Call1(t, uint64(sb))
+		ino, err := fs.gIget.Call(t, uint64(sb))
 		if err != nil || ino == 0 {
 			return bail()
 		}
@@ -844,9 +844,9 @@ func (fs *FS) killSB(t *core.Thread, args []uint64) uint64 {
 		ino, _ := t.ReadU64(fs.deField(mem.Addr(cur), "inode"))
 		if !seen[ino] {
 			seen[ino] = true
-			_, _ = fs.gIput.Call1(t, ino)
+			_, _ = fs.gIput.Call(t, ino)
 		}
-		_, _ = fs.gKfree.Call1(t, cur)
+		_, _ = fs.gKfree.Call(t, cur)
 		cur = next
 	}
 	root, _ := t.ReadU64(fs.pvField(priv, "root"))
@@ -854,12 +854,12 @@ func (fs *FS) killSB(t *core.Thread, args []uint64) uint64 {
 	recbuf, _ := t.ReadU64(fs.pvField(priv, "recbuf"))
 	bmbuf, _ := t.ReadU64(fs.pvField(priv, "bmbuf"))
 	jbuf, _ := t.ReadU64(fs.pvField(priv, "jbuf"))
-	_, _ = fs.gIput.Call1(t, root)
-	_, _ = fs.gKfree.Call1(t, stack)
-	_, _ = fs.gKfree.Call1(t, recbuf)
-	_, _ = fs.gKfree.Call1(t, bmbuf)
-	_, _ = fs.gKfree.Call1(t, jbuf)
-	_, _ = fs.gKfree.Call1(t, uint64(priv))
+	_, _ = fs.gIput.Call(t, root)
+	_, _ = fs.gKfree.Call(t, stack)
+	_, _ = fs.gKfree.Call(t, recbuf)
+	_, _ = fs.gKfree.Call(t, bmbuf)
+	_, _ = fs.gKfree.Call(t, jbuf)
+	_, _ = fs.gKfree.Call(t, uint64(priv))
 	return 0
 }
 
@@ -908,7 +908,7 @@ func (fs *FS) createFn(t *core.Thread, args []uint64) uint64 {
 	if slot >= MaxSlots {
 		return 0 // out of extent slots: ENOSPC
 	}
-	ino, err := fs.gIget.Call1(t, uint64(sb))
+	ino, err := fs.gIget.Call(t, uint64(sb))
 	if err != nil || ino == 0 {
 		fs.freeSlot(t, priv, slot)
 		return 0
@@ -923,7 +923,7 @@ func (fs *FS) createFn(t *core.Thread, args []uint64) uint64 {
 		t.WriteU64(fs.V.InodeField(mem.Addr(ino), "nlink"), nlink) != nil ||
 		t.WriteU64(fs.V.InodeField(mem.Addr(ino), "private"), slot) != nil {
 		fs.freeSlot(t, priv, slot)
-		_, _ = fs.gIput.Call1(t, ino)
+		_, _ = fs.gIput.Call(t, ino)
 		return 0
 	}
 	// Journal the record before linking the entry: a crash between the
@@ -932,13 +932,13 @@ func (fs *FS) createFn(t *core.Thread, args []uint64) uint64 {
 	if !fs.commitTxn(t, sb, priv, []jrec{{slot: slot, used: 1,
 		parent: fs.parentSlot(t, priv, dir), mode: mode, target: slot, name: nameBytes}}) {
 		fs.freeSlot(t, priv, slot)
-		_, _ = fs.gIput.Call1(t, ino)
+		_, _ = fs.gIput.Call(t, ino)
 		return 0
 	}
 	if fs.addDirent(t, priv, dir, ino, nameBytes, 0, slot) == 0 {
 		_ = fs.commitTxn(t, sb, priv, []jrec{{slot: slot, used: 0}})
 		fs.freeSlot(t, priv, slot)
-		_, _ = fs.gIput.Call1(t, ino)
+		_, _ = fs.gIput.Call(t, ino)
 		return 0
 	}
 	return ino
@@ -1168,7 +1168,7 @@ func (fs *FS) removeLinkMem(t *core.Thread, priv mem.Addr, de, prev mem.Addr, in
 	} else if err := t.WriteU64(fs.deField(prev, "next"), next); err != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
-	if _, err := fs.gKfree.Call1(t, uint64(de)); err != nil {
+	if _, err := fs.gKfree.Call(t, uint64(de)); err != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	if mode != vfs.ModeDir && nlink > 1 {
@@ -1184,7 +1184,7 @@ func (fs *FS) removeLinkMem(t *core.Thread, priv mem.Addr, de, prev mem.Addr, in
 	if target != slot {
 		fs.freeSlot(t, priv, target)
 	}
-	if _, err := fs.gIput.Call1(t, inode); err != nil {
+	if _, err := fs.gIput.Call(t, inode); err != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	return 0
@@ -1232,7 +1232,7 @@ func (fs *FS) readpage(t *core.Thread, args []uint64) uint64 {
 		return 0
 	}
 	dev, _ := t.ReadU64(fs.V.SBField(sb, "dev"))
-	ret, err := fs.gDmReadSectors.Call4(t, dev, fs.extent(t, ino, idx), page, mem.PageSize)
+	ret, err := fs.gDmReadSectors.Call(t, dev, fs.extent(t, ino, idx), page, mem.PageSize)
 	if err != nil || kernel.IsErr(ret) {
 		return kernel.Err(kernel.EIO)
 	}
@@ -1263,7 +1263,7 @@ func (fs *FS) writepage(t *core.Thread, args []uint64) uint64 {
 		}
 	}
 	dev, _ := t.ReadU64(fs.V.SBField(sb, "dev"))
-	ret, err := fs.gPcWriteback.Call3(t, dev, fs.extent(t, ino, idx), page)
+	ret, err := fs.gPcWriteback.Call(t, dev, fs.extent(t, ino, idx), page)
 	if err != nil || kernel.IsErr(ret) {
 		return kernel.Err(kernel.EIO)
 	}
@@ -1325,7 +1325,7 @@ func (fs *FS) ioctl(t *core.Thread, args []uint64) uint64 {
 		if err := t.WriteU64(mem.Addr(buf), TamperValue); err != nil {
 			return kernel.Err(kernel.EFAULT)
 		}
-		ret, err := fs.gDmWriteSectors.Call4(t, arg, 0, buf, RecSize)
+		ret, err := fs.gDmWriteSectors.Call(t, arg, 0, buf, RecSize)
 		if err != nil || kernel.IsErr(ret) {
 			return kernel.Err(kernel.EIO)
 		}

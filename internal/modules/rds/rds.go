@@ -136,7 +136,7 @@ func (p *Proto) IoctlSlot() mem.Addr { return p.St.ProtoOpsSlot(p.OpsTable(), "i
 
 func (p *Proto) init(t *core.Thread, args []uint64) uint64 {
 	mod := t.CurrentModule()
-	if ret, err := p.gSockRegister.Call2(t, Family, uint64(mod.Funcs["create"].Addr)); err != nil || kernel.IsErr(ret) {
+	if ret, err := p.gSockRegister.Call(t, Family, uint64(mod.Funcs["create"].Addr)); err != nil || kernel.IsErr(ret) {
 		return 1
 	}
 	return 0
@@ -148,7 +148,7 @@ func (p *Proto) skField(sk mem.Addr, f string) mem.Addr {
 
 func (p *Proto) create(t *core.Thread, args []uint64) uint64 {
 	sock := mem.Addr(args[0])
-	sk, err := p.gKmalloc.Call1(t, p.sockLay.Size)
+	sk, err := p.gKmalloc.Call(t, p.sockLay.Size)
 	if err != nil || sk == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -206,7 +206,7 @@ func (p *Proto) recvmsg(t *core.Thread, args []uint64) uint64 {
 	}
 	// Stage the message in module-owned memory, then copy it out with
 	// the no-access_ok uaccess variant.
-	staging, err := p.gKmalloc.Call1(t, n)
+	staging, err := p.gKmalloc.Call(t, n)
 	if err != nil || staging == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -216,8 +216,8 @@ func (p *Proto) recvmsg(t *core.Thread, args []uint64) uint64 {
 	// MISSING: if !access_ok(buf, n) { return -EFAULT } (CVE-2010-3904):
 	// __copy_to_user performs no check of its own, so a kernel-space buf
 	// goes straight through on a stock kernel.
-	ret, cerr := p.gCopyToUser.Call3(t, uint64(buf), staging, n)
-	if _, ferr := p.gKfree.Call1(t, staging); ferr != nil {
+	ret, cerr := p.gCopyToUser.Call(t, uint64(buf), staging, n)
+	if _, ferr := p.gKfree.Call(t, staging); ferr != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	if cerr != nil || kernel.IsErr(ret) {
@@ -235,7 +235,7 @@ func (p *Proto) release(t *core.Thread, args []uint64) uint64 {
 	sk, _ := t.ReadU64(p.St.SockField(sock, "sk"))
 	delete(p.pending, sock)
 	if sk != 0 {
-		if _, err := p.gKfree.Call1(t, sk); err != nil {
+		if _, err := p.gKfree.Call(t, sk); err != nil {
 			return kernel.Err(kernel.EFAULT)
 		}
 	}

@@ -99,11 +99,11 @@ func (d *Driver) init(t *core.Thread, args []uint64) uint64 {
 // the fixed DAC1 rate.
 func (d *Driver) open(t *core.Thread, args []uint64) uint64 {
 	card := mem.Addr(args[0])
-	buf, err := d.gKmalloc.Call1(t, BufferSize)
+	buf, err := d.gKmalloc.Call(t, BufferSize)
 	if err != nil || buf == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
-	regs, err := d.gKmalloc.Call1(t, regSize)
+	regs, err := d.gKmalloc.Call(t, regSize)
 	if err != nil || regs == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -124,13 +124,13 @@ func (d *Driver) close(t *core.Thread, args []uint64) uint64 {
 	card := mem.Addr(args[0])
 	buf, _ := t.ReadU64(d.S.CardField(card, "buf"))
 	if buf != 0 {
-		if _, err := d.gKfree.Call1(t, buf); err != nil {
+		if _, err := d.gKfree.Call(t, buf); err != nil {
 			return kernel.Err(kernel.EFAULT)
 		}
 	}
 	if regs, ok := d.regs[card]; ok {
 		delete(d.regs, card)
-		if _, err := d.gKfree.Call1(t, uint64(regs)); err != nil {
+		if _, err := d.gKfree.Call(t, uint64(regs)); err != nil {
 			return kernel.Err(kernel.EFAULT)
 		}
 	}

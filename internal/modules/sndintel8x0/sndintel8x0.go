@@ -76,7 +76,7 @@ func (d *Driver) init(t *core.Thread, args []uint64) uint64 {
 
 func (d *Driver) open(t *core.Thread, args []uint64) uint64 {
 	card := mem.Addr(args[0])
-	buf, err := d.gKmalloc.Call1(t, BufferSize)
+	buf, err := d.gKmalloc.Call(t, BufferSize)
 	if err != nil || buf == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -93,7 +93,7 @@ func (d *Driver) close(t *core.Thread, args []uint64) uint64 {
 	card := mem.Addr(args[0])
 	buf, _ := t.ReadU64(d.S.CardField(card, "buf"))
 	if buf != 0 {
-		if _, err := d.gKfree.Call1(t, buf); err != nil {
+		if _, err := d.gKfree.Call(t, buf); err != nil {
 			return kernel.Err(kernel.EFAULT)
 		}
 	}

@@ -146,7 +146,7 @@ func (fs *FS) init(t *core.Thread, args []uint64) uint64 {
 			return 1
 		}
 	}
-	if ret, err := fs.gRegisterFilesystem.Call2(t, FsID, uint64(fs.Ops())); err != nil || kernel.IsErr(ret) {
+	if ret, err := fs.gRegisterFilesystem.Call(t, FsID, uint64(fs.Ops())); err != nil || kernel.IsErr(ret) {
 		return 2
 	}
 	return 0
@@ -161,13 +161,13 @@ func (fs *FS) priv(t *core.Thread, sb mem.Addr) mem.Addr {
 
 func (fs *FS) mount(t *core.Thread, args []uint64) uint64 {
 	sb := mem.Addr(args[0])
-	priv, err := fs.gKmalloc.Call1(t, fs.privLay.Size)
+	priv, err := fs.gKmalloc.Call(t, fs.privLay.Size)
 	if err != nil || priv == 0 {
 		return 0
 	}
-	root, err := fs.gIget.Call1(t, uint64(sb))
+	root, err := fs.gIget.Call(t, uint64(sb))
 	if err != nil || root == 0 {
-		_, _ = fs.gKfree.Call1(t, priv)
+		_, _ = fs.gKfree.Call(t, priv)
 		return 0
 	}
 	if t.WriteU64(fs.V.InodeField(mem.Addr(root), "mode"), vfs.ModeDir) != nil ||
@@ -178,8 +178,8 @@ func (fs *FS) mount(t *core.Thread, args []uint64) uint64 {
 		// Page cache is the only copy of tmpfs data: tell the VFS never
 		// to evict this mount.
 		t.WriteU64(fs.V.SBField(sb, "flags"), vfs.SBMemOnly) != nil {
-		_, _ = fs.gIput.Call1(t, root)
-		_, _ = fs.gKfree.Call1(t, priv)
+		_, _ = fs.gIput.Call(t, root)
+		_, _ = fs.gKfree.Call(t, priv)
 		return 0
 	}
 	return root
@@ -200,14 +200,14 @@ func (fs *FS) killSB(t *core.Thread, args []uint64) uint64 {
 		ino, _ := t.ReadU64(fs.deField(mem.Addr(cur), "inode"))
 		if !seen[ino] {
 			seen[ino] = true
-			_, _ = fs.gIput.Call1(t, ino)
+			_, _ = fs.gIput.Call(t, ino)
 		}
-		_, _ = fs.gKfree.Call1(t, cur)
+		_, _ = fs.gKfree.Call(t, cur)
 		cur = next
 	}
 	root, _ := t.ReadU64(fs.pvField(priv, "root"))
-	_, _ = fs.gIput.Call1(t, root)
-	_, _ = fs.gKfree.Call1(t, uint64(priv))
+	_, _ = fs.gIput.Call(t, root)
+	_, _ = fs.gKfree.Call(t, uint64(priv))
 	return 0
 }
 
@@ -219,7 +219,7 @@ func (fs *FS) createFn(t *core.Thread, args []uint64) uint64 {
 	if nlen > vfs.NameMax {
 		return 0
 	}
-	ino, err := fs.gIget.Call1(t, uint64(sb))
+	ino, err := fs.gIget.Call(t, uint64(sb))
 	if err != nil || ino == 0 {
 		return 0
 	}
@@ -229,12 +229,12 @@ func (fs *FS) createFn(t *core.Thread, args []uint64) uint64 {
 	}
 	if t.WriteU64(fs.V.InodeField(mem.Addr(ino), "mode"), mode) != nil ||
 		t.WriteU64(fs.V.InodeField(mem.Addr(ino), "nlink"), nlink) != nil {
-		_, _ = fs.gIput.Call1(t, ino)
+		_, _ = fs.gIput.Call(t, ino)
 		return 0
 	}
-	de, err := fs.gKmalloc.Call1(t, fs.deLay.Size)
+	de, err := fs.gKmalloc.Call(t, fs.deLay.Size)
 	if err != nil || de == 0 {
-		_, _ = fs.gIput.Call1(t, ino)
+		_, _ = fs.gIput.Call(t, ino)
 		return 0
 	}
 	priv := fs.priv(t, sb)
@@ -246,8 +246,8 @@ func (fs *FS) createFn(t *core.Thread, args []uint64) uint64 {
 		t.WriteU64(fs.deField(mem.Addr(de), "inode"), ino) != nil ||
 		t.Write(fs.deField(mem.Addr(de), "name"), append(nameBytes, 0)) != nil ||
 		t.WriteU64(fs.pvField(priv, "head"), de) != nil {
-		_, _ = fs.gKfree.Call1(t, de)
-		_, _ = fs.gIput.Call1(t, ino)
+		_, _ = fs.gKfree.Call(t, de)
+		_, _ = fs.gIput.Call(t, ino)
 		return 0
 	}
 	return ino
@@ -383,7 +383,7 @@ func (fs *FS) link(t *core.Thread, args []uint64) uint64 {
 	if err != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
-	de, err := fs.gKmalloc.Call1(t, fs.deLay.Size)
+	de, err := fs.gKmalloc.Call(t, fs.deLay.Size)
 	if err != nil || de == 0 {
 		return kernel.Err(kernel.ENOMEM)
 	}
@@ -396,7 +396,7 @@ func (fs *FS) link(t *core.Thread, args []uint64) uint64 {
 		t.Write(fs.deField(mem.Addr(de), "name"), append(nameBytes, 0)) != nil ||
 		t.WriteU64(fs.pvField(priv, "head"), de) != nil ||
 		t.WriteU64(fs.V.InodeField(mem.Addr(inode), "nlink"), nlink+1) != nil {
-		_, _ = fs.gKfree.Call1(t, de)
+		_, _ = fs.gKfree.Call(t, de)
 		return kernel.Err(kernel.EFAULT)
 	}
 	return 0
@@ -418,7 +418,7 @@ func (fs *FS) removeLink(t *core.Thread, sb mem.Addr, dir, inode uint64) uint64 
 	} else if err := t.WriteU64(fs.deField(prev, "next"), next); err != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
-	if _, err := fs.gKfree.Call1(t, uint64(de)); err != nil {
+	if _, err := fs.gKfree.Call(t, uint64(de)); err != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	mode, _ := t.ReadU64(fs.V.InodeField(mem.Addr(inode), "mode"))
@@ -429,7 +429,7 @@ func (fs *FS) removeLink(t *core.Thread, sb mem.Addr, dir, inode uint64) uint64 
 		}
 		return 0
 	}
-	if _, err := fs.gIput.Call1(t, inode); err != nil {
+	if _, err := fs.gIput.Call(t, inode); err != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	return 0

@@ -153,3 +153,86 @@ func TestBatchRevocationMidBatch(t *testing.T) {
 		t.Fatalf("qdisc not drained: %d left", st.QueuedTx(rig.Drv.Dev))
 	}
 }
+
+// TestBatchCompletionFreesAllocatedPayload: an EnqueueTx owner holds
+// WRITE over the skb struct, so it can point head and truesize at a
+// buffer another principal owns. Neither completing the consumed skb
+// nor dropping a denied one may then revoke or free that buffer: both
+// release exactly the payload AllocSkb allocated.
+func TestBatchCompletionFreesAllocatedPayload(t *testing.T) {
+	for _, path := range []string{"consumed", "denied"} {
+		t.Run(path, func(t *testing.T) {
+			rig, err := NewRig(core.Enforce)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rig.K.Shutdown()
+			st, sys := rig.Stack, rig.K.Sys
+			hostile, err := sys.LoadModule(core.ModuleSpec{
+				Name: "skbretarget",
+				Funcs: []core.FuncSpec{{
+					Name:   "retarget",
+					Params: []core.Param{core.P("skb", "u64"), core.P("buf", "u64")},
+					Impl: func(th *core.Thread, a []uint64) uint64 {
+						skb := mem.Addr(a[0])
+						if th.WriteU64(st.SkbField(skb, "head"), a[1]) != nil ||
+							th.WriteU64(st.SkbField(skb, "truesize"), 64) != nil {
+							return 1
+						}
+						return 0
+					},
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner := hostile.Set.Shared()
+			victim := rig.Drv.M.Set.Instance(rig.Drv.Dev)
+			buf, err := sys.Slab.Alloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Caps.Grant(victim, caps.WriteCap(buf, 64))
+
+			skb, err := st.AllocSkb(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, _ := sys.AS.ReadU64(st.SkbField(skb, "head"))
+			if err := sys.AS.WriteU64(st.SkbField(skb, "len"), 64); err != nil {
+				t.Fatal(err)
+			}
+			sys.Caps.Grant(owner, caps.WriteCap(skb, st.SkbSize()))
+			if ret, err := rig.Th.CallModule(hostile, "retarget", uint64(skb), uint64(buf)); err != nil || ret != 0 {
+				t.Fatalf("checked retarget of the owned skb failed: ret=%d err=%v", ret, err)
+			}
+			if err := st.EnqueueTx(rig.Th, rig.Drv.Dev, skb, owner); err != nil {
+				t.Fatal(err)
+			}
+			if path == "denied" {
+				sys.Caps.Revoke(owner, caps.WriteCap(skb, st.SkbSize()))
+			}
+
+			consumed, denied, err := st.DrainTx(rig.Th, rig.Drv.Dev, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantDenied := 0
+			if path == "denied" {
+				wantDenied = 1
+			}
+			if consumed != 1-wantDenied || denied != wantDenied {
+				t.Fatalf("consumed=%d denied=%d, want %d/%d", consumed, denied, 1-wantDenied, wantDenied)
+			}
+			if !sys.Caps.Check(victim, caps.WriteCap(buf, 64)) {
+				t.Fatal("victim lost WRITE over its own buffer")
+			}
+			if !sys.Slab.Owns(buf) {
+				t.Fatal("victim's buffer was freed")
+			}
+			if sys.Slab.Owns(mem.Addr(payload)) || sys.Slab.Owns(skb) {
+				t.Fatal("the skb or its allocated payload leaked")
+			}
+		})
+	}
+}

@@ -178,7 +178,7 @@ func (s *Stack) EnqueueTx(t *core.Thread, dev, skb mem.Addr, owner *caps.Princip
 	if err != nil {
 		return err
 	}
-	if _, err := s.gQdiscEnq.Call2(t, qd+mem.Addr(s.qdisc.Off("enqueue")), uint64(qd), uint64(skb)); err != nil {
+	if _, err := s.gQdiscEnq.Call(t, qd+mem.Addr(s.qdisc.Off("enqueue")), uint64(qd), uint64(skb)); err != nil {
 		return err
 	}
 	if owner != nil {
@@ -217,7 +217,7 @@ func (s *Stack) DrainTx(t *core.Thread, dev mem.Addr, budget int) (consumed, den
 	var owners [TxBatchMax]*caps.Principal
 	n := 0
 	for n < budget {
-		out, err := s.gQdiscDeq.Call1(t, qd+mem.Addr(s.qdisc.Off("dequeue")), uint64(qd))
+		out, err := s.gQdiscDeq.Call(t, qd+mem.Addr(s.qdisc.Off("dequeue")), uint64(qd))
 		if err != nil {
 			return 0, denied, err
 		}
@@ -251,7 +251,7 @@ func (s *Stack) DrainTx(t *core.Thread, dev mem.Addr, budget int) (consumed, den
 		return 0, denied, fmt.Errorf("netstack: device %#x has no ops", uint64(dev))
 	}
 	slot := mem.Addr(ops) + mem.Addr(s.nops.Off("ndo_start_xmit_batch"))
-	ret, err := s.gStartXmitBatch.Call3(t, slot, uint64(arr), uint64(n), uint64(dev))
+	ret, err := s.gStartXmitBatch.Call(t, slot, uint64(arr), uint64(n), uint64(dev))
 	if err != nil {
 		return 0, denied, err
 	}
@@ -265,7 +265,10 @@ func (s *Stack) DrainTx(t *core.Thread, dev mem.Addr, budget int) (consumed, den
 	// skbs and frees them outright — the batch analogue of kfree_skb
 	// without its per-skb crossing or capability churn. Elements a
 	// module principal still owns are revoked everywhere first so no
-	// capability dangles over freed memory.
+	// capability dangles over freed memory. The payload comes from the
+	// kernel's allocation record: the owner could have pointed head and
+	// truesize at another principal's buffer, which kfree_skb's
+	// ownership check would refuse but nothing here checks.
 	for i := 0; i < consumed; i++ {
 		w, _ := sys.AS.ReadU64(arr + mem.Addr(i*8))
 		if w == 0 {
@@ -273,12 +276,9 @@ func (s *Stack) DrainTx(t *core.Thread, dev mem.Addr, budget int) (consumed, den
 		}
 		skb := mem.Addr(w)
 		if owners[i] != nil {
-			data, _ := sys.AS.ReadU64(skb + mem.Addr(s.skb.Off("head")))
-			size, _ := sys.AS.ReadU64(skb + mem.Addr(s.skb.Off("truesize")))
+			data, size := s.skbPayload(skb)
 			sys.Caps.RevokeAll(caps.WriteCap(skb, s.skb.Size))
-			if data != 0 && size > 0 {
-				sys.Caps.RevokeAll(caps.WriteCap(mem.Addr(data), size))
-			}
+			sys.Caps.RevokeAll(caps.WriteCap(data, size))
 		}
 		s.FreeSkb(skb)
 	}

@@ -401,11 +401,19 @@ func (s *Stack) registerExports() {
 
 // --- sk_buff management (trusted-side helpers) ---
 
+// skbRecordSize is the kernel-private record AllocSkb places right
+// after the sk_buff struct: the payload's address and size. No skb
+// capability covers it (they span the struct's s.skb.Size bytes), so a
+// module holding WRITE over the struct can retarget head and truesize
+// but never the record, and the kernel frees and revokes exactly the
+// payload it allocated. Struct and record share one 64-byte object.
+const skbRecordSize = 16
+
 // AllocSkb allocates an sk_buff and its payload buffer in kernel
 // context.
 func (s *Stack) AllocSkb(size uint64) (mem.Addr, error) {
 	sys := s.K.Sys
-	skb, err := sys.Slab.Alloc(s.skb.Size)
+	skb, err := sys.Slab.Alloc(s.skb.Size + skbRecordSize)
 	if err != nil {
 		return 0, err
 	}
@@ -420,18 +428,29 @@ func (s *Stack) AllocSkb(size uint64) (mem.Addr, error) {
 	must(sys.AS.WriteU64(skb+mem.Addr(s.skb.Off("head")), uint64(data)))
 	must(sys.AS.WriteU64(skb+mem.Addr(s.skb.Off("truesize")), size))
 	must(sys.AS.WriteU64(skb+mem.Addr(s.skb.Off("len")), 0))
+	must(sys.AS.WriteU64(skb+mem.Addr(s.skb.Size), uint64(data)))
+	must(sys.AS.WriteU64(skb+mem.Addr(s.skb.Size+8), size))
 	return skb, nil
 }
 
-// FreeSkb releases an sk_buff and its payload.
+// skbPayload returns the payload AllocSkb allocated for skb, from the
+// kernel-private record rather than the module-writable head and
+// truesize fields.
+func (s *Stack) skbPayload(skb mem.Addr) (mem.Addr, uint64) {
+	data, _ := s.K.Sys.AS.ReadU64(skb + mem.Addr(s.skb.Size))
+	size, _ := s.K.Sys.AS.ReadU64(skb + mem.Addr(s.skb.Size+8))
+	return mem.Addr(data), size
+}
+
+// FreeSkb releases an sk_buff and the payload AllocSkb allocated for
+// it.
 func (s *Stack) FreeSkb(skb mem.Addr) {
 	if skb == 0 {
 		return
 	}
 	sys := s.K.Sys
-	data, _ := sys.AS.ReadU64(skb + mem.Addr(s.skb.Off("head")))
-	if data != 0 {
-		_ = sys.Slab.Free(mem.Addr(data))
+	if data, _ := s.skbPayload(skb); data != 0 {
+		_ = sys.Slab.Free(data)
 	}
 	_ = sys.Slab.Free(skb)
 }
@@ -514,10 +533,10 @@ func (s *Stack) XmitSkb(t *core.Thread, dev, skb mem.Addr) (uint64, error) {
 		return 0, fmt.Errorf("netstack: device %#x has no qdisc", uint64(dev))
 	}
 	qd := mem.Addr(q)
-	if _, err := s.gQdiscEnq.Call2(t, qd+mem.Addr(s.qdisc.Off("enqueue")), uint64(qd), uint64(skb)); err != nil {
+	if _, err := s.gQdiscEnq.Call(t, qd+mem.Addr(s.qdisc.Off("enqueue")), uint64(qd), uint64(skb)); err != nil {
 		return 0, err
 	}
-	out, err := s.gQdiscDeq.Call1(t, qd+mem.Addr(s.qdisc.Off("dequeue")), uint64(qd))
+	out, err := s.gQdiscDeq.Call(t, qd+mem.Addr(s.qdisc.Off("dequeue")), uint64(qd))
 	if err != nil || out == 0 {
 		return 0, err
 	}
@@ -526,7 +545,7 @@ func (s *Stack) XmitSkb(t *core.Thread, dev, skb mem.Addr) (uint64, error) {
 		return 0, fmt.Errorf("netstack: device %#x has no ops", uint64(dev))
 	}
 	slot := mem.Addr(ops) + mem.Addr(s.nops.Off("ndo_start_xmit"))
-	return s.gStartXmit.Call2(t, slot, out, uint64(dev))
+	return s.gStartXmit.Call(t, slot, out, uint64(dev))
 }
 
 // Poll invokes the device's registered NAPI poll callback with a budget,
@@ -543,7 +562,7 @@ func (s *Stack) Poll(t *core.Thread, dev mem.Addr, budget uint64) (uint64, error
 	if !ok {
 		return 0, fmt.Errorf("netstack: no NAPI context for device %#x", uint64(dev))
 	}
-	return s.gNapiPoll.Call2(t, slot, uint64(dev), budget)
+	return s.gNapiPoll.Call(t, slot, uint64(dev), budget)
 }
 
 // PopRx removes and returns the oldest packet delivered via netif_rx
@@ -588,7 +607,7 @@ func (s *Stack) Socket(t *core.Thread, familyID uint64) (_ mem.Addr, rerr error)
 	if err != nil {
 		return 0, err
 	}
-	ret, err := s.gCreate.Call1(t, fam.createSlot, uint64(sock))
+	ret, err := s.gCreate.Call(t, fam.createSlot, uint64(sock))
 	if err != nil {
 		return 0, err
 	}
@@ -634,7 +653,7 @@ func (s *Stack) Sendmsg(t *core.Thread, sock, buf mem.Addr, n, flags uint64) (_ 
 	if err != nil {
 		return 0, err
 	}
-	return s.gSendmsg.Call4(t, slot, uint64(sock), uint64(buf), n, flags)
+	return s.gSendmsg.Call(t, slot, uint64(sock), uint64(buf), n, flags)
 }
 
 // Recvmsg implements recvmsg(2).
@@ -645,7 +664,7 @@ func (s *Stack) Recvmsg(t *core.Thread, sock, buf mem.Addr, n, flags uint64) (_ 
 	if err != nil {
 		return 0, err
 	}
-	return s.gRecvmsg.Call4(t, slot, uint64(sock), uint64(buf), n, flags)
+	return s.gRecvmsg.Call(t, slot, uint64(sock), uint64(buf), n, flags)
 }
 
 // Bind implements bind(2).
@@ -656,7 +675,7 @@ func (s *Stack) Bind(t *core.Thread, sock, addr mem.Addr, n uint64) (_ uint64, r
 	if err != nil {
 		return 0, err
 	}
-	return s.gBind.Call3(t, slot, uint64(sock), uint64(addr), n)
+	return s.gBind.Call(t, slot, uint64(sock), uint64(addr), n)
 }
 
 // Ioctl implements ioctl(2) on a socket — the kernel path both the RDS
@@ -667,7 +686,7 @@ func (s *Stack) Ioctl(t *core.Thread, sock mem.Addr, cmd, arg uint64) (uint64, e
 	if err != nil {
 		return 0, err
 	}
-	return s.gIoctl.Call3(t, slot, uint64(sock), cmd, arg)
+	return s.gIoctl.Call(t, slot, uint64(sock), cmd, arg)
 }
 
 // Release implements close(2). After the module's release callback
@@ -681,7 +700,7 @@ func (s *Stack) Release(t *core.Thread, sock mem.Addr) (_ uint64, rerr error) {
 		unlock()
 		return 0, err
 	}
-	ret, err := s.gRelease.Call1(t, slot, uint64(sock))
+	ret, err := s.gRelease.Call(t, slot, uint64(sock))
 	if err != nil {
 		unlock()
 		return ret, err

@@ -120,7 +120,7 @@ func Init(k *kernel.Kernel) *Bus {
 			}
 			handler := mem.Addr(args[1])
 			dev.irqFn = func(th *core.Thread) {
-				_, _ = b.gIrq.CallAddr1(th, handler, uint64(dev.Addr))
+				_, _ = b.gIrq.CallAddr(th, handler, uint64(dev.Addr))
 			}
 			return 0
 		})

@@ -100,7 +100,7 @@ func (s *Sound) NewCard(t *core.Thread, ops mem.Addr) (mem.Addr, error) {
 	if err := s.K.Sys.AS.WriteU64(s.CardField(card, "ops"), uint64(ops)); err != nil {
 		return 0, err
 	}
-	ret, err := s.gOpen.Call1(t, s.OpsSlot(ops, "open"), uint64(card))
+	ret, err := s.gOpen.Call(t, s.OpsSlot(ops, "open"), uint64(card))
 	if err != nil {
 		return 0, err
 	}
@@ -124,7 +124,7 @@ func (s *Sound) Playback(t *core.Thread, card mem.Addr, samples []byte) error {
 		return err
 	}
 	ops, _ := as.ReadU64(s.CardField(card, "ops"))
-	ret, err := s.gTrigger.Call2(t, s.OpsSlot(mem.Addr(ops), "trigger"), uint64(card), TriggerStart)
+	ret, err := s.gTrigger.Call(t, s.OpsSlot(mem.Addr(ops), "trigger"), uint64(card), TriggerStart)
 	if err != nil {
 		return err
 	}
@@ -137,13 +137,13 @@ func (s *Sound) Playback(t *core.Thread, card mem.Addr, samples []byte) error {
 // Pointer asks the driver for the current hardware position.
 func (s *Sound) Pointer(t *core.Thread, card mem.Addr) (uint64, error) {
 	ops, _ := s.K.Sys.AS.ReadU64(s.CardField(card, "ops"))
-	return s.gPointer.Call1(t, s.OpsSlot(mem.Addr(ops), "pointer"), uint64(card))
+	return s.gPointer.Call(t, s.OpsSlot(mem.Addr(ops), "pointer"), uint64(card))
 }
 
 // Close runs the driver's close callback and frees the card.
 func (s *Sound) Close(t *core.Thread, card mem.Addr) error {
 	ops, _ := s.K.Sys.AS.ReadU64(s.CardField(card, "ops"))
-	if _, err := s.gClose.Call1(t, s.OpsSlot(mem.Addr(ops), "close"), uint64(card)); err != nil {
+	if _, err := s.gClose.Call(t, s.OpsSlot(mem.Addr(ops), "close"), uint64(card)); err != nil {
 		return err
 	}
 	return s.K.Sys.Slab.Free(card)

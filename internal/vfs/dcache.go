@@ -91,8 +91,8 @@ func (v *VFS) childOf(t *core.Thread, mnt *mount, cur *dnode, comp string) (*dno
 	if err := v.pushName(mnt, comp); err != nil {
 		return nil, err
 	}
-	ret, err := v.gLookup.CallArgs(t, v.OpsSlot(mnt.fs.ops, "lookup"),
-		mnt.args(uint64(mnt.sb), uint64(cur.inode), uint64(mnt.nameBuf), uint64(len(comp))))
+	ret, err := v.gLookup.Call(t, v.OpsSlot(mnt.fs.ops, "lookup"),
+		uint64(mnt.sb), uint64(cur.inode), uint64(mnt.nameBuf), uint64(len(comp)))
 	if err != nil {
 		return nil, err
 	}
@@ -193,8 +193,8 @@ func (v *VFS) create(t *core.Thread, sb mem.Addr, path string, mode uint64) (_ m
 	if err := v.pushName(mnt, name); err != nil {
 		return 0, err
 	}
-	ret, err := v.gCreate.CallArgs(t, v.OpsSlot(mnt.fs.ops, "create"),
-		mnt.args(uint64(sb), uint64(dir.inode), uint64(mnt.nameBuf), uint64(len(name)), mode))
+	ret, err := v.gCreate.Call(t, v.OpsSlot(mnt.fs.ops, "create"),
+		uint64(sb), uint64(dir.inode), uint64(mnt.nameBuf), uint64(len(name)), mode)
 	if err != nil {
 		return 0, err
 	}
@@ -241,8 +241,8 @@ func (v *VFS) Unlink(t *core.Thread, sb mem.Addr, path string) (rerr error) {
 		return fmt.Errorf("vfs: %s: directory not empty", n.name)
 	}
 	parent := mnt.dentries[n.parent]
-	ret, err := v.gUnlink.CallArgs(t, v.OpsSlot(mnt.fs.ops, "unlink"),
-		mnt.args(uint64(sb), uint64(parent.inode), uint64(n.inode)))
+	ret, err := v.gUnlink.Call(t, v.OpsSlot(mnt.fs.ops, "unlink"),
+		uint64(sb), uint64(parent.inode), uint64(n.inode))
 	if err != nil {
 		return err
 	}
@@ -271,8 +271,8 @@ const MaxDirEntries = 1 << 20
 // holds entries that were already looked up, and after a remount a
 // recovered directory's children exist only in the module's table.
 func (v *VFS) dirEmpty(t *core.Thread, mnt *mount, dir mem.Addr) (bool, error) {
-	ret, err := v.gReaddir.CallArgs(t, v.OpsSlot(mnt.fs.ops, "readdir"),
-		mnt.args(uint64(mnt.sb), uint64(dir), 0, uint64(mnt.dirBuf)))
+	ret, err := v.gReaddir.Call(t, v.OpsSlot(mnt.fs.ops, "readdir"),
+		uint64(mnt.sb), uint64(dir), 0, uint64(mnt.dirBuf))
 	if err != nil {
 		v.K.Sys.Caps.RevokeAll(caps.WriteCap(mnt.dirBuf, NameMax+1))
 		return false, err
@@ -305,8 +305,8 @@ func (v *VFS) Readdir(t *core.Thread, sb mem.Addr, path string) (_ []DirEntry, r
 		if pos >= MaxDirEntries {
 			return nil, fmt.Errorf("vfs: readdir %s: module never ended the listing (errno %d)", path, kernel.EIO)
 		}
-		ret, err := v.gReaddir.CallArgs(t, v.OpsSlot(mnt.fs.ops, "readdir"),
-			mnt.args(uint64(sb), uint64(n.inode), pos, uint64(mnt.dirBuf)))
+		ret, err := v.gReaddir.Call(t, v.OpsSlot(mnt.fs.ops, "readdir"),
+			uint64(sb), uint64(n.inode), pos, uint64(mnt.dirBuf))
 		if err != nil {
 			// Mirror the readpage failure path: an aborted crossing must
 			// not leave the module holding WRITE on the kernel's buffer.
@@ -437,9 +437,9 @@ func (v *VFS) RenameFlags(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB 
 		if fp, _ := v.K.Sys.AS.ReadU64(v.OpsSlot(mnt.fs.ops, "exchange")); fp == 0 {
 			return fmt.Errorf("vfs: rename %s <-> %s: errno %d", srcPath, dstPath, kernel.ENOSYS)
 		}
-		ret, err := v.gExchange.CallArgs(t, v.OpsSlot(mnt.fs.ops, "exchange"),
-			mnt.args(uint64(sb), uint64(oldDir.inode), uint64(n.inode),
-				uint64(dstDir.inode), uint64(tgt.inode)))
+		ret, err := v.gExchange.Call(t, v.OpsSlot(mnt.fs.ops, "exchange"),
+			uint64(sb), uint64(oldDir.inode), uint64(n.inode),
+			uint64(dstDir.inode), uint64(tgt.inode))
 		if err != nil {
 			return err
 		}
@@ -489,9 +489,9 @@ func (v *VFS) RenameFlags(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB 
 	if tgt != nil {
 		victim = uint64(tgt.inode)
 	}
-	ret, err := v.gRename.CallArgs(t, v.OpsSlot(mnt.fs.ops, "rename"),
-		mnt.args(uint64(sb), uint64(oldDir.inode), uint64(n.inode), uint64(dstDir.inode),
-			uint64(mnt.nameBuf), uint64(len(newName)), victim))
+	ret, err := v.gRename.Call(t, v.OpsSlot(mnt.fs.ops, "rename"),
+		uint64(sb), uint64(oldDir.inode), uint64(n.inode), uint64(dstDir.inode),
+		uint64(mnt.nameBuf), uint64(len(newName)), victim)
 	if err != nil {
 		return err
 	}
@@ -560,9 +560,9 @@ func (v *VFS) Link(t *core.Thread, sb mem.Addr, oldPath, newPath string) error {
 	if err := v.pushName(mnt, name); err != nil {
 		return err
 	}
-	ret, err := v.gLink.CallArgs(t, v.OpsSlot(mnt.fs.ops, "link"),
-		mnt.args(uint64(sb), uint64(dir.inode), uint64(n.inode),
-			uint64(mnt.nameBuf), uint64(len(name))))
+	ret, err := v.gLink.Call(t, v.OpsSlot(mnt.fs.ops, "link"),
+		uint64(sb), uint64(dir.inode), uint64(n.inode),
+		uint64(mnt.nameBuf), uint64(len(name)))
 	if err != nil {
 		return err
 	}

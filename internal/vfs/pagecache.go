@@ -180,8 +180,8 @@ func (v *VFS) evictPage(t *core.Thread, holder *mount, e *pageEnt) {
 // but not pageMu.
 func (v *VFS) writeBackPage(t *core.Thread, mnt *mount, key pageKey, pg mem.Addr) (bool, error) {
 	v.Stats.PageWrites.Add(1)
-	ret, err := v.gWritePage.CallArgs(t, v.OpsSlot(mnt.fs.ops, "writepage"),
-		mnt.args(uint64(mnt.sb), uint64(key.ino), key.idx, uint64(pg)))
+	ret, err := v.gWritePage.Call(t, v.OpsSlot(mnt.fs.ops, "writepage"),
+		uint64(mnt.sb), uint64(key.ino), key.idx, uint64(pg))
 	if err == nil && ret != 0 {
 		err = fmt.Errorf("vfs: writepage(%#x, %d): errno %d", uint64(key.ino), key.idx, -int64(ret))
 	}
@@ -217,8 +217,8 @@ func (v *VFS) getPage(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64) (mem
 		return 0, err
 	}
 	v.Stats.PageFills.Add(1)
-	ret, err := v.gReadPage.CallArgs(t, v.OpsSlot(mnt.fs.ops, "readpage"),
-		mnt.args(uint64(mnt.sb), uint64(ino), idx, uint64(pg)))
+	ret, err := v.gReadPage.Call(t, v.OpsSlot(mnt.fs.ops, "readpage"),
+		uint64(mnt.sb), uint64(ino), idx, uint64(pg))
 	if err != nil || ret != 0 {
 		// The revoke post-action (or the aborted call) already stripped
 		// the module's WRITE; make sure no grant survives an interrupted

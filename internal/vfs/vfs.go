@@ -137,23 +137,10 @@ type mount struct {
 	nameBuf mem.Addr
 	dirBuf  mem.Addr
 
-	// argBuf is the mount's crossing-argument scratch: call sites build
-	// their IndirectCall argument slice in place (argBuf[:0]) instead of
-	// allocating one per crossing. Guarded by mu like every other
-	// crossing on the mount.
-	argBuf [8]uint64
-
 	// Writeback stats (atomic: the flusher thread and foreground
 	// eviction both write them).
 	wbFlushed atomic.Uint64 // pages successfully written back
 	wbForced  atomic.Uint64 // dirty victims forced through writepage by eviction
-}
-
-// args builds the mount's crossing-argument slice in the per-mount
-// scratch. Caller holds mnt.mu (or exclusively owns the mount), the
-// same condition that protects every other crossing buffer.
-func (mnt *mount) args(vals ...uint64) []uint64 {
-	return append(mnt.argBuf[:0], vals...)
 }
 
 // VFS is the simulated virtual filesystem layer.
@@ -614,7 +601,7 @@ func (v *VFS) Mount(t *core.Thread, fsid, dev uint64) (_ mem.Addr, rerr error) {
 	if ft.module != nil {
 		sys.Caps.Grant(ft.module.Set.Instance(sb), caps.RefCap(blockdev.DevRef, mem.Addr(dev)))
 	}
-	ret, err := v.gMount.Call1(t, v.OpsSlot(ft.ops, "mount"), uint64(sb))
+	ret, err := v.gMount.Call(t, v.OpsSlot(ft.ops, "mount"), uint64(sb))
 	if err != nil {
 		return fail(err)
 	}
@@ -634,7 +621,7 @@ func (v *VFS) Mount(t *core.Thread, fsid, dev uint64) (_ mem.Addr, rerr error) {
 		// The module's mount already succeeded: give it kill_sb so its
 		// private allocations and root inode are released before the
 		// principal goes away.
-		_, _ = v.gKillSB.Call1(t, v.OpsSlot(ft.ops, "kill_sb"), uint64(sb))
+		_, _ = v.gKillSB.Call(t, v.OpsSlot(ft.ops, "kill_sb"), uint64(sb))
 		return fail(err)
 	}
 	mnt.root = root
@@ -655,7 +642,7 @@ func (v *VFS) Unmount(t *core.Thread, sb mem.Addr) error {
 		return err
 	}
 	defer mnt.mu.Unlock()
-	if _, err := v.gKillSB.CallArgs(t, v.OpsSlot(mnt.fs.ops, "kill_sb"), mnt.args(uint64(sb))); err != nil {
+	if _, err := v.gKillSB.Call(t, v.OpsSlot(mnt.fs.ops, "kill_sb"), uint64(sb)); err != nil {
 		return err
 	}
 	mnt.dead = true
@@ -688,7 +675,7 @@ func (v *VFS) Ioctl(t *core.Thread, sb mem.Addr, cmd, arg uint64) (uint64, error
 		return 0, err
 	}
 	defer mnt.mu.Unlock()
-	return v.gIoctl.CallArgs(t, v.OpsSlot(mnt.fs.ops, "ioctl"), mnt.args(uint64(sb), cmd, arg))
+	return v.gIoctl.Call(t, v.OpsSlot(mnt.fs.ops, "ioctl"), uint64(sb), cmd, arg)
 }
 
 // splitPath normalizes a path into components.

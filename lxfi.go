@@ -66,7 +66,7 @@ type (
 	// Violation describes a failed LXFI check.
 	Violation = core.Violation
 	// Gate is a bound module→kernel crossing (resolved at load time;
-	// fixed-arity, allocation-free fast calls).
+	// one variadic, allocation-free Call).
 	Gate = core.Gate
 	// IndGate is a bound indirect-call interface for kernel substrates.
 	IndGate = core.IndGate
