@@ -65,15 +65,8 @@ func (s *Stack) emitSkbArray(arr mem.Addr, n int64, emit func(caps.Cap) error) e
 			continue
 		}
 		skb := mem.Addr(w)
-		if err := emit(caps.WriteCap(skb, s.skb.Size)); err != nil {
+		if err := s.emitSkb(skb, caps.WriteCap(skb, s.skb.Size), emit); err != nil {
 			return err
-		}
-		data, _ := sys.AS.ReadU64(skb + mem.Addr(s.skb.Off("head")))
-		size, _ := sys.AS.ReadU64(skb + mem.Addr(s.skb.Off("truesize")))
-		if data != 0 && size > 0 {
-			if err := emit(caps.WriteCap(mem.Addr(data), size)); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -266,9 +259,8 @@ func (s *Stack) DrainTx(t *core.Thread, dev mem.Addr, budget int) (consumed, den
 	// without its per-skb crossing or capability churn. Elements a
 	// module principal still owns are revoked everywhere first so no
 	// capability dangles over freed memory. The payload comes from the
-	// kernel's allocation record: the owner could have pointed head and
-	// truesize at another principal's buffer, which kfree_skb's
-	// ownership check would refuse but nothing here checks.
+	// kernel's allocation record, not from head and truesize, which the
+	// owner could have pointed at another principal's buffer.
 	for i := 0; i < consumed; i++ {
 		w, _ := sys.AS.ReadU64(arr + mem.Addr(i*8))
 		if w == 0 {

@@ -198,15 +198,7 @@ func Init(k *kernel.Kernel) *Stack {
 		if skb == 0 {
 			return nil
 		}
-		if err := emit(caps.WriteCap(skb, s.skb.Size)); err != nil {
-			return err
-		}
-		data, _ := sys.AS.ReadU64(skb + mem.Addr(s.skb.Off("head")))
-		size, _ := sys.AS.ReadU64(skb + mem.Addr(s.skb.Off("truesize")))
-		if data != 0 && size > 0 {
-			return emit(caps.WriteCap(mem.Addr(data), size))
-		}
-		return nil
+		return s.emitSkb(skb, caps.WriteCap(skb, s.skb.Size), emit)
 	})
 
 	s.registerBatchIterators()
@@ -435,24 +427,41 @@ func (s *Stack) AllocSkb(size uint64) (mem.Addr, error) {
 
 // skbPayload returns the payload AllocSkb allocated for skb, from the
 // kernel-private record rather than the module-writable head and
-// truesize fields.
+// truesize fields. Every kernel decision about an skb's payload — the
+// capabilities its iterators emit, what TX completion revokes, what
+// FreeSkb frees — goes through here, so a transfer always covers
+// exactly the buffer the free releases.
 func (s *Stack) skbPayload(skb mem.Addr) (mem.Addr, uint64) {
 	data, _ := s.K.Sys.AS.ReadU64(skb + mem.Addr(s.skb.Size))
 	size, _ := s.K.Sys.AS.ReadU64(skb + mem.Addr(s.skb.Size+8))
 	return mem.Addr(data), size
 }
 
+// emitSkb emits hdr, the capability over skb's header, then WRITE over
+// the payload AllocSkb allocated for it.
+func (s *Stack) emitSkb(skb mem.Addr, hdr caps.Cap, emit func(caps.Cap) error) error {
+	if err := emit(hdr); err != nil {
+		return err
+	}
+	if data, size := s.skbPayload(skb); data != 0 && size > 0 {
+		return emit(caps.WriteCap(data, size))
+	}
+	return nil
+}
+
 // FreeSkb releases an sk_buff and the payload AllocSkb allocated for
-// it.
+// it. The struct goes first: a pointer that is not the base of a slab
+// object was not made by AllocSkb, and its record words may lie in a
+// neighbouring object that the header's transfer did not revoke.
 func (s *Stack) FreeSkb(skb mem.Addr) {
 	if skb == 0 {
 		return
 	}
 	sys := s.K.Sys
-	if data, _ := s.skbPayload(skb); data != 0 {
+	data, _ := s.skbPayload(skb)
+	if sys.Slab.Free(skb) == nil && data != 0 {
 		_ = sys.Slab.Free(data)
 	}
-	_ = sys.Slab.Free(skb)
 }
 
 // SkbField returns the address of an sk_buff field.

@@ -354,3 +354,91 @@ func TestStockXmitUninstrumented(t *testing.T) {
 		t.Fatalf("stock mode ran guards: %+v", delta)
 	}
 }
+
+// TestRetargetedSkbReleasesAllocatedPayload: a driver holding WRITE
+// over an skb it got from alloc_skb can point head at a buffer of its
+// own, clear head, or zero truesize before handing the skb back. Neither
+// kfree_skb nor netif_rx (and the consumer's free after PopRx) may then
+// leave the driver WRITE over the payload the kernel frees, or free or
+// revoke the driver's own buffer: the transfer and the free both name
+// the payload AllocSkb allocated.
+func TestRetargetedSkbReleasesAllocatedPayload(t *testing.T) {
+	retargets := []struct {
+		name      string
+		field     string // the field the driver rewrites
+		ownBuffer bool   // to its own buffer's address; else to 0
+	}{
+		{name: "head=own", field: "head", ownBuffer: true},
+		{name: "head=0", field: "head"},
+		{name: "truesize=0", field: "truesize"},
+	}
+	for _, release := range []string{"kfree_skb", "netif_rx"} {
+		for _, rt := range retargets {
+			t.Run(release+"/"+rt.name, func(t *testing.T) {
+				k, s, th := newStack(t, core.Enforce)
+				var skb, payload, own uint64
+				m, err := k.Sys.LoadModule(core.ModuleSpec{
+					Name:    "skbretarget",
+					Imports: []string{"alloc_skb", "kfree_skb", "netif_rx", "kmalloc"},
+					Funcs: []core.FuncSpec{{
+						Name: "run",
+						Impl: func(th *core.Thread, _ []uint64) uint64 {
+							var err error
+							if skb, err = th.CallKernel("alloc_skb", 64); err != nil || skb == 0 {
+								return 1
+							}
+							if payload, err = th.ReadU64(s.SkbField(mem.Addr(skb), "head")); err != nil {
+								return 2
+							}
+							var v uint64
+							if rt.ownBuffer {
+								if own, err = th.CallKernel("kmalloc", 64); err != nil || own == 0 {
+									return 3
+								}
+								v = own
+							}
+							if err := th.WriteU64(s.SkbField(mem.Addr(skb), rt.field), v); err != nil {
+								return 4
+							}
+							if _, err := th.CallKernel(release, skb); err != nil {
+								return 5
+							}
+							return 0
+						},
+					}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ret, err := th.CallModule(m, "run"); err != nil || ret != 0 {
+					t.Fatalf("run: ret=%d err=%v", ret, err)
+				}
+				if release == "netif_rx" {
+					got := s.PopRx()
+					if got != mem.Addr(skb) {
+						t.Fatalf("PopRx = %#x, want %#x", uint64(got), skb)
+					}
+					s.FreeSkb(got)
+				}
+				drv := m.Set.Shared()
+				if k.Sys.Caps.Check(drv, caps.WriteCap(mem.Addr(payload), 1)) {
+					t.Fatal("driver kept WRITE over the skb's allocated payload")
+				}
+				if k.Sys.Slab.Owns(mem.Addr(payload)) || k.Sys.Slab.Owns(mem.Addr(skb)) {
+					t.Fatal("the skb or its allocated payload leaked")
+				}
+				if rt.ownBuffer {
+					if !k.Sys.Slab.Owns(mem.Addr(own)) {
+						t.Fatal("the kernel freed the driver's own buffer")
+					}
+					if !k.Sys.Caps.Check(drv, caps.WriteCap(mem.Addr(own), 64)) {
+						t.Fatal("the driver lost WRITE over its own buffer")
+					}
+				}
+				if v := k.Sys.Mon.LastViolation(); v != nil {
+					t.Fatalf("violation: %v", v)
+				}
+			})
+		}
+	}
+}

@@ -46,15 +46,7 @@ func (s *Stack) StrictInit() {
 		if skb == 0 {
 			return nil
 		}
-		if err := emit(caps.RefCap(SkbFieldsRefType, skb)); err != nil {
-			return err
-		}
-		data, _ := sys.AS.ReadU64(skb + mem.Addr(s.skb.Off("head")))
-		size, _ := sys.AS.ReadU64(skb + mem.Addr(s.skb.Off("truesize")))
-		if data != 0 && size > 0 {
-			return emit(caps.WriteCap(mem.Addr(data), size))
-		}
-		return nil
+		return s.emitSkb(skb, caps.RefCap(SkbFieldsRefType, skb), emit)
 	})
 
 	sys.RegisterFPtrType(NdoStartXmitStrict,
