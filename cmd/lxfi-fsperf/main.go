@@ -40,7 +40,7 @@ func main() {
 	var rls []*fsperf.ReloadCosts
 	if !bf.JSON {
 		fmt.Fprintln(benchio.Stdout, "fsperf — filesystem workloads with stock and LXFI-enabled modules")
-		fmt.Fprintf(benchio.Stdout, "(%d files, %d bytes each; ns/op, best of several rounds)\n\n", *files, *size)
+		fmt.Fprintf(benchio.Stdout, "(%d files, %d bytes each; ns/op, median of interleaved samples)\n\n", *files, *size)
 	}
 	for _, kind := range []fsperf.Kind{fsperf.Tmpfs, fsperf.Minix} {
 		costs, err := fsperf.MeasureCosts(kind, *files, *size)

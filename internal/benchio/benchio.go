@@ -1,6 +1,7 @@
-// Package benchio is the shared report plumbing of the benchmark
-// commands (lxfi-fsperf, lxfi-netperf, lxfi-microbench): the one
-// BENCH_*.json schema and the emission helpers.
+// Package benchio is the shared measurement and report plumbing of the
+// benchmark commands (lxfi-fsperf, lxfi-netperf, lxfi-microbench): the
+// one sampler every stock/enforced timing goes through, the one
+// BENCH_*.json schema, and the emission helpers.
 //
 // Every benchmark command follows the same contract:
 //
@@ -23,7 +24,76 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"sort"
+	"time"
 )
+
+// Samples is how many timed rounds Interleave takes of every run.
+const Samples = 5
+
+// Interleave samples runs side by side, typically a stock run next to
+// its enforced twin, and returns each run's median. One untimed
+// warm-up round comes first, then Samples timed rounds. Each round
+// calls every run once, in list order on even rounds and in reverse on
+// odd ones, so host drift lands on twins alike and no run always goes
+// first. The first error stops the sampler and is returned.
+func Interleave(runs ...func() (float64, error)) ([]float64, error) {
+	samples := make([][]float64, len(runs))
+	// Round -1 is the warm-up, in list order.
+	for round := -1; round < Samples; round++ {
+		for k := range runs {
+			i := k
+			if round%2 == 1 {
+				i = len(runs) - 1 - k
+			}
+			v, err := runs[i]()
+			if err != nil {
+				return nil, err
+			}
+			if round >= 0 {
+				samples[i] = append(samples[i], v)
+			}
+		}
+	}
+	medians := make([]float64, len(runs))
+	for i, s := range samples {
+		medians[i] = Median(s)
+	}
+	return medians, nil
+}
+
+// PerOp times n calls of op, passing each call its index, and returns
+// ns per call. The first error stops it and is returned.
+func PerOp(n int, op func(i int) error) (float64, error) {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if err := op(i); err != nil {
+			return 0, err
+		}
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(n), nil
+}
+
+// Median is the middle value of xs, or the mean of the middle two for
+// an even count. xs must not be empty; it is not modified.
+func Median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	mid := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[mid]
+	}
+	return (s[mid-1] + s[mid]) / 2
+}
+
+// Overhead is the enforced build's cost over stock's, in percent; 0
+// when stock is not positive.
+func Overhead(stock, lxfi float64) float64 {
+	if stock <= 0 {
+		return 0
+	}
+	return 100 * (lxfi - stock) / stock
+}
 
 // Report is the schema of every BENCH_*.json: the run's parameters,
 // every measured number under a slash path ("minix/journal/writes_per_op"),
@@ -76,8 +146,10 @@ var (
 	AllocFree = AtMost(0.01)
 )
 
-// NewReport starts an empty report.
+// NewReport starts an empty report. params gains "samples", so a
+// report taken with another sampler is not held to this one's values.
 func NewReport(bench string, params map[string]any) *Report {
+	params["samples"] = Samples
 	return &Report{Bench: bench, Params: params, Values: map[string]float64{}, Gates: map[string]Gate{}}
 }
 
@@ -95,9 +167,7 @@ func (r *Report) Record(path string, v float64, g Gate) {
 func (r *Report) Pair(path string, stock, lxfi float64, g Gate) {
 	r.Record(path+"/stock_ns", stock, g)
 	r.Record(path+"/lxfi_ns", lxfi, g)
-	if stock > 0 {
-		r.Record(path+"/overhead_pct", 100*(lxfi-stock)/stock, Gate{})
-	}
+	r.Record(path+"/overhead_pct", Overhead(stock, lxfi), Gate{})
 }
 
 // JSON encodes the report as the BENCH artifact.

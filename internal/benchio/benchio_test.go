@@ -104,8 +104,107 @@ func TestReportWireFormat(t *testing.T) {
 	timing := map[string]float64{"min": math.SmallestNonzeroFloat64, "rel": relTolerance}
 	wantGates := map[string]map[string]float64{"op/stock_ns": timing, "op/lxfi_ns": timing,
 		"op/count": {"min": 1}, "op/ratio": {"max": 1.5}}
-	if doc.Bench != "demo" || doc.Params["iters"] != 10.0 ||
+	if doc.Bench != "demo" || doc.Params["iters"] != 10.0 || doc.Params["samples"] != float64(Samples) ||
 		!reflect.DeepEqual(doc.Values, wantValues) || !reflect.DeepEqual(doc.Gates, wantGates) {
 		t.Fatalf("report = %s", out)
+	}
+}
+
+// TestInterleaveOrder: one warm-up round in list order, then Samples
+// rounds alternating list order (even rounds) and reverse (odd ones).
+func TestInterleaveOrder(t *testing.T) {
+	var calls []string
+	run := func(name string) func() (float64, error) {
+		return func() (float64, error) { calls = append(calls, name); return 1, nil }
+	}
+	if _, err := Interleave(run("s"), run("l"), run("x")); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"s", "l", "x"} // warm-up
+	for round := 0; round < Samples; round++ {
+		if round%2 == 0 {
+			want = append(want, "s", "l", "x")
+		} else {
+			want = append(want, "x", "l", "s")
+		}
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("call order %v, want %v", calls, want)
+	}
+}
+
+// TestInterleaveDropsWarmUp: each run's first value is the warm-up's
+// and never reaches the median.
+func TestInterleaveDropsWarmUp(t *testing.T) {
+	seq := func(vs ...float64) func() (float64, error) {
+		return func() (float64, error) { v := vs[0]; vs = vs[1:]; return v, nil }
+	}
+	got, err := Interleave(seq(1e9, 5, 1, 4, 2, 3), seq(-1e9, 10, 30, 20, 50, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, []float64{3, 30}) {
+		t.Fatalf("medians = %v, want [3 30]", got)
+	}
+}
+
+func TestInterleaveStopsAtFirstError(t *testing.T) {
+	calls := 0
+	ok := func() (float64, error) { calls++; return 1, nil }
+	fail := func() (float64, error) { calls++; return 0, errString("boom") }
+	if _, err := Interleave(ok, fail, ok); err == nil || err.Error() != "boom" {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if calls != 2 {
+		t.Fatalf("%d calls, want 2: the sampler must stop at the first error", calls)
+	}
+}
+
+func TestMedian(t *testing.T) {
+	for _, c := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{[]float64{7}, 7},
+		{[]float64{9, 1, 5}, 5},
+		{[]float64{4, 1, 3, 2}, 2.5}, // the reload phases take four reloads
+		{[]float64{3, 3, 1, 100}, 3},
+	} {
+		in := append([]float64(nil), c.xs...)
+		if got := Median(c.xs); got != c.want {
+			t.Errorf("Median(%v) = %v, want %v", in, got, c.want)
+		}
+		if !reflect.DeepEqual(c.xs, in) {
+			t.Errorf("Median reordered its input: %v", c.xs)
+		}
+	}
+}
+
+func TestPerOp(t *testing.T) {
+	var seen []int
+	ns, err := PerOp(3, func(i int) error { seen = append(seen, i); return nil })
+	if err != nil || ns < 0 || !reflect.DeepEqual(seen, []int{0, 1, 2}) {
+		t.Fatalf("ns=%v err=%v indices=%v", ns, err, seen)
+	}
+	seen = nil
+	_, err = PerOp(5, func(i int) error {
+		seen = append(seen, i)
+		if i == 1 {
+			return errString("op 1")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "op 1" || len(seen) != 2 {
+		t.Fatalf("err=%v after %d calls, want op 1 after 2", err, len(seen))
+	}
+}
+
+func TestOverhead(t *testing.T) {
+	for _, c := range []struct{ stock, lxfi, want float64 }{
+		{100, 150, 50}, {200, 100, -50}, {0, 100, 0}, {-1, 100, 0},
+	} {
+		if got := Overhead(c.stock, c.lxfi); got != c.want {
+			t.Errorf("Overhead(%v, %v) = %v, want %v", c.stock, c.lxfi, got, c.want)
+		}
 	}
 }

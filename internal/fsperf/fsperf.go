@@ -114,10 +114,6 @@ func (r *Rig) OpCycle(seq int, payload []byte) error {
 	return r.V.Unlink(r.Th, r.SB, path)
 }
 
-// measureRounds mirrors netperf: the minimum of several rounds
-// suppresses scheduler noise.
-const measureRounds = 3
-
 // Ops is the measured operation list, in report order. "read cold" and
 // "remount" only apply to disk-backed filesystems; memory-only mounts
 // omit those rows rather than mislabel a warm path.
@@ -138,152 +134,229 @@ type Costs struct {
 	Metrics *core.MetricsSnapshot
 }
 
-// timed runs body over n items and returns ns per item.
-func timed(n int, body func(i int) error) (float64, error) {
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := body(i); err != nil {
-			return 0, err
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(n), nil
+// side is one build's rig in a phase that samples both builds.
+type side struct {
+	*Rig
+	mode core.Mode
+	// wb accumulates writeback counters over every mount generation:
+	// they live on the mount, so the remount op resets them.
+	wb vfs.WritebackStats
+	// creates numbers the create op's samples; the names of the last
+	// one are still in the root.
+	creates int
 }
 
-// best runs the measurement several rounds and keeps the minimum.
-func best(rounds, n int, setup func() error, body func(i int) error) (float64, error) {
-	out := 0.0
-	for r := 0; r < rounds; r++ {
-		if setup != nil {
-			if err := setup(); err != nil {
-				return 0, err
-			}
-		}
-		ns, err := timed(n, body)
+// bootSides boots a stock and an enforced rig of kind side by side.
+func bootSides(kind Kind) ([]*side, error) {
+	var sides []*side
+	for _, mode := range []core.Mode{core.Off, core.Enforce} {
+		rig, err := NewRig(mode, kind)
 		if err != nil {
-			return 0, err
+			closeSides(sides)
+			return nil, err
 		}
-		if out == 0 || ns < out {
-			out = ns
+		sides = append(sides, &side{Rig: rig, mode: mode})
+	}
+	return sides, nil
+}
+
+func closeSides(sides []*side) {
+	for _, s := range sides {
+		s.Close()
+	}
+}
+
+// each runs f untimed on every side, stopping at the first error.
+func each(sides []*side, f func(*side) error) error {
+	for _, s := range sides {
+		if err := f(s); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// sample times one op on every side with benchio.Interleave and returns
+// ns/op by mode. Each sample runs setup, if any, untimed, then body
+// over n items.
+func sample(sides []*side, n int, setup func(*side) error, body func(s *side, i int) error) (map[core.Mode]float64, error) {
+	runs := make([]func() (float64, error), len(sides))
+	for k, s := range sides {
+		runs[k] = func() (float64, error) {
+			if setup != nil {
+				if err := setup(s); err != nil {
+					return 0, err
+				}
+			}
+			return benchio.PerOp(n, func(i int) error { return body(s, i) })
+		}
+	}
+	ns, err := benchio.Interleave(runs...)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[core.Mode]float64, len(sides))
+	for k, s := range sides {
+		out[s.mode] = ns[k]
 	}
 	return out, nil
 }
 
-// measureMode fills costs for one mode on a fresh rig.
-func measureMode(kind Kind, mode core.Mode, files int, fileSize uint64, c *Costs) error {
-	rig, err := NewRig(mode, kind)
-	if err != nil {
+func (s *side) accWB() {
+	if st, ok := s.V.WritebackStats(s.SB); ok {
+		s.wb.PagesFlushed += st.PagesFlushed
+		s.wb.ForcedForeground += st.ForcedForeground
+	}
+}
+
+// memOnly reports a mount with no disk behind it.
+func (s *side) memOnly() bool {
+	flags, _ := s.K.Sys.AS.ReadU64(s.V.SBField(s.SB, "flags"))
+	return flags&vfs.SBMemOnly != 0
+}
+
+// createName is the i'th name create sample k makes.
+func createName(k, i int) string { return fmt.Sprintf("/c%d_%05d", k, i) }
+
+// unlinkCreated removes the names the last create sample made.
+func (s *side) unlinkCreated(files int) error {
+	if s.creates == 0 {
+		return nil
+	}
+	for i := 0; i < files; i++ {
+		if err := s.V.Unlink(s.Th, s.SB, createName(s.creates, i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// createOp is the create op: every sample creates files fresh names.
+// Its untimed setup first unlinks the previous sample's names, so every
+// sample creates into a root of the same size.
+func createOp(files int) (setup func(*side) error, body func(*side, int) error) {
+	setup = func(s *side) error {
+		err := s.unlinkCreated(files)
+		s.creates++
 		return err
 	}
-	defer rig.Close()
-	v, th, sb := rig.V, rig.Th, rig.SB
+	body = func(s *side, i int) error {
+		_, err := s.V.Create(s.Th, s.SB, createName(s.creates, i))
+		return err
+	}
+	return setup, body
+}
+
+// renameBack moves every name alt(i) left by a timed rename back to
+// path(i).
+func (s *side) renameBack(n int, path, alt func(int) string) error {
+	for i := 0; i < n; i++ {
+		if _, err := s.V.Lookup(s.Th, s.SB, alt(i)); err == nil {
+			if err := s.V.Rename(s.Th, s.SB, alt(i), s.SB, path(i)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// MeasureCosts measures every operation for one filesystem. The stock
+// and enforced rigs boot side by side, and benchio.Interleave samples
+// each op on both.
+func MeasureCosts(kind Kind, files int, fileSize uint64) (*Costs, error) {
+	sides, err := bootSides(kind)
+	if err != nil {
+		return nil, err
+	}
+	defer closeSides(sides)
+	c := &Costs{
+		Kind: kind,
+		Op:   make(map[string]map[core.Mode]float64),
+		WB:   make(map[core.Mode]vfs.WritebackStats),
+	}
 	payload := make([]byte, fileSize)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
 	path := func(i int) string { return fmt.Sprintf("/f%05d", i) }
-	// Writeback counters live on the mount, so the remount phase resets
-	// them; accumulate across every mount generation.
-	var wbAcc vfs.WritebackStats
-	accWB := func() {
-		if st, ok := v.WritebackStats(sb); ok {
-			wbAcc.PagesFlushed += st.PagesFlushed
-			wbAcc.ForcedForeground += st.ForcedForeground
-		}
-	}
-	set := func(op string, ns float64) {
-		if c.Op[op] == nil {
-			c.Op[op] = make(map[core.Mode]float64)
-		}
-		c.Op[op][mode] = ns
+	op := func(name string, n int, setup func(*side) error, body func(s *side, i int) error) error {
+		ns, err := sample(sides, n, setup, body)
+		c.Op[name] = ns
+		return err
 	}
 
-	// create: fresh names each round, unlinked untimed afterwards so the
-	// module's directory list stays the same size across rounds.
-	round := 0
-	ns, err := best(measureRounds, files, func() error { round++; return nil }, func(i int) error {
-		_, err := v.Create(th, sb, fmt.Sprintf("/c%d_%05d", round, i))
-		return err
-	})
-	if err != nil {
-		return err
+	setup, body := createOp(files)
+	if err := op("create", files, setup, body); err != nil {
+		return nil, err
 	}
-	for r := 1; r <= round; r++ {
-		for i := 0; i < files; i++ {
-			_ = v.Unlink(th, sb, fmt.Sprintf("/c%d_%05d", r, i))
-		}
+	if err := each(sides, func(s *side) error { return s.unlinkCreated(files) }); err != nil {
+		return nil, err
 	}
-	set("create", ns)
 
 	// Standing file set for the data and metadata ops.
-	for i := 0; i < files; i++ {
-		if _, err := v.Create(th, sb, path(i)); err != nil {
-			return err
+	if err := each(sides, func(s *side) error {
+		for i := 0; i < files; i++ {
+			if _, err := s.V.Create(s.Th, s.SB, path(i)); err != nil {
+				return err
+			}
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
-	// write+sync: every round dirties all files, then one sync writes
+	// write+sync: every sample dirties all files, then one sync writes
 	// them back (the writepage REF crossings).
-	ns, err = best(measureRounds, files, nil, func(i int) error {
-		if _, err := v.Write(th, sb, path(i), 0, payload); err != nil {
+	if err := op("write+sync", files, nil, func(s *side, i int) error {
+		if _, err := s.V.Write(s.Th, s.SB, path(i), 0, payload); err != nil {
 			return err
 		}
 		if i == files-1 {
-			return v.Sync(th, sb)
+			return s.V.Sync(s.Th, s.SB)
 		}
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
+		return nil, err
+	}
+
+	read := func(s *side, i int) error {
+		_, err := s.V.Read(s.Th, s.SB, path(i), 0, fileSize)
 		return err
 	}
-	set("write+sync", ns)
-
 	// read cold: drop the page cache so every page refills through the
 	// module's readpage (the WRITE transfer crossings). Memory-only
 	// mounts have no cold path — DropCaches cannot evict their only
 	// copy — so the row is omitted rather than reported as a warm read
 	// under a cold label.
-	if flags, _ := rig.K.Sys.AS.ReadU64(v.SBField(sb, "flags")); flags&vfs.SBMemOnly == 0 {
-		ns, err = best(measureRounds, files, func() error {
-			if err := v.Sync(th, sb); err != nil {
+	if !sides[0].memOnly() {
+		if err := op("read cold", files, func(s *side) error {
+			if err := s.V.Sync(s.Th, s.SB); err != nil {
 				return err
 			}
-			v.DropCaches(sb)
+			s.V.DropCaches(s.SB)
 			return nil
-		}, func(i int) error {
-			_, err := v.Read(th, sb, path(i), 0, fileSize)
-			return err
-		})
-		if err != nil {
-			return err
+		}, read); err != nil {
+			return nil, err
 		}
-		set("read cold", ns)
 	}
 
 	// read warm: pure dentry-cache + page-cache hits, no module crossing.
-	ns, err = best(measureRounds, files, nil, func(i int) error {
-		_, err := v.Read(th, sb, path(i), 0, fileSize)
-		return err
-	})
-	if err != nil {
-		return err
+	if err := op("read warm", files, nil, read); err != nil {
+		return nil, err
 	}
-	set("read warm", ns)
 
-	ns, err = best(measureRounds, files, nil, func(i int) error {
-		_, _, err := v.Stat(th, sb, path(i))
+	if err := op("stat", files, nil, func(s *side, i int) error {
+		_, _, err := s.V.Stat(s.Th, s.SB, path(i))
 		return err
-	})
-	if err != nil {
-		return err
+	}); err != nil {
+		return nil, err
 	}
-	set("stat", ns)
 
 	// readdir: one full enumeration of the root per op — one checked
 	// module crossing per entry, with the name-buffer WRITE transfer
 	// out and back on each.
-	ns, err = best(measureRounds, files, nil, func(i int) error {
-		ents, err := v.Readdir(th, sb, "/")
+	if err := op("readdir", files, nil, func(s *side, i int) error {
+		ents, err := s.V.Readdir(s.Th, s.SB, "/")
 		if err != nil {
 			return err
 		}
@@ -291,138 +364,99 @@ func measureMode(kind Kind, mode core.Mode, files int, fileSize uint64, c *Costs
 			return fmt.Errorf("fsperf: readdir saw %d entries, want >= %d", len(ents), files)
 		}
 		return nil
-	})
-	if err != nil {
-		return err
+	}); err != nil {
+		return nil, err
 	}
-	set("readdir", ns)
 
-	// rename: timed moves to fresh names, untimed moves back between
-	// rounds (and afterwards, so later phases see the standing names).
+	// rename: timed moves to fresh names, untimed moves back before
+	// every sample (and afterwards, so later ops see the standing names).
 	alt := func(i int) string { return fmt.Sprintf("/r%05d", i) }
-	renameBack := func() error {
-		for i := 0; i < files; i++ {
-			if _, err := v.Lookup(th, sb, alt(i)); err == nil {
-				if err := v.Rename(th, sb, alt(i), sb, path(i)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+	renameBack := func(s *side) error { return s.renameBack(files, path, alt) }
+	if err := op("rename", files, renameBack, func(s *side, i int) error {
+		return s.V.Rename(s.Th, s.SB, path(i), s.SB, alt(i))
+	}); err != nil {
+		return nil, err
 	}
-	ns, err = best(measureRounds, files, renameBack, func(i int) error {
-		return v.Rename(th, sb, path(i), sb, alt(i))
-	})
-	if err != nil {
-		return err
+	if err := each(sides, renameBack); err != nil {
+		return nil, err
 	}
-	if err := renameBack(); err != nil {
-		return err
-	}
-	set("rename", ns)
 
 	// cache pressure: dirtying writes under a page budget smaller than
 	// the working set, so every insert runs the LRU policy and dirty
 	// victims are forced through the module's writepage (memory-only
 	// mounts cannot evict, so their row isolates the policy's bookkeeping
 	// cost).
-	chunk := fileSize
-	if chunk > mem.PageSize {
-		chunk = mem.PageSize
+	chunk := min(fileSize, mem.PageSize)
+	for _, s := range sides {
+		s.V.SetPageBudget(max(files/2, 1))
 	}
-	budget := files / 2
-	if budget < 1 {
-		budget = 1
-	}
-	v.SetPageBudget(budget)
-	ns, err = best(measureRounds, files, func() error {
-		v.ShrinkToBudget(th)
+	err = op("cache pressure", files, func(s *side) error {
+		s.V.ShrinkToBudget(s.Th)
 		return nil
-	}, func(i int) error {
-		_, err := v.Write(th, sb, path(i), 0, payload[:chunk])
+	}, func(s *side, i int) error {
+		_, err := s.V.Write(s.Th, s.SB, path(i), 0, payload[:chunk])
 		return err
 	})
-	v.SetPageBudget(0)
+	for _, s := range sides {
+		s.V.SetPageBudget(0)
+	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := v.Sync(th, sb); err != nil {
-		return err
+	if err := each(sides, func(s *side) error { return s.V.Sync(s.Th, s.SB) }); err != nil {
+		return nil, err
 	}
-	set("cache pressure", ns)
 
 	// remount: the durability round-trip — sync, unmount, mount, and one
 	// recovered-namespace stat. Only meaningful when a disk holds the
 	// namespace.
-	if flags, _ := rig.K.Sys.AS.ReadU64(v.SBField(sb, "flags")); flags&vfs.SBMemOnly == 0 {
+	if !sides[0].memOnly() {
 		const remounts = 4
-		ns, err = best(measureRounds, remounts, nil, func(i int) error {
-			if err := v.Sync(th, sb); err != nil {
+		if err := op("remount", remounts, nil, func(s *side, i int) error {
+			if err := s.V.Sync(s.Th, s.SB); err != nil {
 				return err
 			}
-			accWB()
-			if err := v.Unmount(th, sb); err != nil {
+			s.accWB()
+			if err := s.V.Unmount(s.Th, s.SB); err != nil {
 				return err
 			}
-			nsb, err := v.Mount(th, rig.FsID, rig.Dev)
+			sb, err := s.V.Mount(s.Th, s.FsID, s.Dev)
 			if err != nil {
 				return err
 			}
-			sb = nsb
-			if _, _, err := v.Stat(th, sb, path(0)); err != nil {
-				return err
-			}
-			return nil
-		})
-		if err != nil {
+			s.SB = sb
+			_, _, err = s.V.Stat(s.Th, s.SB, path(0))
 			return err
+		}); err != nil {
+			return nil, err
 		}
-		set("remount", ns)
 	}
 
-	// unlink: timed removal, untimed recreation between rounds.
-	ns, err = best(measureRounds, files, func() error {
+	// unlink: timed removal, untimed recreation before every sample.
+	if err := op("unlink", files, func(s *side) error {
 		for i := 0; i < files; i++ {
-			if _, err := v.Lookup(th, sb, path(i)); err != nil {
-				if _, err := v.Create(th, sb, path(i)); err != nil {
+			if _, err := s.V.Lookup(s.Th, s.SB, path(i)); err != nil {
+				if _, err := s.V.Create(s.Th, s.SB, path(i)); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
-	}, func(i int) error {
-		return v.Unlink(th, sb, path(i))
-	})
-	if err != nil {
-		return err
+	}, func(s *side, i int) error {
+		return s.V.Unlink(s.Th, s.SB, path(i))
+	}); err != nil {
+		return nil, err
 	}
-	set("unlink", ns)
 
 	// Per-mount writeback stats over the whole run: Sync and the cache
-	// pressure phase drove pages through writepage; forced-foreground
+	// pressure op drove pages through writepage; forced-foreground
 	// counts are the dirty victims eviction could not leave to a flusher.
-	accWB()
-	c.WB[mode] = wbAcc
-	if mode == core.Enforce {
-		m := rig.K.Sys.Metrics()
-		c.Metrics = &m
+	for _, s := range sides {
+		s.accWB()
+		c.WB[s.mode] = s.wb
 	}
-	return nil
-}
-
-// MeasureCosts measures all operations for one filesystem on fresh rigs
-// under both builds.
-func MeasureCosts(kind Kind, files int, fileSize uint64) (*Costs, error) {
-	c := &Costs{
-		Kind: kind,
-		Op:   make(map[string]map[core.Mode]float64),
-		WB:   make(map[core.Mode]vfs.WritebackStats),
-	}
-	for _, mode := range []core.Mode{core.Off, core.Enforce} {
-		if err := measureMode(kind, mode, files, fileSize, c); err != nil {
-			return nil, err
-		}
-	}
+	m := sides[1].K.Sys.Metrics()
+	c.Metrics = &m
 	return c, nil
 }
 
@@ -442,11 +476,8 @@ func BuildTable(c *Costs) []Row {
 		if !ok {
 			continue
 		}
-		r := Row{Op: op, StockNs: m[core.Off], LxfiNs: m[core.Enforce]}
-		if r.StockNs > 0 {
-			r.Overhead = 100 * (r.LxfiNs - r.StockNs) / r.StockNs
-		}
-		rows = append(rows, r)
+		rows = append(rows, Row{Op: op, StockNs: m[core.Off], LxfiNs: m[core.Enforce],
+			Overhead: benchio.Overhead(m[core.Off], m[core.Enforce])})
 	}
 	return rows
 }
@@ -586,7 +617,8 @@ func (r *concurrentRig) runWorkers(cycles int, payload []byte) (span time.Durati
 	return span, !earliestEnd.Before(latestStart), nil
 }
 
-// MeasureConcurrency measures the multi-mount phase under both builds.
+// MeasureConcurrency measures the multi-mount phase under both builds,
+// sampled with benchio.Interleave on a fresh rig per sample.
 func MeasureConcurrency(files int, fileSize uint64) (*ConcurrencyCosts, error) {
 	out := &ConcurrencyCosts{
 		Workers: 2,
@@ -597,12 +629,11 @@ func MeasureConcurrency(files int, fileSize uint64) (*ConcurrencyCosts, error) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	for _, mode := range []core.Mode{core.Off, core.Enforce} {
-		best := 0.0
-		for round := 0; round < measureRounds; round++ {
+	run := func(mode core.Mode) func() (float64, error) {
+		return func() (float64, error) {
 			rig, err := newConcurrentRig(mode)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			// Background writeback runs during the phase: aged dirty
 			// pages leave through the flusher thread while the workers
@@ -612,20 +643,21 @@ func MeasureConcurrency(files int, fileSize uint64) (*ConcurrencyCosts, error) {
 			span, overlapped, err := rig.runWorkers(files, payload)
 			rig.k.Shutdown()
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			out.Overlapped = out.Overlapped || overlapped
 			if n := len(rig.k.Sys.Mon.Violations()); n != 0 {
-				return nil, fmt.Errorf("fsperf: concurrency phase (%s): %d violations: %v",
+				return 0, fmt.Errorf("fsperf: concurrency phase (%s): %d violations: %v",
 					mode, n, rig.k.Sys.Mon.LastViolation())
 			}
-			ns := float64(span.Nanoseconds()) / float64(out.Workers*files)
-			if best == 0 || ns < best {
-				best = ns
-			}
+			return float64(span.Nanoseconds()) / float64(out.Workers*files), nil
 		}
-		out.Ns[mode] = best
 	}
+	ns, err := benchio.Interleave(run(core.Off), run(core.Enforce))
+	if err != nil {
+		return nil, err
+	}
+	out.Ns[core.Off], out.Ns[core.Enforce] = ns[0], ns[1]
 	return out, nil
 }
 
@@ -643,8 +675,8 @@ type ReloadCosts struct {
 	FS      string
 	Reloads int                   // reloads performed per mode
 	Cycles  map[core.Mode]int     // worker op-cycles completed during the phase
-	Quiesce map[core.Mode]float64 // mean ns waiting for in-flight crossings
-	Total   map[core.Mode]float64 // mean ns for the whole reload
+	Quiesce map[core.Mode]float64 // median ns waiting for in-flight crossings
+	Total   map[core.Mode]float64 // median ns for the whole reload
 	// Migrated is the per-instance capability count replayed into the
 	// fresh generation on the last enforced reload (stock runs migrate
 	// nothing: no capabilities are tracked with enforcement off).
@@ -707,7 +739,7 @@ func measureReloadMode(kind Kind, mode core.Mode, fileSize uint64, out *ReloadCo
 		time.Sleep(100 * time.Microsecond)
 	}
 
-	var quiesce, total float64
+	var quiesce, total []float64
 	for i := 0; i < reloadRounds; i++ {
 		st, err := rig.Ld.Reload(rig.Th, rig.Module)
 		if err != nil {
@@ -715,8 +747,8 @@ func measureReloadMode(kind Kind, mode core.Mode, fileSize uint64, out *ReloadCo
 			h.Join()
 			return fmt.Errorf("fsperf: reload %d (%s): %w", i, mode, err)
 		}
-		quiesce += float64(st.QuiesceNs)
-		total += float64(st.TotalNs)
+		quiesce = append(quiesce, float64(st.QuiesceNs))
+		total = append(total, float64(st.TotalNs))
 		if mode == core.Enforce {
 			out.Migrated = st.Migrated
 		}
@@ -731,8 +763,8 @@ func measureReloadMode(kind Kind, mode core.Mode, fileSize uint64, out *ReloadCo
 			mode, n, rig.K.Sys.Mon.LastViolation())
 	}
 	out.Cycles[mode] = int(cycles.Load())
-	out.Quiesce[mode] = quiesce / reloadRounds
-	out.Total[mode] = total / reloadRounds
+	out.Quiesce[mode] = benchio.Median(quiesce)
+	out.Total[mode] = benchio.Median(total)
 	return nil
 }
 
@@ -757,12 +789,8 @@ func MeasureReload(kind Kind, fileSize uint64) (*ReloadCosts, error) {
 // FormatReload renders the hot-reload phase line for one filesystem.
 func FormatReload(r *ReloadCosts) string {
 	stock, lxfi := r.Total[core.Off], r.Total[core.Enforce]
-	overhead := 0.0
-	if stock > 0 {
-		overhead = 100 * (lxfi - stock) / stock
-	}
 	return fmt.Sprintf("%-14s %14.0f %14.0f %9.0f%%  (%d reloads under traffic, %d caps migrated)\n",
-		"hot reload", stock, lxfi, overhead, r.Reloads, r.Migrated)
+		"hot reload", stock, lxfi, benchio.Overhead(stock, lxfi), r.Reloads, r.Migrated)
 }
 
 // --- journal phase ---
@@ -780,100 +808,74 @@ type JournalCosts struct {
 	WritesPerOp float64 // sector writes per journaled rename (build-independent)
 }
 
-// measureJournalMode runs the journal phase for one mode on a fresh rig.
-func measureJournalMode(mode core.Mode, files int, out *JournalCosts) error {
-	rig, err := NewRig(mode, Minix)
+// MeasureJournal measures the journaled-metadata phase (block-backed
+// filesystem only). The stock and enforced rigs boot side by side, and
+// benchio.Interleave samples each op on both.
+func MeasureJournal(files int) (*JournalCosts, error) {
+	sides, err := bootSides(Minix)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer rig.Close()
-	v, th, sb := rig.V, rig.Th, rig.SB
+	defer closeSides(sides)
 	path := func(i int) string { return fmt.Sprintf("/j%05d", i) }
 	alt := func(i int) string { return fmt.Sprintf("/ja%05d", i) }
 	partner := func(i int) string { return fmt.Sprintf("/jx%05d", i) }
-	for i := 0; i < files; i++ {
-		if _, err := v.Create(th, sb, path(i)); err != nil {
-			return err
+	if err := each(sides, func(s *side) error {
+		for i := 0; i < files; i++ {
+			if _, err := s.V.Create(s.Th, s.SB, path(i)); err != nil {
+				return err
+			}
+			if _, err := s.V.Create(s.Th, s.SB, partner(i)); err != nil {
+				return err
+			}
 		}
-		if _, err := v.Create(th, sb, partner(i)); err != nil {
-			return err
-		}
+		return s.V.Sync(s.Th, s.SB)
+	}); err != nil {
+		return nil, err
 	}
-	if err := v.Sync(th, sb); err != nil {
-		return err
-	}
+	out := &JournalCosts{FS: string(Minix)}
 
 	// Journaled rename: timed moves to fresh names, untimed moves back.
-	renameBack := func() error {
-		for i := 0; i < files; i++ {
-			if _, err := v.Lookup(th, sb, alt(i)); err == nil {
-				if err := v.Rename(th, sb, alt(i), sb, path(i)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+	renameBack := func(s *side) error { return s.renameBack(files, path, alt) }
+	if out.RenameNs, err = sample(sides, files, renameBack, func(s *side, i int) error {
+		return s.V.Rename(s.Th, s.SB, path(i), s.SB, alt(i))
+	}); err != nil {
+		return nil, err
 	}
-	ns, err := best(measureRounds, files, renameBack, func(i int) error {
-		return v.Rename(th, sb, path(i), sb, alt(i))
-	})
-	if err != nil {
-		return err
+	if err := each(sides, renameBack); err != nil {
+		return nil, err
 	}
-	if err := renameBack(); err != nil {
-		return err
-	}
-	out.RenameNs[mode] = ns
 
 	// RENAME_EXCHANGE: a two-record transaction; the swap is its own
-	// inverse, so no per-round restore is needed.
-	ns, err = best(measureRounds, files, nil, func(i int) error {
-		return v.RenameFlags(th, sb, path(i), sb, partner(i), vfs.RenameExchange)
-	})
-	if err != nil {
-		return err
-	}
-	out.ExchangeNs[mode] = ns
-
-	// Write amplification, counted outside the timed loops so untimed
-	// restores do not pollute it. One measurement suffices: the journal
-	// protocol writes the same sectors under either build.
-	if mode == core.Off {
-		probes := files
-		if probes > 8 {
-			probes = 8
-		}
-		_, w0 := rig.B.SectorIO()
-		for i := 0; i < probes; i++ {
-			if err := v.Rename(th, sb, path(i), sb, alt(i)); err != nil {
-				return err
-			}
-			if err := v.Rename(th, sb, alt(i), sb, path(i)); err != nil {
-				return err
-			}
-		}
-		_, w1 := rig.B.SectorIO()
-		out.WritesPerOp = float64(w1-w0) / float64(2*probes)
+	// inverse, so no per-sample restore is needed.
+	if out.ExchangeNs, err = sample(sides, files, nil, func(s *side, i int) error {
+		return s.V.RenameFlags(s.Th, s.SB, path(i), s.SB, partner(i), vfs.RenameExchange)
+	}); err != nil {
+		return nil, err
 	}
 
-	if n := len(rig.K.Sys.Mon.Violations()); n != 0 {
-		return fmt.Errorf("fsperf: journal phase (%s): %d violations: %v",
-			mode, n, rig.K.Sys.Mon.LastViolation())
-	}
-	return nil
-}
-
-// MeasureJournal measures the journaled-metadata phase (block-backed
-// filesystem only) under both builds.
-func MeasureJournal(files int) (*JournalCosts, error) {
-	out := &JournalCosts{
-		FS:         string(Minix),
-		RenameNs:   make(map[core.Mode]float64),
-		ExchangeNs: make(map[core.Mode]float64),
-	}
-	for _, mode := range []core.Mode{core.Off, core.Enforce} {
-		if err := measureJournalMode(mode, files, out); err != nil {
+	// Write amplification, counted on the stock rig outside the timed
+	// loops so untimed restores do not pollute it. One measurement
+	// suffices: the journal protocol writes the same sectors under
+	// either build.
+	s := sides[0]
+	probes := min(files, 8)
+	_, w0 := s.B.SectorIO()
+	for i := 0; i < probes; i++ {
+		if err := s.V.Rename(s.Th, s.SB, path(i), s.SB, alt(i)); err != nil {
 			return nil, err
+		}
+		if err := s.V.Rename(s.Th, s.SB, alt(i), s.SB, path(i)); err != nil {
+			return nil, err
+		}
+	}
+	_, w1 := s.B.SectorIO()
+	out.WritesPerOp = float64(w1-w0) / float64(2*probes)
+
+	for _, s := range sides {
+		if n := len(s.K.Sys.Mon.Violations()); n != 0 {
+			return nil, fmt.Errorf("fsperf: journal phase (%s): %d violations: %v",
+				s.mode, n, s.K.Sys.Mon.LastViolation())
 		}
 	}
 	return out, nil
@@ -882,12 +884,8 @@ func MeasureJournal(files int) (*JournalCosts, error) {
 // FormatJournal renders the journal phase line.
 func FormatJournal(j *JournalCosts) string {
 	stock, lxfi := j.RenameNs[core.Off], j.RenameNs[core.Enforce]
-	overhead := 0.0
-	if stock > 0 {
-		overhead = 100 * (lxfi - stock) / stock
-	}
 	return fmt.Sprintf("%-14s %14.0f %14.0f %9.0f%%  (%.1f sector writes/op)\n",
-		"journal rename", stock, lxfi, overhead, j.WritesPerOp)
+		"journal rename", stock, lxfi, benchio.Overhead(stock, lxfi), j.WritesPerOp)
 }
 
 // JSON serializes measured costs as the BENCH_fsperf.json report, each
@@ -944,10 +942,6 @@ func JSON(cs []*Costs, conc *ConcurrencyCosts, rls []*ReloadCosts, jrns []*Journ
 // FormatConcurrency renders the multi-mount phase line.
 func FormatConcurrency(c *ConcurrencyCosts) string {
 	stock, lxfi := c.Ns[core.Off], c.Ns[core.Enforce]
-	overhead := 0.0
-	if stock > 0 {
-		overhead = 100 * (lxfi - stock) / stock
-	}
 	return fmt.Sprintf("%-14s %14.0f %14.0f %9.0f%%  (%d worker threads: %s)\n",
-		"multi-mount", stock, lxfi, overhead, c.Workers, strings.Join(c.Mounts, "+"))
+		"multi-mount", stock, lxfi, benchio.Overhead(stock, lxfi), c.Workers, strings.Join(c.Mounts, "+"))
 }

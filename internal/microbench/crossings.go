@@ -38,8 +38,9 @@
 // that shifts with the runner's core count.
 //
 // Each phase runs under both builds (stock and enforced), mirroring the
-// Figure 11 rows, and the report lands in BENCH_crossings.json for the
-// CI perf gate.
+// Figure 11 rows: the two rigs boot side by side and benchio.Interleave
+// samples every phase on both. The report lands in BENCH_crossings.json
+// for the CI perf gate.
 package microbench
 
 import (
@@ -76,8 +77,8 @@ type CrossingRow struct {
 	ScalingRatio      float64
 	StockScalingRatio float64
 	// TraceOverheadPct is set on the traced phase only: its enforced
-	// ns/op against the untraced "crossing gate" row, i.e. the flight
-	// recorder's cost.
+	// ns/op against an untraced gate crossing sampled next to it, i.e.
+	// the flight recorder's cost.
 	TraceOverheadPct float64
 }
 
@@ -85,11 +86,12 @@ type CrossingRow struct {
 // run tight check loops in module context, so the measured guard is the
 // real LxfiCheck path (cache probe inlined into the guard).
 type crossRig struct {
-	sys *core.System
-	th  *core.Thread
-	tht *core.Thread // flight-recorder ring attached ("crossing traced")
-	m   *core.Module
-	p   *caps.Principal
+	sys  *core.System
+	mode core.Mode
+	th   *core.Thread
+	tht  *core.Thread // flight-recorder ring attached ("crossing traced")
+	m    *core.Module
+	p    *caps.Principal
 
 	base mem.Addr
 }
@@ -111,7 +113,7 @@ const batchElems = 8
 func newCrossRig(mode core.Mode) (*crossRig, error) {
 	sys := core.NewSystem()
 	sys.Mon.SetMode(mode)
-	r := &crossRig{sys: sys, th: sys.NewThread("crossings")}
+	r := &crossRig{sys: sys, mode: mode, th: sys.NewThread("crossings")}
 	r.tht = sys.NewThread("crossings-traced")
 	r.tht.EnableTrace()
 	// xbench_sink is the crossing phases' annotated kernel export: the
@@ -240,14 +242,9 @@ func (r *crossRig) workerAddr(w int) mem.Addr {
 	return r.base + mem.Addr(1<<20) + mem.Addr(w)*2*mem.PageSize
 }
 
-// timeChecks runs one module check loop and returns (ns/op, allocs/op).
-func (r *crossRig) timeChecks(fn string, n int, addr mem.Addr) (float64, float64, error) {
-	return r.timeChecksOn(r.th, fn, n, addr)
-}
-
-// timeChecksOn is timeChecks on a caller-chosen thread (the traced
-// phase runs the same loop on the ring-equipped thread).
-func (r *crossRig) timeChecksOn(th *core.Thread, fn string, n int, addr mem.Addr) (float64, float64, error) {
+// timeChecks runs one module check loop on th and returns (ns/op,
+// allocs/op).
+func (r *crossRig) timeChecks(th *core.Thread, fn string, n int, addr mem.Addr) (float64, float64, error) {
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
@@ -314,9 +311,9 @@ func (r *crossRig) timeRevokeStorm(n int) (float64, error) {
 	return float64(time.Since(start).Nanoseconds()) / float64(n), nil
 }
 
-// reloadsPerRound is how many back-to-back hot reloads the "reload"
-// phase times per round.
-const reloadsPerRound = 8
+// reloadsPerSample is how many back-to-back hot reloads the "reload"
+// phase times per sample.
+const reloadsPerSample = 8
 
 // timeReload measures the full hot-reload latency of a registry module
 // (econet on a minimal netstack kernel, with one live socket instance so
@@ -340,12 +337,42 @@ func timeReload(mode core.Mode) (float64, error) {
 		return 0, err
 	}
 	start := time.Now()
-	for i := 0; i < reloadsPerRound; i++ {
+	for i := 0; i < reloadsPerSample; i++ {
 		if _, err := ld.Reload(th, "econet"); err != nil {
 			return 0, err
 		}
 	}
-	return float64(time.Since(start).Nanoseconds()) / float64(reloadsPerRound), nil
+	return float64(time.Since(start).Nanoseconds()) / float64(reloadsPerSample), nil
+}
+
+// loop runs one phase's timed loop of iters ops on r and returns ns/op
+// and allocs/op (zero for the phases that do not read MemStats).
+func (r *crossRig) loop(op string, iters int) (float64, float64, error) {
+	var ns float64
+	var err error
+	switch op {
+	case "check cold":
+		return r.timeChecks(r.th, "checkscold", iters, r.base)
+	case "check cached":
+		return r.timeChecks(r.th, "checks", iters, r.workerAddr(0))
+	case "check contended":
+		ns, err = r.timeContended(iters / contendedWorkers)
+	case "revoke storm":
+		ns, err = r.timeRevokeStorm(iters / 4)
+	case "crossing gate":
+		return r.timeChecks(r.th, "crossgate", iters, r.workerAddr(0))
+	case "crossing named":
+		return r.timeChecks(r.th, "crossnamed", iters, r.workerAddr(0))
+	case "crossing batch":
+		return r.timeChecks(r.th, "crossbatch", iters, r.workerAddr(0))
+	case "crossing traced":
+		return r.timeChecks(r.tht, "crossgate", iters, r.workerAddr(0))
+	case "reload":
+		ns, err = timeReload(r.mode)
+	default:
+		err = fmt.Errorf("microbench: no phase %q", op)
+	}
+	return ns, 0, err
 }
 
 // MeasureCrossings runs all phases under both builds.
@@ -372,92 +399,44 @@ func MeasureCrossingsWithMetrics(iters int) ([]CrossingRow, *core.MetricsSnapsho
 		{Op: "crossing traced", Workers: 1, AllocsMeasured: true},
 		{Op: "reload", Workers: 1},
 	}
-	var metrics *core.MetricsSnapshot
-	for _, mode := range []core.Mode{core.Off, core.Enforce} {
-		r, err := newCrossRig(mode)
-		if err != nil {
-			return nil, nil, err
-		}
-		set := func(i int, ns, allocs float64) {
-			if mode == core.Off {
-				rows[i].StockNs = ns
-			} else {
-				rows[i].LxfiNs = ns
-				rows[i].AllocsPerOp = allocs
+	stock, err := newCrossRig(core.Off)
+	if err != nil {
+		return nil, nil, err
+	}
+	lxfi, err := newCrossRig(core.Enforce)
+	if err != nil {
+		return nil, nil, err
+	}
+	// run is one phase on one rig for benchio.Interleave; a non-nil
+	// allocs collects every call's allocs/op.
+	run := func(r *crossRig, op string, allocs *[]float64) func() (float64, error) {
+		return func() (float64, error) {
+			ns, a, err := r.loop(op, iters)
+			if allocs != nil {
+				*allocs = append(*allocs, a)
 			}
-		}
-		// Warmup, then best-of-rounds like the other benches. The traced
-		// thread warms up too so its ring and caches are hot.
-		if _, _, err := r.timeChecks("checks", iters/10+1, r.workerAddr(0)); err != nil {
-			return nil, nil, err
-		}
-		if _, _, err := r.timeChecksOn(r.tht, "crossgate", iters/10+1, r.workerAddr(0)); err != nil {
-			return nil, nil, err
-		}
-		const rounds = 3
-		type phase struct {
-			idx int
-			run func() (float64, float64, error)
-		}
-		phases := []phase{
-			{0, func() (float64, float64, error) { return r.timeChecks("checkscold", iters, r.base) }},
-			{1, func() (float64, float64, error) { return r.timeChecks("checks", iters, r.workerAddr(0)) }},
-			{2, func() (float64, float64, error) {
-				ns, err := r.timeContended(iters / contendedWorkers)
-				return ns, 0, err
-			}},
-			{3, func() (float64, float64, error) { ns, err := r.timeRevokeStorm(iters / 4); return ns, 0, err }},
-			{4, func() (float64, float64, error) { return r.timeChecks("crossgate", iters, r.workerAddr(0)) }},
-			{5, func() (float64, float64, error) { return r.timeChecks("crossnamed", iters, r.workerAddr(0)) }},
-			{6, func() (float64, float64, error) { return r.timeChecks("crossbatch", iters, r.workerAddr(0)) }},
-			{8, func() (float64, float64, error) { ns, err := timeReload(mode); return ns, 0, err }},
-		}
-		for _, ph := range phases {
-			best, bestAllocs := 0.0, 0.0
-			for round := 0; round < rounds; round++ {
-				ns, allocs, err := ph.run()
-				if err != nil {
-					return nil, nil, err
-				}
-				if best == 0 || ns < best {
-					best, bestAllocs = ns, allocs
-				}
-			}
-			set(ph.idx, best, bestAllocs)
-		}
-		// The traced phase is measured in untraced/traced pairs run
-		// back to back, so clock-frequency drift between rounds hits
-		// both sides alike; the recorder's cost is the ratio of the two
-		// bests, not the gap between measurements taken minutes apart.
-		bestPlain, bestTraced, bestAllocs := 0.0, 0.0, 0.0
-		for round := 0; round < rounds; round++ {
-			plain, _, err := r.timeChecks("crossgate", iters, r.workerAddr(0))
-			if err != nil {
-				return nil, nil, err
-			}
-			ns, allocs, err := r.timeChecksOn(r.tht, "crossgate", iters, r.workerAddr(0))
-			if err != nil {
-				return nil, nil, err
-			}
-			if bestPlain == 0 || plain < bestPlain {
-				bestPlain = plain
-			}
-			if bestTraced == 0 || ns < bestTraced {
-				bestTraced, bestAllocs = ns, allocs
-			}
-		}
-		set(7, bestTraced, bestAllocs)
-		if mode == core.Enforce {
-			if bestPlain > 0 {
-				rows[7].TraceOverheadPct = 100 * (bestTraced - bestPlain) / bestPlain
-			}
-			m := r.sys.Metrics()
-			metrics = &m
+			return ns, err
 		}
 	}
 	for i := range rows {
-		if rows[i].StockNs > 0 {
-			rows[i].OverheadPct = 100 * (rows[i].LxfiNs - rows[i].StockNs) / rows[i].StockNs
+		row := &rows[i]
+		var allocs []float64
+		runs := []func() (float64, error){run(stock, row.Op, nil), run(lxfi, row.Op, &allocs)}
+		if row.Op == "crossing traced" {
+			// The flight recorder's cost is measured against an
+			// untraced gate crossing that sits next to the traced one
+			// in every round, so host drift hits both alike.
+			runs = append(runs, run(lxfi, "crossing gate", nil))
+		}
+		ns, err := benchio.Interleave(runs...)
+		if err != nil {
+			return nil, nil, err
+		}
+		row.StockNs, row.LxfiNs = ns[0], ns[1]
+		row.OverheadPct = benchio.Overhead(row.StockNs, row.LxfiNs)
+		row.AllocsPerOp = benchio.Median(allocs[1:]) // allocs[0] is the warm-up's
+		if len(ns) == 3 {
+			row.TraceOverheadPct = benchio.Overhead(ns[2], row.LxfiNs)
 		}
 	}
 	// The contended phase as a scaling ratio against the single-thread
@@ -469,7 +448,8 @@ func MeasureCrossingsWithMetrics(iters int) ([]CrossingRow, *core.MetricsSnapsho
 	if rows[1].StockNs > 0 {
 		rows[2].StockScalingRatio = rows[2].StockNs / rows[1].StockNs
 	}
-	return rows, metrics, nil
+	m := lxfi.sys.Metrics()
+	return rows, &m, nil
 }
 
 // CrossingsJSON serializes the phases as the BENCH_crossings.json

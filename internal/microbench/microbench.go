@@ -18,8 +18,8 @@ package microbench
 
 import (
 	"fmt"
-	"time"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/core"
 	"lxfi/internal/kernel"
 	"lxfi/internal/mem"
@@ -279,35 +279,31 @@ type Result struct {
 	CodeSize float64 // static Δ code size multiplier (see static.go)
 }
 
-// Measure times both builds of a workload for iters operations each.
+// Measure times a workload's stock and enforced builds, booted side by
+// side and sampled with benchio.Interleave over iters operations per
+// sample.
 func Measure(name string, build func(core.Mode) (*Workload, error), iters int) (Result, error) {
-	r := Result{Name: name}
-	times := map[core.Mode]float64{}
+	r := Result{Name: name, CodeSize: CodeSizeDelta(name)}
+	var runs []func() (float64, error)
 	for _, mode := range []core.Mode{core.Off, core.Enforce} {
 		w, err := build(mode)
 		if err != nil {
 			return r, err
 		}
-		// Warmup.
-		for i := 0; i < iters/10+1; i++ {
-			if err := w.Op(); err != nil {
-				return r, fmt.Errorf("%s[%v]: %w", name, mode, err)
+		runs = append(runs, func() (float64, error) {
+			ns, err := benchio.PerOp(iters, func(int) error { return w.Op() })
+			if err != nil {
+				return 0, fmt.Errorf("%s[%v]: %w", name, mode, err)
 			}
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := w.Op(); err != nil {
-				return r, fmt.Errorf("%s[%v]: %w", name, mode, err)
-			}
-		}
-		times[mode] = float64(time.Since(start).Nanoseconds()) / float64(iters)
+			return ns, nil
+		})
 	}
-	r.StockNs = times[core.Off]
-	r.LxfiNs = times[core.Enforce]
-	if r.StockNs > 0 {
-		r.Slowdown = (r.LxfiNs - r.StockNs) / r.StockNs
+	ns, err := benchio.Interleave(runs...)
+	if err != nil {
+		return r, err
 	}
-	r.CodeSize = CodeSizeDelta(name)
+	r.StockNs, r.LxfiNs = ns[0], ns[1]
+	r.Slowdown = benchio.Overhead(r.StockNs, r.LxfiNs) / 100
 	return r, nil
 }
 

@@ -124,34 +124,35 @@ func (r *concRig) runWorkers(msgs int) (span time.Duration, overlapped bool, err
 	return span, !earliestEnd.Before(latestStart), nil
 }
 
-// MeasureConcurrentSockets runs the phase under both builds.
+// MeasureConcurrentSockets runs the phase under both builds, sampled
+// with benchio.Interleave on a fresh rig per sample.
 func MeasureConcurrentSockets(pairs, msgs int) (*ConcurrentCosts, error) {
 	out := &ConcurrentCosts{Pairs: pairs, Ns: make(map[core.Mode]float64)}
-	for _, mode := range []core.Mode{core.Off, core.Enforce} {
-		best := 0.0
-		for round := 0; round < measureRounds; round++ {
+	run := func(mode core.Mode) func() (float64, error) {
+		return func() (float64, error) {
 			rig, err := newConcRig(mode, pairs)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			span, overlapped, err := rig.runWorkers(msgs)
 			rig.k.Shutdown()
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if n := len(rig.k.Sys.Mon.Violations()); n != 0 {
-				return nil, fmt.Errorf("netperf: concurrent phase (%s): %d violations: %v",
+				return 0, fmt.Errorf("netperf: concurrent phase (%s): %d violations: %v",
 					mode, n, rig.k.Sys.Mon.LastViolation())
 			}
 			out.Overlapped = out.Overlapped || overlapped
 			// Two socket ops (one send + one recv) per round per pair.
-			ns := float64(span.Nanoseconds()) / float64(2*pairs*msgs)
-			if best == 0 || ns < best {
-				best = ns
-			}
+			return float64(span.Nanoseconds()) / float64(2*pairs*msgs), nil
 		}
-		out.Ns[mode] = best
 	}
+	ns, err := benchio.Interleave(run(core.Off), run(core.Enforce))
+	if err != nil {
+		return nil, err
+	}
+	out.Ns[core.Off], out.Ns[core.Enforce] = ns[0], ns[1]
 	return out, nil
 }
 
@@ -204,10 +205,6 @@ func JSON(c *Costs, conc *ConcurrentCosts, rl *ReloadCosts, stream *StreamingCos
 // FormatConcurrent renders the concurrent phase line.
 func FormatConcurrent(c *ConcurrentCosts) string {
 	stock, lxfi := c.Ns[core.Off], c.Ns[core.Enforce]
-	overhead := 0.0
-	if stock > 0 {
-		overhead = 100 * (lxfi - stock) / stock
-	}
 	return fmt.Sprintf("%-20s %9.0f ns/op %9.0f ns/op %7.0f%%  (%d socket pairs, 1 thread each)\n",
-		"concurrent sockets", stock, lxfi, overhead, c.Pairs)
+		"concurrent sockets", stock, lxfi, benchio.Overhead(stock, lxfi), c.Pairs)
 }

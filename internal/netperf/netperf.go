@@ -3,10 +3,14 @@
 // e1000 driver) and Figure 13 (the per-packet guard-cost breakdown for
 // UDP STREAM TX).
 //
-// Methodology (see EXPERIMENTS.md): the simulator measures real
-// per-packet CPU costs of the full TX and RX paths (socket-level entry,
-// qdisc, checked indirect call into the driver, instrumented descriptor
-// writes, skb capability transfers) under both builds. Throughput and
+// Methodology: the simulator measures real per-packet CPU costs of the
+// full TX and RX paths (socket-level entry, qdisc, checked indirect
+// call into the driver, instrumented descriptor writes, skb capability
+// transfers) under both builds. A stock and an enforced rig boot side
+// by side, and benchio.Interleave samples every stock/enforced timing:
+// one untimed warm-up round, then benchio.Samples rounds that call
+// each stock run next to its enforced twin, alternating which goes
+// first, with each cost the median of its samples. Throughput and
 // CPU utilization are then derived with the paper's own bottleneck
 // logic: STREAM tests are limited by the slower of wire and CPU; RR
 // tests are limited by round-trip latency. The wire is calibrated so
@@ -19,8 +23,8 @@ package netperf
 import (
 	"fmt"
 	"strings"
-	"time"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/core"
 	"lxfi/internal/kernel"
 	"lxfi/internal/mem"
@@ -121,58 +125,26 @@ func (r *Rig) RxBurst(frameSize, n int) error {
 	return nil
 }
 
-// measureRounds is the number of repetitions per cost measurement; the
-// minimum is kept, which suppresses scheduler noise when the test suite
-// runs packages in parallel.
-const measureRounds = 3
+// rxBurst is how many frames one timed RX call injects and drains.
+const rxBurst = 32
 
-// MeasureTxCost returns the measured CPU cost (ns) per transmitted
-// packet (best of several rounds).
-func (r *Rig) MeasureTxCost(payload uint64, packets int) (float64, error) {
-	for i := 0; i < packets/10+1; i++ { // warmup
-		if err := r.TxPacket(payload); err != nil {
-			return 0, err
-		}
+// txRun is one TX path's run for benchio.Interleave: ns per packet
+// over packets transmissions.
+func (r *Rig) txRun(payload uint64, packets int) func() (float64, error) {
+	return func() (float64, error) {
+		return benchio.PerOp(packets, func(int) error { return r.TxPacket(payload) })
 	}
-	best := 0.0
-	for round := 0; round < measureRounds; round++ {
-		start := time.Now()
-		for i := 0; i < packets; i++ {
-			if err := r.TxPacket(payload); err != nil {
-				return 0, err
-			}
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(packets)
-		if best == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best, nil
 }
 
-// MeasureRxCost returns the measured CPU cost (ns) per received packet
-// (best of several rounds).
-func (r *Rig) MeasureRxCost(frameSize, packets int) (float64, error) {
-	if err := r.RxBurst(frameSize, packets/10+1); err != nil {
-		return 0, err
+// rxRun is one RX path's run for benchio.Interleave: ns per packet over
+// at least packets receptions, in bursts.
+func (r *Rig) rxRun(frameSize, packets int) func() (float64, error) {
+	return func() (float64, error) {
+		ns, err := benchio.PerOp((packets+rxBurst-1)/rxBurst, func(int) error {
+			return r.RxBurst(frameSize, rxBurst)
+		})
+		return ns / rxBurst, err
 	}
-	const burst = 32
-	best := 0.0
-	for round := 0; round < measureRounds; round++ {
-		start := time.Now()
-		done := 0
-		for done < packets {
-			if err := r.RxBurst(frameSize, burst); err != nil {
-				return 0, err
-			}
-			done += burst
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(done)
-		if best == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best, nil
 }
 
 // Costs holds measured per-packet CPU costs for both builds.
@@ -184,37 +156,35 @@ type Costs struct {
 	Metrics *core.MetricsSnapshot
 }
 
-// MeasureCosts measures all path costs on fresh rigs.
+// MeasureCosts measures the four path costs on a stock and an enforced
+// rig booted side by side, all sampled in one benchio.Interleave.
 func MeasureCosts(packets int) (*Costs, error) {
-	c := &Costs{
-		TxTCP: map[core.Mode]float64{},
-		TxUDP: map[core.Mode]float64{},
-		RxTCP: map[core.Mode]float64{},
-		RxUDP: map[core.Mode]float64{},
+	stock, err := NewRig(core.Off)
+	if err != nil {
+		return nil, err
 	}
-	for _, mode := range []core.Mode{core.Off, core.Enforce} {
-		rig, err := NewRig(mode)
-		if err != nil {
-			return nil, err
-		}
-		if c.TxTCP[mode], err = rig.MeasureTxCost(TCPPayload, packets); err != nil {
-			return nil, err
-		}
-		if c.TxUDP[mode], err = rig.MeasureTxCost(UDPPayload, packets); err != nil {
-			return nil, err
-		}
-		if c.RxTCP[mode], err = rig.MeasureRxCost(TCPPayload, packets); err != nil {
-			return nil, err
-		}
-		if c.RxUDP[mode], err = rig.MeasureRxCost(UDPPayload, packets); err != nil {
-			return nil, err
-		}
-		if mode == core.Enforce {
-			m := rig.K.Sys.Metrics()
-			c.Metrics = &m
-		}
+	defer stock.K.Shutdown()
+	lxfi, err := NewRig(core.Enforce)
+	if err != nil {
+		return nil, err
 	}
-	return c, nil
+	defer lxfi.K.Shutdown()
+	// Twins sit side by side, and so do the enforced UDP RX run and the
+	// stock UDP TX run: BuildTable calibrates the wire from the latter
+	// and sets the former against it.
+	ns, err := benchio.Interleave(
+		stock.txRun(TCPPayload, packets), lxfi.txRun(TCPPayload, packets),
+		stock.rxRun(TCPPayload, packets), lxfi.rxRun(TCPPayload, packets),
+		stock.rxRun(UDPPayload, packets), lxfi.rxRun(UDPPayload, packets),
+		stock.txRun(UDPPayload, packets), lxfi.txRun(UDPPayload, packets))
+	if err != nil {
+		return nil, err
+	}
+	pair := func(k int) map[core.Mode]float64 {
+		return map[core.Mode]float64{core.Off: ns[k], core.Enforce: ns[k+1]}
+	}
+	m := lxfi.K.Sys.Metrics()
+	return &Costs{TxTCP: pair(0), RxTCP: pair(2), RxUDP: pair(4), TxUDP: pair(6), Metrics: &m}, nil
 }
 
 // Row is one line of the Fig. 12 table.
@@ -384,7 +354,8 @@ type GuardCostSet struct {
 }
 
 // GuardCosts measures the cost of each guard type with dedicated
-// microloops (enforced build minus stock build where applicable).
+// microloops (enforced build minus stock build where applicable), all
+// sampled in one benchio.Interleave.
 func GuardCosts() (*GuardCostSet, error) {
 	const iters = 20000
 	out := &GuardCostSet{}
@@ -427,16 +398,6 @@ func GuardCosts() (*GuardCostSet, error) {
 		return th, m, mem.Addr(buf), nil
 	}
 
-	timeCall := func(th *core.Thread, m *core.Module, fn string) (float64, error) {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := th.CallModule(m, fn); err != nil {
-				return 0, err
-			}
-		}
-		return float64(time.Since(start).Nanoseconds()) / iters, nil
-	}
-
 	thOff, mOff, _, err := build(core.Off)
 	if err != nil {
 		return nil, err
@@ -445,46 +406,14 @@ func GuardCosts() (*GuardCostSet, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	emptyOff, err := timeCall(thOff, mOff, "empty")
-	if err != nil {
-		return nil, err
+	call := func(th *core.Thread, m *core.Module, fn string) func() (float64, error) {
+		return func() (float64, error) {
+			return benchio.PerOp(iters, func(int) error {
+				_, err := th.CallModule(m, fn)
+				return err
+			})
+		}
 	}
-	emptyOn, err := timeCall(thOn, mOn, "empty")
-	if err != nil {
-		return nil, err
-	}
-	wrapper := emptyOn - emptyOff
-	if wrapper < 0 {
-		wrapper = 0
-	}
-	// Split the wrapper cost between entry (principal resolution +
-	// shadow push) and exit, weighted toward entry as in the paper
-	// (16 vs 14 ns).
-	out.EntryNs = wrapper * 0.55
-	out.ExitNs = wrapper * 0.45
-
-	storeOff, err := timeCall(thOff, mOff, "store")
-	if err != nil {
-		return nil, err
-	}
-	storeOn, err := timeCall(thOn, mOn, "store")
-	if err != nil {
-		return nil, err
-	}
-	out.MemWriteNs = max0(storeOn - storeOff - wrapper)
-
-	annotOff, err := timeCall(thOff, mOff, "annot")
-	if err != nil {
-		return nil, err
-	}
-	annotOn, err := timeCall(thOn, mOn, "annot")
-	if err != nil {
-		return nil, err
-	}
-	// annot does one nested kernel call (one more wrapper) with one
-	// check action.
-	out.AnnotationNs = max0(annotOn - annotOff - 2*wrapper)
 
 	// Indirect calls: fast path (kernel-owned slot) vs slow path
 	// (module-writable slot).
@@ -492,27 +421,40 @@ func GuardCosts() (*GuardCostSet, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer rig.K.Shutdown()
 	fastSlot, slowSlot, err := rig.NdoOpenSlots()
 	if err != nil {
 		return nil, err
 	}
-	timeInd := func(slot mem.Addr) (float64, error) {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := rig.Th.IndirectCall(slot, netstack.NdoOpen, uint64(rig.Drv.Dev)); err != nil {
-				return 0, err
-			}
+	ind := func(slot mem.Addr) func() (float64, error) {
+		return func() (float64, error) {
+			return benchio.PerOp(iters, func(int) error {
+				_, err := rig.Th.IndirectCall(slot, netstack.NdoOpen, uint64(rig.Drv.Dev))
+				return err
+			})
 		}
-		return float64(time.Since(start).Nanoseconds()) / iters, nil
 	}
-	fast, err := timeInd(fastSlot)
+
+	ns, err := benchio.Interleave(
+		call(thOff, mOff, "empty"), call(thOn, mOn, "empty"),
+		call(thOff, mOff, "store"), call(thOn, mOn, "store"),
+		call(thOff, mOff, "annot"), call(thOn, mOn, "annot"),
+		ind(fastSlot), ind(slowSlot))
 	if err != nil {
 		return nil, err
 	}
-	slow, err := timeInd(slowSlot)
-	if err != nil {
-		return nil, err
-	}
+	emptyOff, emptyOn, storeOff, storeOn, annotOff, annotOn, fast, slow :=
+		ns[0], ns[1], ns[2], ns[3], ns[4], ns[5], ns[6], ns[7]
+	wrapper := max0(emptyOn - emptyOff)
+	// Split the wrapper cost between entry (principal resolution +
+	// shadow push) and exit, weighted toward entry as in the paper
+	// (16 vs 14 ns).
+	out.EntryNs = wrapper * 0.55
+	out.ExitNs = wrapper * 0.45
+	out.MemWriteNs = max0(storeOn - storeOff - wrapper)
+	// annot does one nested kernel call (one more wrapper) with one
+	// check action.
+	out.AnnotationNs = max0(annotOn - annotOff - 2*wrapper)
 	out.IndCallFastNs = max0(fast - emptyOn)
 	out.IndCallSlowNs = max0(slow - emptyOn)
 	return out, nil

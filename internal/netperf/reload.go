@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/core"
 )
 
@@ -23,8 +24,8 @@ type ReloadCosts struct {
 	Reloads int                   // reloads performed per mode
 	Workers int                   // concurrent TX worker threads
 	Packets map[core.Mode]int     // packets the workers pushed during the phase
-	Quiesce map[core.Mode]float64 // mean ns waiting for in-flight crossings
-	Total   map[core.Mode]float64 // mean ns for the whole reload
+	Quiesce map[core.Mode]float64 // median ns waiting for in-flight crossings
+	Total   map[core.Mode]float64 // median ns for the whole reload
 	// Migrated counts the per-instance capabilities replayed into the
 	// fresh generation on the last enforced reload.
 	Migrated int
@@ -79,7 +80,7 @@ func measureReloadMode(mode core.Mode, out *ReloadCosts) error {
 		time.Sleep(100 * time.Microsecond)
 	}
 
-	var quiesce, total float64
+	var quiesce, total []float64
 	for i := 0; i < reloadRounds; i++ {
 		st, err := rig.Ld.Reload(rig.Th, "e1000")
 		if err != nil {
@@ -89,8 +90,8 @@ func measureReloadMode(mode core.Mode, out *ReloadCosts) error {
 			}
 			return fmt.Errorf("netperf: reload %d (%s): %w", i, mode, err)
 		}
-		quiesce += float64(st.QuiesceNs)
-		total += float64(st.TotalNs)
+		quiesce = append(quiesce, float64(st.QuiesceNs))
+		total = append(total, float64(st.TotalNs))
 		if mode == core.Enforce {
 			out.Migrated = st.Migrated
 		}
@@ -109,8 +110,8 @@ func measureReloadMode(mode core.Mode, out *ReloadCosts) error {
 			mode, n, rig.K.Sys.Mon.LastViolation())
 	}
 	out.Packets[mode] = int(packets.Load())
-	out.Quiesce[mode] = quiesce / reloadRounds
-	out.Total[mode] = total / reloadRounds
+	out.Quiesce[mode] = benchio.Median(quiesce)
+	out.Total[mode] = benchio.Median(total)
 	return nil
 }
 
@@ -135,10 +136,6 @@ func MeasureReload() (*ReloadCosts, error) {
 // FormatReload renders the hot-reload phase line.
 func FormatReload(r *ReloadCosts) string {
 	stock, lxfi := r.Total[core.Off], r.Total[core.Enforce]
-	overhead := 0.0
-	if stock > 0 {
-		overhead = 100 * (lxfi - stock) / stock
-	}
 	return fmt.Sprintf("%-20s %9.0f ns %12.0f ns %7.0f%%  (%d reloads under TX traffic, %d caps migrated)\n",
-		"hot reload", stock, lxfi, overhead, r.Reloads, r.Migrated)
+		"hot reload", stock, lxfi, benchio.Overhead(stock, lxfi), r.Reloads, r.Migrated)
 }

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lxfi/internal/benchio"
 	"lxfi/internal/core"
 	"lxfi/internal/mem"
 )
@@ -44,12 +45,6 @@ const (
 	StreamAckEvery = 4
 
 	streamReloads = 2
-
-	// streamRounds is the repetitions per timed transfer (best kept);
-	// more than the other phases' measureRounds because the CPU-ratio
-	// gate on this phase is absolute, so noise cannot be averaged away
-	// by a relative baseline.
-	streamRounds = 5
 )
 
 // roundStreamSegs rounds a segment count up to the ack cadence.
@@ -65,7 +60,8 @@ type StreamingCosts struct {
 
 	// BytesPerSec is batched-path goodput per build.
 	BytesPerSec map[core.Mode]float64
-	// CPURatio is enforced time / stock time for the batched transfer.
+	// CPURatio is the batched transfer's median enforced time over its
+	// median stock time.
 	CPURatio float64
 
 	// Crossings per byte under enforcement, per data path.
@@ -242,9 +238,10 @@ func runStream(rig *Rig, peer *streamPeer, segments int, batch bool) (time.Durat
 	return elapsed, nil
 }
 
-// MeasureStreaming runs the streaming phase: timed batched transfers on
-// both builds, crossings/byte for both data paths under enforcement,
-// and the reload-under-streaming sub-phase.
+// MeasureStreaming runs the streaming phase: batched transfers timed on
+// a stock and an enforced rig booted side by side and sampled with
+// benchio.Interleave, crossings/byte for both data paths under
+// enforcement, and the reload-under-streaming sub-phase.
 func MeasureStreaming(segments int) (*StreamingCosts, error) {
 	segments = roundStreamSegs(segments)
 	out := &StreamingCosts{
@@ -256,52 +253,48 @@ func MeasureStreaming(segments int) (*StreamingCosts, error) {
 	}
 	bytes := float64(segments) * StreamSegBytes
 
-	for _, mode := range []core.Mode{core.Off, core.Enforce} {
-		rig, err := NewRig(mode)
-		if err != nil {
-			return nil, err
-		}
-		peer := attachPeer(rig)
-		// Warmup: populate the check cache and the batch arrays.
-		if _, err := runStream(rig, peer, segments/10+1, true); err != nil {
-			return nil, err
-		}
-		var best time.Duration
-		for round := 0; round < streamRounds; round++ {
-			elapsed, err := runStream(rig, peer, segments, true)
-			if err != nil {
-				return nil, err
-			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		out.BytesPerSec[mode] = bytes / best.Seconds()
-
-		if mode == core.Enforce {
-			// Crossings per byte, measured over one transfer per path.
-			for _, batch := range []bool{false, true} {
-				before := rig.K.Sys.Mon.Stats.Snapshot()
-				if _, err := runStream(rig, peer, segments, batch); err != nil {
-					return nil, err
-				}
-				d := rig.K.Sys.Mon.Stats.Snapshot().Sub(before)
-				perByte := float64(d.FuncEntries) / bytes
-				if batch {
-					out.BatchCrossingsPerByte = perByte
-				} else {
-					out.PerPktCrossingsPerByte = perByte
-				}
-			}
-			if n := len(rig.K.Sys.Mon.Violations()); n != 0 {
-				return nil, fmt.Errorf("netperf: streaming (%s): %d violations: %v",
-					mode, n, rig.K.Sys.Mon.LastViolation())
-			}
-		}
-		rig.K.Shutdown()
+	stock, err := NewRig(core.Off)
+	if err != nil {
+		return nil, err
 	}
-	if lx := out.BytesPerSec[core.Enforce]; lx > 0 {
-		out.CPURatio = out.BytesPerSec[core.Off] / lx
+	defer stock.K.Shutdown()
+	lxfi, err := NewRig(core.Enforce)
+	if err != nil {
+		return nil, err
+	}
+	defer lxfi.K.Shutdown()
+	run := func(rig *Rig, peer *streamPeer) func() (float64, error) {
+		return func() (float64, error) {
+			elapsed, err := runStream(rig, peer, segments, true)
+			return elapsed.Seconds(), err
+		}
+	}
+	peer := attachPeer(lxfi)
+	secs, err := benchio.Interleave(run(stock, attachPeer(stock)), run(lxfi, peer))
+	if err != nil {
+		return nil, err
+	}
+	out.BytesPerSec[core.Off] = bytes / secs[0]
+	out.BytesPerSec[core.Enforce] = bytes / secs[1]
+	out.CPURatio = secs[1] / secs[0]
+
+	// Crossings per byte, measured over one transfer per path.
+	for _, batch := range []bool{false, true} {
+		before := lxfi.K.Sys.Mon.Stats.Snapshot()
+		if _, err := runStream(lxfi, peer, segments, batch); err != nil {
+			return nil, err
+		}
+		d := lxfi.K.Sys.Mon.Stats.Snapshot().Sub(before)
+		perByte := float64(d.FuncEntries) / bytes
+		if batch {
+			out.BatchCrossingsPerByte = perByte
+		} else {
+			out.PerPktCrossingsPerByte = perByte
+		}
+	}
+	if n := len(lxfi.K.Sys.Mon.Violations()); n != 0 {
+		return nil, fmt.Errorf("netperf: streaming (%s): %d violations: %v",
+			core.Enforce, n, lxfi.K.Sys.Mon.LastViolation())
 	}
 
 	for _, mode := range []core.Mode{core.Off, core.Enforce} {

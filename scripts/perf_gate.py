@@ -11,8 +11,10 @@ The gate loops over the current report's declared gates and knows no
 report, phase or field by name. A gated value fails when it is missing,
 below its inclusive `min`, above its inclusive `max`, or, for a `rel`
 gate, more than `rel` (a fraction) over the previous run's value. With
-no previous report, a previous report in another shape, or no positive
-previous value for the path, only the relative check is skipped.
+no previous report, a previous report in another shape, a previous
+report taken with other `params` (sizes, sampler, host shape: its
+numbers measure something else), or no positive previous value for the
+path, only the relative check is skipped.
 
 Usage:
     perf_gate.py PREV.json CURRENT.json       # one report
@@ -37,14 +39,16 @@ def pair_files(prev, cur):
         yield os.path.basename(cur), (prev if os.path.isfile(prev) else None), cur
 
 
-def load_values(path):
-    """The values map of a report, or {} when there is none to compare."""
+def load_report(path):
+    """The (params, values) of a report; both {} when there is none to compare."""
     if path is None:
-        return {}
+        return {}, {}
     with open(path) as f:
         doc = json.load(f)
     values = doc.get("values")
-    return values if isinstance(values, dict) else {}
+    if not isinstance(values, dict):
+        return {}, {}
+    return doc.get("params") or {}, values
 
 
 def check(gates, values, prev):
@@ -92,16 +96,21 @@ def main(argv):
         print("== %s ==" % name)
         if is_summary:
             try:
-                summary(load_values(cpath), load_values(ppath))
+                summary(load_report(cpath)[1], load_report(ppath)[1])
             except (OSError, ValueError) as err:
                 print("   (unreadable: %s)" % err)
             print()
             continue
-        prev = load_values(ppath)
-        if not prev:
-            print("   (no previous values; relative checks skipped)")
+        prev_params, prev = load_report(ppath)
         with open(cpath) as f:
             doc = json.load(f)
+        params = doc.get("params") or {}
+        differ = sorted(k for k in set(params) | set(prev_params) if params.get(k) != prev_params.get(k))
+        if not prev:
+            print("   (no previous values; relative checks skipped)")
+        elif differ:
+            print("   (params differ from the previous report: %s; relative checks skipped)" % ", ".join(differ))
+            prev = {}
         gates = doc.get("gates")
         if not gates:
             print("   FAIL: the report declares no gates")

@@ -82,6 +82,22 @@ class PerfGateTest(unittest.TestCase):
         self.assertIn("over previous", out)
         self.assertEqual(self.gate(self.mutated("a/stock_ns", 129.0), prev=REPORT)[0], 0)
 
+    def test_equal_params_apply_rel(self):
+        code, out = self.gate(self.mutated("a/stock_ns", 131.0), prev=copy.deepcopy(REPORT))
+        self.assertEqual(code, 1)
+        self.assertIn("over previous", out)
+        self.assertNotIn("params differ", out)
+
+    def test_different_params_skip_only_rel(self):
+        prev = copy.deepcopy(REPORT)
+        prev["params"] = {"iters": 20, "samples": 5}
+        code, out = self.gate(self.mutated("a/stock_ns", 1000.0), prev=prev)
+        self.assertEqual(code, 0)
+        self.assertIn("params differ from the previous report: iters, samples", out)
+        self.assertEqual(self.gate(self.mutated("a/stock_ns", 0.0), prev=prev)[0], 1)
+        self.assertEqual(self.gate(self.mutated("b/ratio", 1.51), prev=prev)[0], 1)
+        self.assertEqual(self.gate(self.mutated("a/allocs_per_op", 0.02), prev=prev)[0], 1)
+
     def test_ungated_value_is_not_checked(self):
         self.assertEqual(self.gate(self.mutated("b/note", 1e9), prev=REPORT)[0], 0)
 
