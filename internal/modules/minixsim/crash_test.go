@@ -208,13 +208,14 @@ func TestPowerCutEveryJournalWrite(t *testing.T) {
 
 			for n := 0; n <= len(log); n++ {
 				img := blockdev.ReplayPrefix(initial, log, n)
-				_, bl2, v2, th2 := boot(t, core.Enforce)
+				fs2, bl2, v2, th2 := boot(t, core.Enforce)
 				bl2.AddDisk(1, minixsim.DiskSectors)
 				copy(bl2.DiskBytes(1), img)
 				sb2, err := v2.Mount(th2, minixsim.FsID, 1)
 				if err != nil {
 					t.Fatalf("cut after %d/%d writes: remount failed: %v", n, len(log), err)
 				}
+				fs2.CheckIndex(t, sb2)
 				got := probeState(t, v2, th2, sb2, sc.probes)
 				switch {
 				case sameState(got, pre), sameState(got, post):
@@ -282,7 +283,7 @@ func TestPowerCutNeverDuplicatesName(t *testing.T) {
 // table (records grouped by target extent), and data written through
 // one name is visible through the other after a cold remount.
 func TestHardlinksSurviveRemount(t *testing.T) {
-	_, bl, v, th := boot(t, core.Enforce)
+	fs, bl, v, th := boot(t, core.Enforce)
 	bl.AddDisk(1, minixsim.DiskSectors)
 	sb, err := v.Mount(th, minixsim.FsID, 1)
 	if err != nil {
@@ -306,6 +307,7 @@ func TestHardlinksSurviveRemount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs.CheckIndex(t, sb)
 	for _, p := range []string{"/orig", "/alias"} {
 		got, err := v.Read(th, sb, p, 0, uint64(len("linked payload")))
 		if err != nil || string(got) != "linked payload" {
@@ -324,6 +326,7 @@ func TestHardlinksSurviveRemount(t *testing.T) {
 	if err := v.Unlink(th, sb, "/alias"); err != nil {
 		t.Fatal(err)
 	}
+	fs.CheckIndex(t, sb)
 	if _, nlink, err := v.Stat(th, sb, "/orig"); err != nil || nlink != 1 {
 		t.Fatalf("nlink after unlink = %d (%v), want 1", nlink, err)
 	}
@@ -395,7 +398,8 @@ func TestRenameFlagsSemantics(t *testing.T) {
 // writeback flusher persists dirty pages through the same mount lock
 // and journal buffers.
 func TestConcurrentJournaledRenamesVsFlusher(t *testing.T) {
-	k, bl, v, th := boot(t, core.Enforce)
+	fs, bl, v, th := boot(t, core.Enforce)
+	k := fs.K
 	defer k.Shutdown()
 	bl.AddDisk(1, minixsim.DiskSectors)
 	sb, err := v.Mount(th, minixsim.FsID, 1)

@@ -13,6 +13,13 @@
 // a remount recovers everything from the disk alone — the in-memory
 // dirent list is just the mounted-state cache of the table.
 //
+// Each mount also indexes its dirents twice, by name and by inode, in
+// bucket chains hung off one table of chain heads, so lookup, rename,
+// unlink, exchange and writepage read one chain instead of the whole
+// list. The indexes live only in the mounted filesystem: recovery
+// rebuilds them through addDirent, and they are never written to disk,
+// so the disk format, the journal and replay are unchanged by them.
+//
 // Like tmpfssim, the module ships a deliberate compromise vector: the
 // CmdTamper ioctl arms a corrupted writepage that scribbles on the page
 // it is asked to persist. writepage only ever receives a REF capability,
@@ -24,6 +31,8 @@ package minixsim
 
 import (
 	"bytes"
+	"math/bits"
+	"slices"
 
 	"lxfi/internal/blockdev"
 	"lxfi/internal/core"
@@ -86,6 +95,10 @@ const (
 	// RootSlot is the parent value of records living directly under the
 	// mount root (the root inode itself has no extent slot).
 	RootSlot = MaxSlots
+	// Buckets is the chain-head count of each of a mount's two dirent
+	// indexes: one per slot, so even a full disk averages one entry per
+	// chain.
+	Buckets = MaxSlots
 )
 
 // Directory-table record field offsets. A record is one directory
@@ -175,6 +188,9 @@ func Load(t *core.Thread, k *kernel.Kernel, v *vfs.VFS) (*FS, error) {
 	fs := &FS{K: k, V: v}
 	fs.deLay = defineOnce(k, Dirent,
 		layout.F("next", 8),
+		layout.F("prev", 8),  // mount-list back link: an unlink splices without a walk
+		layout.F("hnext", 8), // next entry on this entry's name chain
+		layout.F("inext", 8), // next entry on this entry's inode chain
 		layout.F("dir", 8),
 		layout.F("inode", 8),
 		layout.F("slot", 8),    // directory-table slot backing this entry
@@ -192,6 +208,7 @@ func Load(t *core.Thread, k *kernel.Kernel, v *vfs.VFS) (*FS, error) {
 		layout.F("jbuf", 8),   // module-owned journal-sector buffer
 		layout.F("txid", 8),   // last journal transaction id handed out
 		layout.F("tamper", 8), // nonzero once CmdTamper armed the compromise
+		layout.F("index", 8),  // 2*Buckets chain heads: name chains, then inode chains
 	)
 
 	m, err := k.Sys.LoadModule(core.ModuleSpec{
@@ -462,69 +479,201 @@ func (fs *FS) commitTxn(t *core.Thread, sb, priv mem.Addr, recs []jrec) bool {
 	return fs.jwriteSector(t, sb, priv, JournalStart, make([]byte, blockdev.SectorSize))
 }
 
+// nameChain returns the address of the head of name's bucket chain.
+func (fs *FS) nameChain(t *core.Thread, priv mem.Addr, name []byte) mem.Addr {
+	index, _ := t.ReadU64(fs.pvField(priv, "index"))
+	return mem.Addr(index) + mem.Addr(8*(fnv1a(name)%Buckets))
+}
+
+// inodeChain returns the address of the head of ino's bucket chain. The
+// bucket is a multiplicative hash of the inode address: the high bits of
+// the product, so the zero low bits of slab addresses do not matter.
+func (fs *FS) inodeChain(t *core.Thread, priv mem.Addr, ino uint64) mem.Addr {
+	index, _ := t.ReadU64(fs.pvField(priv, "index"))
+	b, _ := bits.Mul64(ino*0x9e3779b97f4a7c15, Buckets)
+	return mem.Addr(index) + mem.Addr(8*(Buckets+b))
+}
+
+// direntName reads an entry's name, without its NUL.
+func (fs *FS) direntName(t *core.Thread, de mem.Addr) ([]byte, error) {
+	name, err := t.ReadBytes(fs.deField(de, "name"), vfs.NameMax+1)
+	if i := bytes.IndexByte(name, 0); i >= 0 {
+		name = name[:i]
+	}
+	return name, err
+}
+
+// enchain pushes de onto the chain whose head is at head, through de's
+// link field.
+func (fs *FS) enchain(t *core.Thread, head, de mem.Addr, link string) error {
+	first, _ := t.ReadU64(head)
+	if err := t.WriteU64(fs.deField(de, link), first); err != nil {
+		return err
+	}
+	return t.WriteU64(head, uint64(de))
+}
+
+// unchain takes de off the chain whose head is at head; an entry that is
+// not on the chain is left alone.
+func (fs *FS) unchain(t *core.Thread, head, de mem.Addr, link string) error {
+	at := head
+	for {
+		cur, _ := t.ReadU64(at)
+		if cur == 0 {
+			return nil
+		}
+		if mem.Addr(cur) == de {
+			next, _ := t.ReadU64(fs.deField(de, link))
+			return t.WriteU64(at, next)
+		}
+		at = fs.deField(mem.Addr(cur), link)
+	}
+}
+
+// unlinkDirent takes de off the mount list and off its name and inode
+// chains. It also undoes a partial addDirent: a list link that never
+// happened leaves prev zero and the head elsewhere.
+func (fs *FS) unlinkDirent(t *core.Thread, priv, de mem.Addr) error {
+	prev, _ := t.ReadU64(fs.deField(de, "prev"))
+	next, _ := t.ReadU64(fs.deField(de, "next"))
+	if prev != 0 {
+		if err := t.WriteU64(fs.deField(mem.Addr(prev), "next"), next); err != nil {
+			return err
+		}
+	} else if head, _ := t.ReadU64(fs.pvField(priv, "head")); head == uint64(de) {
+		if err := t.WriteU64(fs.pvField(priv, "head"), next); err != nil {
+			return err
+		}
+	}
+	if next != 0 {
+		if err := t.WriteU64(fs.deField(mem.Addr(next), "prev"), prev); err != nil {
+			return err
+		}
+	}
+	ino, _ := t.ReadU64(fs.deField(de, "inode"))
+	name, err := fs.direntName(t, de)
+	if err != nil {
+		return err
+	}
+	if err := fs.unchain(t, fs.nameChain(t, priv, name), de, "hnext"); err != nil {
+		return err
+	}
+	return fs.unchain(t, fs.inodeChain(t, priv, ino), de, "inext")
+}
+
 // addDirent links one in-memory directory entry; returns 0 on failure.
 // slot is the directory-table slot backing the entry; recsize caches
 // the size stored in the slot's on-disk record, so writepage only
-// rewrites the record when the size actually changed.
+// rewrites the record when the size actually changed. The entry joins
+// the list and both chains only once all its fields are written.
 func (fs *FS) addDirent(t *core.Thread, priv mem.Addr, dir, ino uint64, name []byte, recsize, slot uint64) uint64 {
 	de, err := fs.gKmalloc.Call(t, fs.deLay.Size)
 	if err != nil || de == 0 {
 		return 0
 	}
-	head, _ := t.ReadU64(fs.pvField(priv, "head"))
-	if t.WriteU64(fs.deField(mem.Addr(de), "next"), head) != nil ||
-		t.WriteU64(fs.deField(mem.Addr(de), "dir"), dir) != nil ||
-		t.WriteU64(fs.deField(mem.Addr(de), "inode"), ino) != nil ||
-		t.WriteU64(fs.deField(mem.Addr(de), "slot"), slot) != nil ||
-		t.WriteU64(fs.deField(mem.Addr(de), "recsize"), recsize) != nil ||
-		t.Write(fs.deField(mem.Addr(de), "name"), append(append([]byte{}, name...), 0)) != nil ||
-		t.WriteU64(fs.pvField(priv, "head"), de) != nil {
+	d := mem.Addr(de)
+	if t.WriteU64(fs.deField(d, "dir"), dir) != nil ||
+		t.WriteU64(fs.deField(d, "inode"), ino) != nil ||
+		t.WriteU64(fs.deField(d, "slot"), slot) != nil ||
+		t.WriteU64(fs.deField(d, "recsize"), recsize) != nil ||
+		t.Write(fs.deField(d, "name"), append(append([]byte{}, name...), 0)) != nil {
 		_, _ = fs.gKfree.Call(t, de)
+		return 0
+	}
+	head, _ := t.ReadU64(fs.pvField(priv, "head"))
+	if t.WriteU64(fs.deField(d, "next"), head) != nil ||
+		(head != 0 && t.WriteU64(fs.deField(mem.Addr(head), "prev"), de) != nil) ||
+		t.WriteU64(fs.pvField(priv, "head"), de) != nil ||
+		fs.enchain(t, fs.nameChain(t, priv, name), d, "hnext") != nil ||
+		fs.enchain(t, fs.inodeChain(t, priv, ino), d, "inext") != nil {
+		if fs.unlinkDirent(t, priv, d) == nil {
+			_, _ = fs.gKfree.Call(t, de)
+		}
 		return 0
 	}
 	return de
 }
 
+// renameDirent gives de a new directory, cached record size and name,
+// and moves it to the new name's chain.
+func (fs *FS) renameDirent(t *core.Thread, priv, de mem.Addr, dir, recsize uint64, name []byte) error {
+	old, err := fs.direntName(t, de)
+	if err != nil {
+		return err
+	}
+	if err := fs.unchain(t, fs.nameChain(t, priv, old), de, "hnext"); err != nil {
+		return err
+	}
+	if err := t.WriteU64(fs.deField(de, "dir"), dir); err != nil {
+		return err
+	}
+	if err := t.WriteU64(fs.deField(de, "recsize"), recsize); err != nil {
+		return err
+	}
+	if err := t.Write(fs.deField(de, "name"), append(append([]byte{}, name...), 0)); err != nil {
+		return err
+	}
+	return fs.enchain(t, fs.nameChain(t, priv, name), de, "hnext")
+}
+
+// entryByName returns dir's entry called name, or 0, walking name's
+// chain.
+func (fs *FS) entryByName(t *core.Thread, priv mem.Addr, dir uint64, name []byte) mem.Addr {
+	cur, _ := t.ReadU64(fs.nameChain(t, priv, name))
+	for cur != 0 {
+		de := mem.Addr(cur)
+		if d, _ := t.ReadU64(fs.deField(de, "dir")); d == dir {
+			got, err := t.ReadBytes(fs.deField(de, "name"), uint64(len(name)+1))
+			if err == nil && bytes.Equal(got[:len(name)], name) && got[len(name)] == 0 {
+				return de
+			}
+		}
+		cur, _ = t.ReadU64(fs.deField(de, "hnext"))
+	}
+	return 0
+}
+
+// entryByInode returns dir's entry for inode ino, or 0, walking ino's
+// chain.
+func (fs *FS) entryByInode(t *core.Thread, priv mem.Addr, dir, ino uint64) mem.Addr {
+	cur, _ := t.ReadU64(fs.inodeChain(t, priv, ino))
+	for cur != 0 {
+		de := mem.Addr(cur)
+		got, _ := t.ReadU64(fs.deField(de, "inode"))
+		if d, _ := t.ReadU64(fs.deField(de, "dir")); got == ino && d == dir {
+			return de
+		}
+		cur, _ = t.ReadU64(fs.deField(de, "inext"))
+	}
+	return 0
+}
+
 func (fs *FS) mount(t *core.Thread, args []uint64) uint64 {
 	sb := mem.Addr(args[0])
-	priv, err := fs.gKmalloc.Call(t, fs.privLay.Size)
-	if err != nil || priv == 0 {
+	// The mount's allocations: sb-info, free-slot stack, record, bitmap
+	// and journal buffers, and the zeroed chain-head table (kmalloc
+	// zeroes). fail frees the first n of them, last first.
+	sizes := [...]uint64{fs.privLay.Size, 8 * MaxSlots, RecSize, blockdev.SectorSize, blockdev.SectorSize, 8 * 2 * Buckets}
+	var bufs [len(sizes)]uint64
+	n := 0
+	fail := func() uint64 {
+		for n > 0 {
+			n--
+			_, _ = fs.gKfree.Call(t, bufs[n])
+		}
 		return 0
 	}
-	stack, err := fs.gKmalloc.Call(t, 8*MaxSlots)
-	if err != nil || stack == 0 {
-		_, _ = fs.gKfree.Call(t, priv)
-		return 0
+	for ; n < len(sizes); n++ {
+		b, err := fs.gKmalloc.Call(t, sizes[n])
+		if err != nil || b == 0 {
+			return fail()
+		}
+		bufs[n] = b
 	}
-	recbuf, err := fs.gKmalloc.Call(t, RecSize)
-	if err != nil || recbuf == 0 {
-		_, _ = fs.gKfree.Call(t, stack)
-		_, _ = fs.gKfree.Call(t, priv)
-		return 0
-	}
-	bmbuf, err := fs.gKmalloc.Call(t, blockdev.SectorSize)
-	if err != nil || bmbuf == 0 {
-		_, _ = fs.gKfree.Call(t, recbuf)
-		_, _ = fs.gKfree.Call(t, stack)
-		_, _ = fs.gKfree.Call(t, priv)
-		return 0
-	}
-	jbuf, err := fs.gKmalloc.Call(t, blockdev.SectorSize)
-	if err != nil || jbuf == 0 {
-		_, _ = fs.gKfree.Call(t, bmbuf)
-		_, _ = fs.gKfree.Call(t, recbuf)
-		_, _ = fs.gKfree.Call(t, stack)
-		_, _ = fs.gKfree.Call(t, priv)
-		return 0
-	}
+	priv, stack, recbuf, bmbuf, jbuf, index := bufs[0], bufs[1], bufs[2], bufs[3], bufs[4], bufs[5]
 	root, err := fs.gIget.Call(t, uint64(sb))
 	if err != nil || root == 0 {
-		_, _ = fs.gKfree.Call(t, jbuf)
-		_, _ = fs.gKfree.Call(t, bmbuf)
-		_, _ = fs.gKfree.Call(t, recbuf)
-		_, _ = fs.gKfree.Call(t, stack)
-		_, _ = fs.gKfree.Call(t, priv)
-		return 0
+		return fail()
 	}
 	if t.WriteU64(fs.V.InodeField(mem.Addr(root), "mode"), vfs.ModeDir) != nil ||
 		t.WriteU64(fs.V.InodeField(mem.Addr(root), "nlink"), 2) != nil ||
@@ -538,27 +687,15 @@ func (fs *FS) mount(t *core.Thread, args []uint64) uint64 {
 		t.WriteU64(fs.pvField(mem.Addr(priv), "jbuf"), jbuf) != nil ||
 		t.WriteU64(fs.pvField(mem.Addr(priv), "txid"), 0) != nil ||
 		t.WriteU64(fs.pvField(mem.Addr(priv), "tamper"), 0) != nil ||
+		t.WriteU64(fs.pvField(mem.Addr(priv), "index"), index) != nil ||
 		t.WriteU64(fs.V.SBField(sb, "private"), priv) != nil ||
 		// Declare the per-file capacity so the VFS rejects oversized
 		// writes up front instead of caching pages that can never be
 		// persisted.
-		t.WriteU64(fs.V.SBField(sb, "maxbytes"), MaxFilePages*mem.PageSize) != nil {
+		t.WriteU64(fs.V.SBField(sb, "maxbytes"), MaxFilePages*mem.PageSize) != nil ||
+		!fs.recoverNamespace(t, sb, mem.Addr(priv)) {
 		_, _ = fs.gIput.Call(t, root)
-		_, _ = fs.gKfree.Call(t, jbuf)
-		_, _ = fs.gKfree.Call(t, bmbuf)
-		_, _ = fs.gKfree.Call(t, recbuf)
-		_, _ = fs.gKfree.Call(t, stack)
-		_, _ = fs.gKfree.Call(t, priv)
-		return 0
-	}
-	if !fs.recoverNamespace(t, sb, mem.Addr(priv)) {
-		_, _ = fs.gIput.Call(t, root)
-		_, _ = fs.gKfree.Call(t, jbuf)
-		_, _ = fs.gKfree.Call(t, bmbuf)
-		_, _ = fs.gKfree.Call(t, recbuf)
-		_, _ = fs.gKfree.Call(t, stack)
-		_, _ = fs.gKfree.Call(t, priv)
-		return 0
+		return fail()
 	}
 	return root
 }
@@ -669,7 +806,11 @@ func (fs *FS) recoverNamespace(t *core.Thread, sb, priv mem.Addr) bool {
 		parent, mode, size, target uint64
 		name                       []byte
 	}
+	// Every pass below ranges over slots or targets in ascending order,
+	// never over a map, so one disk always mounts to the same list order
+	// and inode creation order.
 	recs := make(map[uint64]*rec)
+	var slots []uint64 // the keys of recs, ascending
 	for slot := uint64(0); slot < MaxSlots; slot++ {
 		if bitmap[slot/8]&(1<<(slot%8)) == 0 {
 			continue
@@ -699,6 +840,7 @@ func (fs *FS) recoverNamespace(t *core.Thread, sb, priv mem.Addr) bool {
 		recs[slot] = &rec{parent: getU64(raw, recParent), mode: getU64(raw, recMode),
 			size: getU64(raw, recSize), target: target,
 			name: append([]byte{}, name...)}
+		slots = append(slots, slot)
 	}
 
 	// Reachability from the root, BFS over parent links: a record whose
@@ -712,8 +854,8 @@ func (fs *FS) recoverNamespace(t *core.Thread, sb, priv mem.Addr) bool {
 	// per mount until its slot is recycled.) Parent links name the
 	// parent directory's extent slot, i.e. its record's target.
 	children := make(map[uint64][]uint64)
-	for slot, r := range recs {
-		children[r.parent] = append(children[r.parent], slot)
+	for _, slot := range slots {
+		children[recs[slot].parent] = append(children[recs[slot].parent], slot)
 	}
 	reachable := make(map[uint64]bool)
 	queue := append([]uint64{}, children[RootSlot]...)
@@ -732,16 +874,24 @@ func (fs *FS) recoverNamespace(t *core.Thread, sb, priv mem.Addr) bool {
 	// Group reachable records by target extent: hardlinked entries are
 	// several records over one extent and must share one inode.
 	groups := make(map[uint64][]uint64)
-	for slot := range recs {
-		if reachable[slot] {
-			groups[recs[slot].target] = append(groups[recs[slot].target], slot)
+	var targets []uint64 // the keys of groups, ascending
+	for _, slot := range slots {
+		if !reachable[slot] {
+			continue
 		}
+		target := recs[slot].target
+		if _, ok := groups[target]; !ok {
+			targets = append(targets, target)
+		}
+		groups[target] = append(groups[target], slot)
 	}
+	slices.Sort(targets)
 	inoByTarget := make(map[uint64]uint64)
 
 	// bail releases everything a partial recovery allocated: the dirent
-	// list is unlinked and freed, every inode created so far is iput.
-	// mount's own error branch then frees priv/stack/buffers/root.
+	// list is unlinked and freed, the chain heads are cleared, every
+	// inode created so far is iput. mount's own error branch then frees
+	// priv/stack/buffers/table/root.
 	bail := func() bool {
 		cur, _ := t.ReadU64(fs.pvField(priv, "head"))
 		for cur != 0 {
@@ -750,31 +900,37 @@ func (fs *FS) recoverNamespace(t *core.Thread, sb, priv mem.Addr) bool {
 			cur = next
 		}
 		_ = t.WriteU64(fs.pvField(priv, "head"), 0)
-		for _, ino := range inoByTarget {
-			_, _ = fs.gIput.Call(t, ino)
+		index, _ := t.ReadU64(fs.pvField(priv, "index"))
+		_ = t.Zero(mem.Addr(index), 8*2*Buckets)
+		for _, target := range targets {
+			if ino, ok := inoByTarget[target]; ok {
+				_, _ = fs.gIput.Call(t, ino)
+			}
 		}
 		return false
 	}
 
 	// Pass 1: an inode per extent in use. nlink counts the records of
-	// the group; the size is the freshest any record saw (writepage
-	// folds size into the entry it finds first, so records of a group
-	// can lag — the max is the one that was persisted last).
+	// the group; the size is the freshest any record saw. writepage
+	// folds the size into every link whose cached size lags, so the
+	// records of a group lag only after a failed or torn apply — the max
+	// is the one persisted last.
 	maxUsed := int64(-1)
-	for target, slots := range groups {
+	for _, target := range targets {
+		group := groups[target]
 		ino, err := fs.gIget.Call(t, uint64(sb))
 		if err != nil || ino == 0 {
 			return bail()
 		}
 		inoByTarget[target] = ino
-		mode := recs[slots[0]].mode
+		mode := recs[group[0]].mode
 		size := uint64(0)
-		for _, s := range slots {
+		for _, s := range group {
 			if recs[s].size > size {
 				size = recs[s].size
 			}
 		}
-		nlink := uint64(len(slots))
+		nlink := uint64(len(group))
 		if mode == vfs.ModeDir {
 			nlink = 2
 		}
@@ -787,7 +943,7 @@ func (fs *FS) recoverNamespace(t *core.Thread, sb, priv mem.Addr) bool {
 		if int64(target) > maxUsed {
 			maxUsed = int64(target)
 		}
-		for _, s := range slots {
+		for _, s := range group {
 			if int64(s) > maxUsed {
 				maxUsed = int64(s)
 			}
@@ -795,10 +951,12 @@ func (fs *FS) recoverNamespace(t *core.Thread, sb, priv mem.Addr) bool {
 	}
 
 	// Pass 2: the directory entries, now that every parent inode exists.
-	for slot, r := range recs {
+	// addDirent also hangs each on its name and inode chains.
+	for _, slot := range slots {
 		if !reachable[slot] {
 			continue
 		}
+		r := recs[slot]
 		parent := root
 		if r.parent != RootSlot {
 			parent = inoByTarget[r.parent]
@@ -850,15 +1008,11 @@ func (fs *FS) killSB(t *core.Thread, args []uint64) uint64 {
 		cur = next
 	}
 	root, _ := t.ReadU64(fs.pvField(priv, "root"))
-	stack, _ := t.ReadU64(fs.pvField(priv, "freestack"))
-	recbuf, _ := t.ReadU64(fs.pvField(priv, "recbuf"))
-	bmbuf, _ := t.ReadU64(fs.pvField(priv, "bmbuf"))
-	jbuf, _ := t.ReadU64(fs.pvField(priv, "jbuf"))
 	_, _ = fs.gIput.Call(t, root)
-	_, _ = fs.gKfree.Call(t, stack)
-	_, _ = fs.gKfree.Call(t, recbuf)
-	_, _ = fs.gKfree.Call(t, bmbuf)
-	_, _ = fs.gKfree.Call(t, jbuf)
+	for _, f := range []string{"freestack", "recbuf", "bmbuf", "jbuf", "index"} {
+		buf, _ := t.ReadU64(fs.pvField(priv, f))
+		_, _ = fs.gKfree.Call(t, buf)
+	}
 	_, _ = fs.gKfree.Call(t, uint64(priv))
 	return 0
 }
@@ -944,32 +1098,6 @@ func (fs *FS) createFn(t *core.Thread, args []uint64) uint64 {
 	return ino
 }
 
-// findEntry walks the directory list for (dir, name); name == nil
-// matches on inode instead. dir == 0 matches any directory.
-func (fs *FS) findEntry(t *core.Thread, sb mem.Addr, dir uint64, name []byte, inode uint64) (entry, prev mem.Addr) {
-	priv := fs.priv(t, sb)
-	cur, _ := t.ReadU64(fs.pvField(priv, "head"))
-	for cur != 0 {
-		d, _ := t.ReadU64(fs.deField(mem.Addr(cur), "dir"))
-		if d == dir || dir == 0 {
-			if name != nil {
-				got, err := t.ReadBytes(fs.deField(mem.Addr(cur), "name"), uint64(len(name)+1))
-				if err == nil && bytes.Equal(got[:len(name)], name) && got[len(name)] == 0 {
-					return mem.Addr(cur), prev
-				}
-			} else {
-				ino, _ := t.ReadU64(fs.deField(mem.Addr(cur), "inode"))
-				if ino == inode {
-					return mem.Addr(cur), prev
-				}
-			}
-		}
-		prev = mem.Addr(cur)
-		cur, _ = t.ReadU64(fs.deField(mem.Addr(cur), "next"))
-	}
-	return 0, 0
-}
-
 func (fs *FS) lookup(t *core.Thread, args []uint64) uint64 {
 	sb, dir, name, nlen := mem.Addr(args[0]), args[1], mem.Addr(args[2]), args[3]
 	if nlen > vfs.NameMax {
@@ -979,7 +1107,7 @@ func (fs *FS) lookup(t *core.Thread, args []uint64) uint64 {
 	if err != nil {
 		return 0
 	}
-	de, _ := fs.findEntry(t, sb, dir, nameBytes, 0)
+	de := fs.entryByName(t, fs.priv(t, sb), dir, nameBytes)
 	if de == 0 {
 		return 0
 	}
@@ -1023,7 +1151,7 @@ func (fs *FS) rename(t *core.Thread, args []uint64) uint64 {
 		return kernel.Err(kernel.EINVAL)
 	}
 	priv := fs.priv(t, sb)
-	de, _ := fs.findEntry(t, sb, olddir, nil, inode)
+	de := fs.entryByInode(t, priv, olddir, inode)
 	if de == 0 {
 		return kernel.Err(kernel.ENOENT)
 	}
@@ -1037,9 +1165,9 @@ func (fs *FS) rename(t *core.Thread, args []uint64) uint64 {
 	size, _ := t.ReadU64(fs.V.InodeField(mem.Addr(inode), "size"))
 	txn := []jrec{{slot: slot, used: 1, parent: fs.parentSlot(t, priv, newdir),
 		mode: mode, size: size, target: target, name: nameBytes}}
-	var vde, vprev mem.Addr
+	var vde mem.Addr
 	if victim != 0 {
-		vde, vprev = fs.findEntry(t, sb, newdir, nil, victim)
+		vde = fs.entryByInode(t, priv, newdir, victim)
 		if vde == 0 {
 			return kernel.Err(kernel.ENOENT)
 		}
@@ -1049,13 +1177,11 @@ func (fs *FS) rename(t *core.Thread, args []uint64) uint64 {
 	if !fs.commitTxn(t, sb, priv, txn) {
 		return kernel.Err(kernel.EIO)
 	}
-	if t.WriteU64(fs.deField(de, "dir"), newdir) != nil ||
-		t.WriteU64(fs.deField(de, "recsize"), size) != nil ||
-		t.Write(fs.deField(de, "name"), append(nameBytes, 0)) != nil {
+	if fs.renameDirent(t, priv, de, newdir, size, nameBytes) != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	if victim != 0 {
-		return fs.removeLinkMem(t, priv, vde, vprev, victim)
+		return fs.removeLinkMem(t, priv, vde, victim)
 	}
 	return 0
 }
@@ -1066,21 +1192,15 @@ func (fs *FS) rename(t *core.Thread, args []uint64) uint64 {
 func (fs *FS) exchange(t *core.Thread, args []uint64) uint64 {
 	sb, dira, inoa, dirb, inob := mem.Addr(args[0]), args[1], args[2], args[3], args[4]
 	priv := fs.priv(t, sb)
-	dea, _ := fs.findEntry(t, sb, dira, nil, inoa)
-	deb, _ := fs.findEntry(t, sb, dirb, nil, inob)
+	dea := fs.entryByInode(t, priv, dira, inoa)
+	deb := fs.entryByInode(t, priv, dirb, inob)
 	if dea == 0 || deb == 0 {
 		return kernel.Err(kernel.ENOENT)
 	}
-	namea, erra := t.ReadBytes(fs.deField(dea, "name"), vfs.NameMax+1)
-	nameb, errb := t.ReadBytes(fs.deField(deb, "name"), vfs.NameMax+1)
+	namea, erra := fs.direntName(t, dea)
+	nameb, errb := fs.direntName(t, deb)
 	if erra != nil || errb != nil {
 		return kernel.Err(kernel.EFAULT)
-	}
-	if i := bytes.IndexByte(namea, 0); i >= 0 {
-		namea = namea[:i]
-	}
-	if i := bytes.IndexByte(nameb, 0); i >= 0 {
-		nameb = nameb[:i]
 	}
 	slota, _ := t.ReadU64(fs.deField(dea, "slot"))
 	slotb, _ := t.ReadU64(fs.deField(deb, "slot"))
@@ -1099,12 +1219,8 @@ func (fs *FS) exchange(t *core.Thread, args []uint64) uint64 {
 	if !fs.commitTxn(t, sb, priv, txn) {
 		return kernel.Err(kernel.EIO)
 	}
-	if t.WriteU64(fs.deField(dea, "dir"), dirb) != nil ||
-		t.WriteU64(fs.deField(dea, "recsize"), sza) != nil ||
-		t.Write(fs.deField(dea, "name"), append(append([]byte{}, nameb...), 0)) != nil ||
-		t.WriteU64(fs.deField(deb, "dir"), dira) != nil ||
-		t.WriteU64(fs.deField(deb, "recsize"), szb) != nil ||
-		t.Write(fs.deField(deb, "name"), append(append([]byte{}, namea...), 0)) != nil {
+	if fs.renameDirent(t, priv, dea, dirb, sza, nameb) != nil ||
+		fs.renameDirent(t, priv, deb, dira, szb, namea) != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	return 0
@@ -1150,22 +1266,17 @@ func (fs *FS) link(t *core.Thread, args []uint64) uint64 {
 }
 
 // removeLinkMem tears down the in-memory side of a dead directory
-// entry whose on-disk record kill has already committed: splice the
-// dirent out, reclaim slots, and release the inode when its last link
-// died. The record slot is freed unless it doubles as the extent slot
-// of a still-linked inode; the extent slot is freed only with the last
-// link.
-func (fs *FS) removeLinkMem(t *core.Thread, priv mem.Addr, de, prev mem.Addr, inode uint64) uint64 {
+// entry whose on-disk record kill has already committed: take the
+// dirent off the list and both chains, reclaim slots, and release the
+// inode when its last link died. The record slot is freed unless it
+// doubles as the extent slot of a still-linked inode; the extent slot
+// is freed only with the last link.
+func (fs *FS) removeLinkMem(t *core.Thread, priv, de mem.Addr, inode uint64) uint64 {
 	slot, _ := t.ReadU64(fs.deField(de, "slot"))
 	target, _ := t.ReadU64(fs.V.InodeField(mem.Addr(inode), "private"))
 	mode, _ := t.ReadU64(fs.V.InodeField(mem.Addr(inode), "mode"))
 	nlink, _ := t.ReadU64(fs.V.InodeField(mem.Addr(inode), "nlink"))
-	next, _ := t.ReadU64(fs.deField(de, "next"))
-	if prev == 0 {
-		if err := t.WriteU64(fs.pvField(priv, "head"), next); err != nil {
-			return kernel.Err(kernel.EFAULT)
-		}
-	} else if err := t.WriteU64(fs.deField(prev, "next"), next); err != nil {
+	if err := fs.unlinkDirent(t, priv, de); err != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
 	if _, err := fs.gKfree.Call(t, uint64(de)); err != nil {
@@ -1193,7 +1304,7 @@ func (fs *FS) removeLinkMem(t *core.Thread, priv mem.Addr, de, prev mem.Addr, in
 func (fs *FS) unlink(t *core.Thread, args []uint64) uint64 {
 	sb, dir, inode := mem.Addr(args[0]), args[1], args[2]
 	priv := fs.priv(t, sb)
-	de, prev := fs.findEntry(t, sb, dir, nil, inode)
+	de := fs.entryByInode(t, priv, dir, inode)
 	if de == 0 {
 		return kernel.Err(kernel.ENOENT)
 	}
@@ -1203,7 +1314,7 @@ func (fs *FS) unlink(t *core.Thread, args []uint64) uint64 {
 	if !fs.commitTxn(t, sb, priv, []jrec{{slot: slot, used: 0}}) {
 		return kernel.Err(kernel.EIO)
 	}
-	return fs.removeLinkMem(t, priv, de, prev, inode)
+	return fs.removeLinkMem(t, priv, de, inode)
 }
 
 // extent returns the first sector of (inode, page idx).
@@ -1271,15 +1382,16 @@ func (fs *FS) writepage(t *core.Thread, args []uint64) uint64 {
 	// only the records whose persisted size lags (the dirent caches it),
 	// so a multi-page sync rewrites each record once, not once per page.
 	// All links must carry the size: any of them can be the survivor of
-	// a later unlink, and recovery takes the freshest size it finds. A
-	// missing entry (concurrent unlink) just skips the update.
+	// a later unlink, and recovery takes the freshest size it finds. The
+	// links are the entries for ino on its inode chain; a missing entry
+	// (concurrent unlink) just skips the update.
 	size, _ := t.ReadU64(fs.V.InodeField(ino, "size"))
 	target, _ := t.ReadU64(fs.V.InodeField(ino, "private"))
 	mode, _ := t.ReadU64(fs.V.InodeField(ino, "mode"))
-	cur, _ := t.ReadU64(fs.pvField(priv, "head"))
+	cur, _ := t.ReadU64(fs.inodeChain(t, priv, uint64(ino)))
 	for cur != 0 {
 		de := mem.Addr(cur)
-		cur, _ = t.ReadU64(fs.deField(de, "next"))
+		cur, _ = t.ReadU64(fs.deField(de, "inext"))
 		if got, _ := t.ReadU64(fs.deField(de, "inode")); got != uint64(ino) {
 			continue
 		}
@@ -1287,12 +1399,9 @@ func (fs *FS) writepage(t *core.Thread, args []uint64) uint64 {
 			continue
 		}
 		dir, _ := t.ReadU64(fs.deField(de, "dir"))
-		name, err := t.ReadBytes(fs.deField(de, "name"), vfs.NameMax+1)
+		name, err := fs.direntName(t, de)
 		if err != nil {
 			continue
-		}
-		if i := bytes.IndexByte(name, 0); i >= 0 {
-			name = name[:i]
 		}
 		slot, _ := t.ReadU64(fs.deField(de, "slot"))
 		// A same-slot size refresh is a single-sector overwrite — atomic

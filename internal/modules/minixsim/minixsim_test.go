@@ -13,17 +13,18 @@ import (
 	"lxfi/internal/vfs"
 )
 
-func boot(t *testing.T, mode core.Mode) (*kernel.Kernel, *blockdev.Layer, *vfs.VFS, *core.Thread) {
+func boot(t *testing.T, mode core.Mode) (*minixsim.FS, *blockdev.Layer, *vfs.VFS, *core.Thread) {
 	t.Helper()
 	k := kernel.New()
 	k.Sys.Mon.SetMode(mode)
 	bl := blockdev.Init(k)
 	v := vfs.Init(k, bl)
 	th := k.Sys.NewThread("test")
-	if _, err := minixsim.Load(th, k, v); err != nil {
+	fs, err := minixsim.Load(th, k, v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return k, bl, v, th
+	return fs, bl, v, th
 }
 
 func TestExtentsAreDisjoint(t *testing.T) {
@@ -139,7 +140,8 @@ func TestSlotReuseAndExhaustion(t *testing.T) {
 }
 
 func TestMountWithoutDiskFailsCleanly(t *testing.T) {
-	k, bl, v, th := boot(t, core.Enforce)
+	fs, bl, v, th := boot(t, core.Enforce)
+	k := fs.K
 	// The namespace is durable now, so a mount must scan the on-disk
 	// directory table — a nonexistent disk fails the mount itself, like
 	// a real mount(2) on a missing device, instead of limping along
