@@ -248,7 +248,7 @@ func TestCrossSubsystemPrincipalIsolation(t *testing.T) {
 	}
 	// The cross-check through the writer-set slow path: nobody outside
 	// econet appears among the grantees of its ioctl slot.
-	for _, p := range k.Sys.Caps.WriteGrantees(eco.IoctlSlot()) {
+	for _, p := range k.Sys.Caps.WriteGrantees(nil, eco.IoctlSlot()) {
 		if p.Module != "econet" {
 			t.Errorf("foreign principal %s holds WRITE on econet's ioctl slot", p)
 		}

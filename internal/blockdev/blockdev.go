@@ -161,7 +161,9 @@ func Init(k *kernel.Kernel) *Layer {
 		layout.F("map", 8),
 	)
 
-	// bio_caps: the bio struct plus its payload.
+	// bio_caps: the bio struct plus its payload. The payload comes from
+	// the bio's kernel-private payload record, not from data and
+	// truesize, which the module owning the bio can rewrite.
 	sys.RegisterIterator("bio_caps", func(t *core.Thread, args []int64, emit func(caps.Cap) error) error {
 		bio := mem.Addr(uint64(args[0]))
 		if bio == 0 {
@@ -170,10 +172,8 @@ func Init(k *kernel.Kernel) *Layer {
 		if err := emit(caps.WriteCap(bio, l.bio.Size)); err != nil {
 			return err
 		}
-		data, _ := sys.AS.ReadU64(bio + mem.Addr(l.bio.Off("data")))
-		size, _ := sys.AS.ReadU64(bio + mem.Addr(l.bio.Off("truesize")))
-		if data != 0 && size > 0 {
-			return emit(caps.WriteCap(mem.Addr(data), size))
+		if data, size := sys.Slab.Payload(bio, l.bio.Size); data != 0 && size > 0 {
+			return emit(caps.WriteCap(data, size))
 		}
 		return nil
 	})
@@ -314,16 +314,14 @@ func (l *Layer) registerExports() {
 }
 
 // AllocBio allocates a bio plus payload buffer (trusted-side helper).
+// The payload is also noted in the bio's kernel-private payload record
+// (mem.PayloadRecordSize), which bio_caps, FreeBio and doIO read.
 func (l *Layer) AllocBio(size uint64) (mem.Addr, error) {
 	sys := l.K.Sys
-	bio, err := sys.Slab.Alloc(l.bio.Size)
-	if err != nil {
-		return 0, err
-	}
 	if size == 0 {
 		size = SectorSize
 	}
-	data, err := sys.Slab.Alloc(size)
+	bio, data, err := sys.Slab.AllocWithPayload(l.bio.Size, size)
 	if err != nil {
 		return 0, err
 	}
@@ -333,17 +331,11 @@ func (l *Layer) AllocBio(size uint64) (mem.Addr, error) {
 	return bio, nil
 }
 
-// FreeBio releases a bio and its payload.
+// FreeBio releases a bio and the payload AllocBio allocated for it.
 func (l *Layer) FreeBio(bio mem.Addr) {
-	if bio == 0 {
-		return
+	if bio != 0 {
+		l.K.Sys.Slab.FreeWithPayload(bio, l.bio.Size)
 	}
-	sys := l.K.Sys
-	data, _ := sys.AS.ReadU64(bio + mem.Addr(l.bio.Off("data")))
-	if data != 0 {
-		_ = sys.Slab.Free(mem.Addr(data))
-	}
-	_ = sys.Slab.Free(bio)
 }
 
 // BioField returns the address of a bio field.
@@ -500,14 +492,18 @@ func (l *Layer) SectorIO() (reads, writes uint64) {
 	return l.sectorReads.Load(), l.sectorWrites.Load()
 }
 
-// doIO executes a bio against its device.
+// doIO executes a bio against its device, moving len bytes through
+// the payload AllocBio allocated; a len past that payload is refused.
 func (l *Layer) doIO(bio mem.Addr) error {
 	as := l.K.Sys.AS
 	sector, _ := as.ReadU64(bio + mem.Addr(l.bio.Off("sector")))
-	data, _ := as.ReadU64(bio + mem.Addr(l.bio.Off("data")))
 	n, _ := as.ReadU64(bio + mem.Addr(l.bio.Off("len")))
 	rw, _ := as.ReadU64(bio + mem.Addr(l.bio.Off("rw")))
 	dev, _ := as.ReadU64(bio + mem.Addr(l.bio.Off("dev")))
+	data, size := l.K.Sys.Slab.Payload(bio, l.bio.Size)
+	if n > size {
+		return fmt.Errorf("blockdev: %d-byte I/O through a %d-byte payload", n, size)
+	}
 	disk := l.DiskBytes(dev)
 	if disk == nil {
 		return fmt.Errorf("blockdev: no disk %d", dev)
@@ -518,13 +514,13 @@ func (l *Layer) doIO(bio mem.Addr) error {
 	}
 	buf := make([]byte, n)
 	if rw == WriteBio {
-		if err := as.Read(mem.Addr(data), buf); err != nil {
+		if err := as.Read(data, buf); err != nil {
 			return err
 		}
 		return l.WriteSectors(dev, sector, buf)
 	}
 	copy(buf, disk[off:off+n])
-	return as.Write(mem.Addr(data), buf)
+	return as.Write(data, buf)
 }
 
 // CreateTarget instantiates a dm target: it allocates the dm_target,

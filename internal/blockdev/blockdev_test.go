@@ -94,3 +94,123 @@ func must(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+// bioModule loads a module that imports the bio lifecycle exports, in
+// an enforcing rig. Its one function runs body as the module.
+func bioModule(t *testing.T, body func(*core.Thread, *blockdev.Layer) uint64) (*kernel.Kernel, *blockdev.Layer, *core.Thread, *core.Module) {
+	t.Helper()
+	k, l, th := rig(t)
+	k.Sys.Mon.SetMode(core.Enforce)
+	m, err := k.Sys.LoadModule(core.ModuleSpec{
+		Name:     "biomod",
+		Imports:  []string{"bio_alloc", "bio_put", "submit_bio"},
+		DataSize: 4096,
+		Funcs: []core.FuncSpec{{Name: "run",
+			Impl: func(th *core.Thread, _ []uint64) uint64 { return body(th, l) }}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, l, th, m
+}
+
+// TestRetargetedBioReadStaysInPayload: a module that owns a bio points
+// data at a kernel object it does not own, zeroes truesize so bio_caps
+// would not name the payload, and submits a READ. The disk bytes must
+// land in the payload bio_alloc allocated, never in the object.
+func TestRetargetedBioReadStaysInPayload(t *testing.T) {
+	var victim mem.Addr
+	// The module returns the payload bio_alloc gave it, 0 on failure.
+	k, l, th, m := bioModule(t, func(th *core.Thread, l *blockdev.Layer) uint64 {
+		mod := th.CurrentModule()
+		bio, err := mod.Gate("bio_alloc").Call(th, blockdev.SectorSize)
+		if err != nil || bio == 0 {
+			return 0
+		}
+		b := mem.Addr(bio)
+		data, _ := th.ReadU64(l.BioField(b, "data"))
+		for f, v := range map[string]uint64{"truesize": 0, "data": uint64(victim),
+			"rw": blockdev.ReadBio, "dev": 1, "sector": 0} {
+			if th.WriteU64(l.BioField(b, f), v) != nil {
+				return 0
+			}
+		}
+		if ret, err := mod.Gate("submit_bio").Call(th, bio); err != nil || kernel.IsErr(ret) {
+			return 0
+		}
+		return data
+	})
+	disk := bytes.Repeat([]byte{0x5c}, blockdev.SectorSize)
+	copy(l.DiskBytes(1), disk)
+	victim, _ = k.Sys.Slab.Alloc(blockdev.SectorSize)
+	want := bytes.Repeat([]byte{0xaa}, blockdev.SectorSize)
+	must(t, k.Sys.AS.Write(victim, want))
+	data, err := th.CallModule(m, "run")
+	if err != nil || data == 0 {
+		t.Fatalf("run: data=%#x err=%v", data, err)
+	}
+	if got, _ := k.Sys.AS.ReadBytes(victim, blockdev.SectorSize); !bytes.Equal(got, want) {
+		t.Errorf("READ bio wrote disk bytes into a kernel object the module does not own: % x...", got[:8])
+	}
+	if got, _ := k.Sys.AS.ReadBytes(mem.Addr(data), blockdev.SectorSize); !bytes.Equal(got, disk) {
+		t.Errorf("READ bio did not fill its payload: % x...", got[:8])
+	}
+}
+
+// TestBioPutRevokesAllocatedPayload: bio_put frees the payload
+// bio_alloc allocated, so its transfer must strip the module's WRITE
+// over that payload even after the module zeroed truesize.
+func TestBioPutRevokesAllocatedPayload(t *testing.T) {
+	k, _, th, m := bioModule(t, func(th *core.Thread, l *blockdev.Layer) uint64 {
+		mod := th.CurrentModule()
+		bio, err := mod.Gate("bio_alloc").Call(th, blockdev.SectorSize)
+		if err != nil || bio == 0 {
+			return 0
+		}
+		data, _ := th.ReadU64(l.BioField(mem.Addr(bio), "data"))
+		if th.WriteU64(l.BioField(mem.Addr(bio), "truesize"), 0) != nil {
+			return 0
+		}
+		if _, err := mod.Gate("bio_put").Call(th, bio); err != nil {
+			return 0
+		}
+		return data
+	})
+	data, err := th.CallModule(m, "run")
+	if err != nil || data == 0 {
+		t.Fatalf("run: data=%#x err=%v", data, err)
+	}
+	if k.Sys.Slab.Owns(mem.Addr(data)) {
+		t.Fatal("bio_put left the payload allocated")
+	}
+	if w := k.Sys.Caps.WriteGrantees(nil, mem.Addr(data)); len(w) != 0 {
+		t.Fatalf("%v still hold WRITE over the freed payload", w)
+	}
+}
+
+// TestBioLenBoundedByPayload: a READ whose len runs past the payload
+// fails and leaves the next slab object unchanged.
+func TestBioLenBoundedByPayload(t *testing.T) {
+	k, l, th := rig(t)
+	bio, err := l.AllocBio(blockdev.SectorSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := k.Sys.AS.ReadU64(l.BioField(bio, "data"))
+	next, _ := k.Sys.Slab.Alloc(blockdev.SectorSize)
+	if adj, ok := k.Sys.Slab.NextObject(mem.Addr(data)); !ok || adj != next {
+		t.Fatalf("payload %#x is not followed by the object %#x", data, uint64(next))
+	}
+	want := bytes.Repeat([]byte{0xaa}, blockdev.SectorSize)
+	must(t, k.Sys.AS.Write(next, want))
+	copy(l.DiskBytes(1), bytes.Repeat([]byte{0x5c}, 2*blockdev.SectorSize))
+	for f, v := range map[string]uint64{"len": 2 * blockdev.SectorSize, "rw": blockdev.ReadBio, "dev": 1} {
+		must(t, k.Sys.AS.WriteU64(l.BioField(bio, f), v))
+	}
+	if ret, err := th.CallKernel("submit_bio", uint64(bio)); err != nil || !kernel.IsErr(ret) {
+		t.Errorf("I/O past the payload accepted: %d %v", int64(ret), err)
+	}
+	if got, _ := k.Sys.AS.ReadBytes(next, blockdev.SectorSize); !bytes.Equal(got, want) {
+		t.Fatalf("READ ran past its payload into the next object: % x...", got[:8])
+	}
+}

@@ -284,26 +284,21 @@ func (p *Principal) owns(c Cap) bool {
 	return false
 }
 
-// revokeScratch pools the victim list WRITE revocation collects, so the
-// transfer-heavy crossing paths stay allocation-free.
-type revokeScratch struct{ victims []writeEntry }
-
-var revokeScratchPool = sync.Pool{New: func() any { return new(revokeScratch) }}
-
 // revokeOverlap removes capabilities matching c from p's own tables.
 // For WRITE, any entry overlapping [c.Addr, c.Addr+c.Size) is removed
 // entirely (the conservative direction: revocation may strip more than
 // requested, never less). Caller holds every shard write lock for WRITE
 // (victims may extend into shards outside the revoked range), or the
-// single covering shard lock for REF/CALL.
-func (p *Principal) revokeOverlap(c Cap) bool {
+// single covering shard lock for REF/CALL. A WRITE revocation collects
+// its victims in *scratch, whose backing array the caller keeps, so
+// the transfer-heavy crossing paths stay allocation-free.
+func (p *Principal) revokeOverlap(c Cap, scratch *[]writeEntry) bool {
 	switch c.Kind {
 	case Write:
 		if c.Size == 0 {
 			return false
 		}
-		sc := revokeScratchPool.Get().(*revokeScratch)
-		victims := sc.victims[:0]
+		victims := (*scratch)[:0]
 		p.eachWriteShard(c.Addr, c.Size, func(sh *prinShard) {
 			victims = sh.writes.appendOverlap(c.Addr, c.Size, victims)
 		})
@@ -327,8 +322,7 @@ func (p *Principal) revokeOverlap(c Cap) bool {
 				}
 			})
 		}
-		sc.victims = victims[:0]
-		revokeScratchPool.Put(sc)
+		*scratch = victims[:0]
 		return removed
 	case Ref:
 		sh := &p.shards[p.shardIdx(c.Addr)]
@@ -601,6 +595,11 @@ type System struct {
 	// the epoch they were filled under and treat any mismatch as a miss,
 	// so no revoked capability is ever served from a cache.
 	epoch atomic.Uint64
+
+	// victims is WRITE revocation's scratch list. Revoke and RevokeAll
+	// use it only while they hold every shard's write lock (revokeBits),
+	// which serializes its users.
+	victims []writeEntry
 
 	regMu   sync.RWMutex
 	modules map[string]*ModuleSet
@@ -901,7 +900,7 @@ func (s *System) Revoke(p *Principal, c Cap) {
 	}
 	bits := s.revokeBits(c)
 	s.lockShards(bits)
-	p.revokeOverlap(c)
+	p.revokeOverlap(c, &s.victims)
 	s.unlockShards(bits)
 	s.bumpEpoch()
 }
@@ -923,7 +922,7 @@ func (s *System) RevokeAll(c Cap) int {
 	prins := *s.prins.Load()
 	n := 0
 	for _, p := range prins {
-		if p.revokeOverlap(c) {
+		if p.revokeOverlap(c, &s.victims) {
 			n++
 		}
 	}
@@ -932,16 +931,15 @@ func (s *System) RevokeAll(c Cap) int {
 	return n
 }
 
-// grantees traverses the principal snapshot (already in stable order)
-// and collects those whose own table holds probe.
-func (s *System) grantees(probe Cap) []*Principal {
+// appendGrantees traverses the principal snapshot (already in stable
+// order) and appends those whose own table holds probe to out.
+func (s *System) appendGrantees(out []*Principal, probe Cap) []*Principal {
 	sh := &s.shards[s.shardOf(probe.Addr)]
 	sh.mu.RLock()
 	// Snapshot after the lock, for the same reason as RevokeAll: a
 	// writer granted before our acquisition must be visible to the
 	// writer-set sweep behind indirect-call CFI.
 	prins := *s.prins.Load()
-	var out []*Principal
 	for _, p := range prins {
 		if p.owns(probe) {
 			out = append(out, p)
@@ -956,13 +954,15 @@ func (s *System) grantees(probe Cap) []*Principal {
 // REF handoff returns (e.g. the VFS writepage path), no module principal
 // should appear here for the page.
 func (s *System) RefGrantees(typ string, addr mem.Addr) []*Principal {
-	return s.grantees(RefCap(typ, addr))
+	return s.appendGrantees(nil, RefCap(typ, addr))
 }
 
-// WriteGrantees returns every principal that directly holds a WRITE
-// capability covering addr. This is the slow path of writer-set
-// tracking: "the actual contents of non-empty writer sets is computed by
+// WriteGrantees appends to dst every principal that directly holds a
+// WRITE capability covering addr, and returns the extended slice; a
+// caller that keeps the slice and passes it back truncated sweeps
+// without allocating. This is the slow path of writer-set tracking:
+// "the actual contents of non-empty writer sets is computed by
 // traversing a global list of principals" (§5).
-func (s *System) WriteGrantees(addr mem.Addr) []*Principal {
-	return s.grantees(WriteCap(addr, 1))
+func (s *System) WriteGrantees(dst []*Principal, addr mem.Addr) []*Principal {
+	return s.appendGrantees(dst, WriteCap(addr, 1))
 }

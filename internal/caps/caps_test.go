@@ -226,15 +226,15 @@ func TestWriteGrantees(t *testing.T) {
 	addr := mem.Addr(0xffff880000004000)
 	s.Grant(a.Shared(), WriteCap(addr, 64))
 	s.Grant(b.Instance(0x7), WriteCap(addr+32, 8))
-	got := s.WriteGrantees(addr + 32)
+	got := s.WriteGrantees(nil, addr+32)
 	if len(got) != 2 {
 		t.Fatalf("grantees = %v", got)
 	}
-	got = s.WriteGrantees(addr + 63)
+	got = s.WriteGrantees(nil, addr+63)
 	if len(got) != 1 || got[0] != a.Shared() {
 		t.Fatalf("grantees at +63 = %v", got)
 	}
-	if len(s.WriteGrantees(addr+64)) != 0 {
+	if len(s.WriteGrantees(nil, addr+64)) != 0 {
 		t.Fatal("no grantee expected past end")
 	}
 }

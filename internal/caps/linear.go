@@ -61,7 +61,8 @@ func (l *LinearWriteSet) Len() int { return len(l.entries) }
 // sharding the live system uses — with the same interface, for
 // side-by-side benchmarking against the linear baseline.
 type BucketWriteSet struct {
-	p *Principal
+	p       *Principal
+	victims []writeEntry
 }
 
 // NewBucketWriteSet returns an empty bucketed set.
@@ -81,5 +82,5 @@ func (b *BucketWriteSet) Check(addr mem.Addr, size uint64) bool {
 
 // RevokeOverlap removes overlapping entries.
 func (b *BucketWriteSet) RevokeOverlap(addr mem.Addr, size uint64) bool {
-	return b.p.revokeOverlap(WriteCap(addr, size))
+	return b.p.revokeOverlap(WriteCap(addr, size), &b.victims)
 }

@@ -109,7 +109,7 @@ func TestEpochAdvancesOnMutation(t *testing.T) {
 	step("Grant", true, func() { s.Grant(p, c) })
 	step("Check", false, func() { s.Check(p, c) })
 	step("OwnsDirectly", false, func() { s.OwnsDirectly(p, c) })
-	step("WriteGrantees", false, func() { s.WriteGrantees(c.Addr) })
+	step("WriteGrantees", false, func() { s.WriteGrantees(nil, c.Addr) })
 	step("Revoke", true, func() { s.Revoke(p, c) })
 	step("Grant2", true, func() { s.Grant(p, c) })
 	step("RevokeAll", true, func() { s.RevokeAll(c) })

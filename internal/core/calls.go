@@ -283,34 +283,30 @@ func (t *Thread) callModuleDecl(m *Module, fn *FuncDecl, ft *FPtrType, args []ui
 // rewriter has replaced `(*slot)(args...)` with a checked call that
 // passes the *address of the original function pointer* (Fig. 5), so the
 // runtime can consult the writer set for that slot.
-// Hot kernel-side callers should bind an IndGate at init instead
-// (gate.go); this path repeats the type lookup per call.
+// Hot kernel-side callers call through the registered type instead
+// (FPtrType.Call, gate.go); this path repeats the type lookup per call.
 func (t *Thread) IndirectCall(slot mem.Addr, typeName string, args ...uint64) (uint64, error) {
 	ft, ok := t.Sys.FPtrType(typeName)
 	if !ok {
 		panic("core: indirect call through unregistered fptr type " + typeName)
 	}
-	target, err := t.Sys.AS.ReadU64(slot)
-	if err != nil {
-		return 0, fmt.Errorf("core: indirect call: cannot load pointer at %#x: %v", uint64(slot), err)
-	}
-	fn, err := t.checkIndTarget(slot, mem.Addr(target), ft, t.mon.Enforcing())
-	if err != nil {
-		return 0, err
-	}
 	frame, base := t.pushArgs(args)
-	ret, err := t.dispatchFn(fn, ft, frame)
+	ret, err := t.indirectCall(slot, ft, frame)
 	t.popArgs(base)
 	return ret, err
 }
 
-// checkIndTarget is the checked body shared by IndirectCall and the
-// IndGate entry. Under enforcement it runs the writer-set check on the
-// slot, then resolves the target to its declaration. enforcing is the
-// caller's one reading of the mode: a gate caches the result under
-// that reading, so the check must have run under it too.
-func (t *Thread) checkIndTarget(slot, target mem.Addr, ft *FPtrType, enforcing bool) (*FuncDecl, error) {
-	if enforcing {
+// indirectCall is the kernel-side indirect-call body behind
+// IndirectCall and FPtrType.Call: load the slot, run the writer-set
+// check under enforcement, resolve the target, and dispatch to it.
+func (t *Thread) indirectCall(slot mem.Addr, ft *FPtrType, args []uint64) (uint64, error) {
+	v, err := t.Sys.AS.ReadU64(slot)
+	if err != nil {
+		return 0, fmt.Errorf("core: indirect call: cannot load pointer at %#x: %v", uint64(slot), err)
+	}
+	target := mem.Addr(v)
+	fn, _ := t.Sys.FuncByAddr(target)
+	if t.mon.Enforcing() {
 		t.Sys.Mon.Stats.IndCallAll.Add(1)
 		// Fast path: if no principal was ever granted WRITE access to the
 		// slot since it was last zeroed, no module can have supplied the
@@ -318,36 +314,50 @@ func (t *Thread) checkIndTarget(slot, target mem.Addr, ft *FPtrType, enforcing b
 		// tracking). The ablation flag forces the slow path everywhere.
 		if t.Sys.Mon.DisableWriterSetOpt || !t.Sys.WST.Empty(slot) {
 			t.Sys.Mon.Stats.IndCallSlow.Add(1)
-			if err := t.checkIndCallSlow(slot, target, ft); err != nil {
-				return nil, err
+			if err := t.checkIndCallSlow(slot, target, fn, ft); err != nil {
+				return 0, err
 			}
 		}
 	}
-	fn, ok := t.Sys.FuncByAddr(target)
-	if !ok {
+	switch {
+	case fn == nil:
 		// A wild pointer: in the real kernel this is an oops (or, if the
 		// attacker mapped the page, arbitrary code execution — modeled by
 		// RegisterUserFuncAt).
-		return nil, fmt.Errorf("core: kernel oops: indirect call to invalid address %#x", uint64(target))
+		return 0, fmt.Errorf("core: kernel oops: indirect call to invalid address %#x", uint64(target))
+	case fn.IsUser():
+		// The kernel jumping to user-mapped code: the exploit payload runs
+		// with full kernel privilege. (Under Enforce this is unreachable
+		// for module-supplied pointers; the slow-path check rejects it.)
+		return t.runBody(fn, args, nil, nil, nil, nil)
+	case fn.IsKernel():
+		return t.callKernelDecl(fn, args)
+	case fn.owner == nil:
+		return 0, fmt.Errorf("core: function %s belongs to unloaded module", fn)
+	default:
+		// Enter through the declaration's own generation. While a reload
+		// replaces it, the entry protocol parks the crossing there and
+		// follows the successor only once CompleteReload publishes it,
+		// capabilities migrated. A by-name lookup would find the fresh
+		// generation as soon as it loads and run it before the migration,
+		// without the old generation's capabilities.
+		return t.callModuleDecl(fn.owner, fn, ft, args)
 	}
-	return fn, nil
 }
 
 // checkIndCallSlow validates a module-writable function-pointer slot:
 // every principal that could have written the slot must hold a CALL
 // capability for the target, and the target's annotations must match the
-// slot type's annotations.
-func (t *Thread) checkIndCallSlow(slot, target mem.Addr, ft *FPtrType) error {
-	writers := t.Sys.Caps.WriteGrantees(slot)
-	if len(writers) == 0 {
-		// Conservative bitmap said non-empty but no live grantee; treat
-		// as kernel-written and allow.
-		return nil
-	}
-	fn, known := t.Sys.FuncByAddr(target)
-	for _, w := range writers {
+// slot type's annotations. fn is the target's declaration, nil when the
+// target is no function. The grantees are collected into the thread's
+// own slice, so the check allocates nothing once that slice has grown.
+func (t *Thread) checkIndCallSlow(slot, target mem.Addr, fn *FuncDecl, ft *FPtrType) error {
+	// An empty sweep means the conservative bitmap said non-empty but no
+	// principal holds WRITE over the slot any more: kernel-written.
+	t.writers = t.csys.WriteGrantees(t.writers[:0], slot)
+	for _, w := range t.writers {
 		blame, _ := t.Sys.Module(w.Module)
-		if !known {
+		if fn == nil {
 			return t.violationAt(blame, w, "indcall", target,
 				fmt.Sprintf("module-writable slot %#x points to non-function address %#x",
 					uint64(slot), uint64(target)))
@@ -369,68 +379,6 @@ func (t *Thread) checkIndCallSlow(slot, target mem.Addr, ft *FPtrType) error {
 	return nil
 }
 
-// dispatchFn transfers control to fn, the resolved target of a
-// kernel-side indirect call through a slot of type ft.
-func (t *Thread) dispatchFn(fn *FuncDecl, ft *FPtrType, args []uint64) (uint64, error) {
-	switch {
-	case fn.IsUser():
-		// The kernel jumping to user-mapped code: the exploit payload runs
-		// with full kernel privilege. (Under Enforce this is unreachable
-		// for module-supplied pointers; the slow-path check rejects it.)
-		return t.runBody(fn, args, nil, nil, nil, nil)
-	case fn.IsKernel():
-		return t.callKernelDecl(fn, args)
-	default:
-		// Enter through the declaration's own generation. While a reload
-		// replaces it, the entry protocol parks the crossing there and
-		// follows the successor only once CompleteReload publishes it,
-		// capabilities migrated. A by-name lookup would find the fresh
-		// generation as soon as it loads and run it before the migration,
-		// without the old generation's capabilities.
-		m := fn.owner
-		if m == nil {
-			return 0, fmt.Errorf("core: function %s belongs to unloaded module", fn)
-		}
-		return t.callModuleDecl(m, fn, ft, args)
-	}
-}
-
-// indirectCallGate is the bound IndGate entry: IndirectCall plus the
-// per-gate (slot → target) cache. A hit must match the slot, the
-// loaded target value, the enforcement mode, and the capability epoch;
-// any capability mutation (grant, revoke, module load/unload/retire,
-// instance drop) bumps the epoch and invalidates every entry, exactly
-// like the per-thread check caches. A valid hit skips the writer-set
-// probe, the grantee sweep, and the System.mu function lookups — the
-// last registry read lock on the kernel-side indirect hot path.
-func (t *Thread) indirectCallGate(g *IndGate, slot mem.Addr, args []uint64) (uint64, error) {
-	target, err := t.Sys.AS.ReadU64(slot)
-	if err != nil {
-		return 0, fmt.Errorf("core: indirect call: cannot load pointer at %#x: %v", uint64(slot), err)
-	}
-	enforcing := t.mon.Enforcing()
-
-	idx := (uint64(slot) >> 3) & (indCacheSlots - 1)
-	// The epoch is read before the checks run: a mutation racing the
-	// fill leaves the stored entry already stale.
-	epoch := t.csys.Epoch()
-	if e := g.cache[idx].Load(); e != nil && e.slot == slot && e.target == target &&
-		e.enforcing == enforcing && e.epoch == epoch {
-		if enforcing {
-			t.Sys.Mon.Stats.IndCallAll.Add(1)
-			t.Sys.Mon.Stats.IndCacheHits.Add(1)
-		}
-		return t.dispatchFn(e.fn, g.ft, args)
-	}
-
-	fn, err := t.checkIndTarget(slot, mem.Addr(target), g.ft, enforcing)
-	if err != nil {
-		return 0, err
-	}
-	g.cache[idx].Store(&indCacheEnt{slot: slot, target: target, epoch: epoch, enforcing: enforcing, fn: fn})
-	return t.dispatchFn(fn, g.ft, args)
-}
-
 // CallAddr is the module-side indirect call: module code invoking a
 // function pointer (e.g. a kernel-provided callback) of declared type
 // typeName. The module rewriter instruments these sites so the runtime
@@ -446,7 +394,7 @@ func (t *Thread) CallAddr(target mem.Addr, typeName string, args ...uint64) (uin
 	return ret, err
 }
 
-// callAddrFT is CallAddr past type resolution (IndGate.CallAddr lands
+// callAddrFT is CallAddr past type resolution (FPtrType.CallAddr lands
 // here).
 func (t *Thread) callAddrFT(target mem.Addr, ft *FPtrType, args []uint64) (uint64, error) {
 	fn, known := t.Sys.FuncByAddr(target)
@@ -468,7 +416,7 @@ func (t *Thread) callAddrFT(target mem.Addr, ft *FPtrType, args []uint64) (uint6
 		return t.callKernelDecl(fn, args)
 	}
 	if fn.owner != nil {
-		// The declaration's own generation, for the reason dispatchFn
+		// The declaration's own generation, for the reason indirectCall
 		// gives.
 		return t.callModuleDecl(fn.owner, fn, nil, args)
 	}

@@ -114,7 +114,7 @@ func TestConcurrentCapabilityChurn(t *testing.T) {
 	}
 	// Closing property: a system-wide revoke leaves no grantee behind.
 	sys.Caps.RevokeAll(contended)
-	if got := sys.Caps.WriteGrantees(region); len(got) != 0 {
+	if got := sys.Caps.WriteGrantees(nil, region); len(got) != 0 {
 		t.Fatalf("region still granted to %v after RevokeAll", got)
 	}
 	if sys.Caps.Check(m.Set.Shared(), caps.WriteCap(region, 8)) {

@@ -10,17 +10,20 @@
 // slice allocation — the arguments are copied onto the thread's
 // crossing stack (pushArgs), so the caller's slice never escapes.
 //
+// The kernel-side analogue for indirect calls is the registered
+// function-pointer type itself: a substrate keeps the *FPtrType its
+// RegisterFPtrType call returned and calls through FPtrType.Call.
+//
 // Gates do not weaken isolation: the CALL capability check, the
-// annotation programs, and the shadow stack still run on every
-// mediated crossing exactly as they do for the string-keyed paths
-// (CallKernel / IndirectCall), which remain for cold callers, tests,
-// and exploit payloads. A gate only removes the per-call resolution
-// cost the paper moves to bind time.
+// annotation programs, the writer-set check, and the shadow stack still
+// run on every mediated crossing exactly as they do for the
+// string-keyed paths (CallKernel / IndirectCall), which remain for cold
+// callers, tests, and exploit payloads. A gate only removes the
+// per-call resolution cost the paper moves to bind time.
 package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"lxfi/internal/mem"
 )
@@ -80,68 +83,23 @@ func (g *Gate) Call(t *Thread, args ...uint64) (uint64, error) {
 	return ret, err
 }
 
-// IndGate is a bound indirect-call interface: a pre-resolved
-// function-pointer type. Kernel substrates bind one per interface slot
-// at init (System.BindIndirect) so the per-crossing path never repeats
-// the string-keyed type lookup.
-//
-// Each gate also carries a small direct-mapped (slot → target) cache
-// validated against the capability epoch and the enforcement mode
-// (calls.go, indirectCallGate): once a slot's full writer-set check
-// has passed, repeat crossings through the same unchanged slot skip
-// the writer-set probe, the grantee sweep, and the System.mu registry
-// lookups. Entries are immutable and swapped atomically, so gates are
-// safe to share between threads.
-type IndGate struct {
-	ft    *FPtrType
-	cache [indCacheSlots]atomic.Pointer[indCacheEnt]
-}
-
-// indCacheSlots is the per-gate cache size; slots of one interface
-// hash by address, so a gate serving a handful of live objects keeps
-// them all resident.
-const indCacheSlots = 8
-
-// indCacheEnt is one validated (slot → resolved target) binding. All
-// fields are written before the entry is published and never mutated.
-type indCacheEnt struct {
-	slot      mem.Addr
-	target    uint64
-	epoch     uint64
-	enforcing bool
-	fn        *FuncDecl
-}
-
-// BindIndirect resolves a registered function-pointer type into an
-// indirect-call gate. It panics on an unknown type, exactly as the
-// per-call IndirectCall path does — binding just moves the failure to
-// init time.
-func (s *System) BindIndirect(typeName string) *IndGate {
-	ft, ok := s.FPtrType(typeName)
-	if !ok {
-		panic("core: indirect call through unregistered fptr type " + typeName)
-	}
-	return &IndGate{ft: ft}
-}
-
-// Type returns the gate's resolved function-pointer type.
-func (g *IndGate) Type() *FPtrType { return g.ft }
-
 // Call performs the kernel-side checked indirect call through the
-// pointer stored at slot (the lxfi_check_indcall path of §4.1).
-func (g *IndGate) Call(t *Thread, slot mem.Addr, args ...uint64) (uint64, error) {
+// pointer stored at slot, a slot of type ft (the lxfi_check_indcall
+// path of §4.1). Kernel substrates keep the *FPtrType RegisterFPtrType
+// returns and call through it, so the per-crossing path never repeats
+// IndirectCall's string-keyed type lookup; both run one body.
+func (ft *FPtrType) Call(t *Thread, slot mem.Addr, args ...uint64) (uint64, error) {
 	frame, base := t.pushArgs(args)
-	ret, err := t.indirectCallGate(g, slot, frame)
+	ret, err := t.indirectCall(slot, ft, frame)
 	t.popArgs(base)
 	return ret, err
 }
 
 // CallAddr is the module-side indirect call to target, a function
-// pointer of the gate's type: Thread.CallAddr without the per-call
-// type lookup.
-func (g *IndGate) CallAddr(t *Thread, target mem.Addr, args ...uint64) (uint64, error) {
+// pointer of type ft: Thread.CallAddr without the per-call type lookup.
+func (ft *FPtrType) CallAddr(t *Thread, target mem.Addr, args ...uint64) (uint64, error) {
 	frame, base := t.pushArgs(args)
-	ret, err := t.callAddrFT(target, g.ft, frame)
+	ret, err := t.callAddrFT(target, ft, frame)
 	t.popArgs(base)
 	return ret, err
 }

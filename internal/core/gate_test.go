@@ -69,17 +69,32 @@ func TestGateCallRunsFullContract(t *testing.T) {
 // level for every crossing entry point: called warm with literal
 // arguments, none allocates. Each copies its arguments onto the
 // thread's crossing stack, so no caller's variadic slice escapes.
+//
+// The churn rows bump the capability epoch before every kernel-side
+// indirect call, as real traffic does several times per operation,
+// through a kernel-written slot (writer-set fast path) and a slot in
+// the module's data section (the slow path's grantee sweep). Each call
+// then runs its checks afresh, and still allocates nothing.
 func TestGateCallAllocationFree(t *testing.T) {
 	const annot = "pre(check(write, p, 8)) post(if (return == 0) check(write, p, 8))"
 	s, th, m, g := gateSys(t, annot)
-	s.RegisterFPtrType("sink_t", []Param{P("p", "void *"), P("n", "u64")}, annot)
-	s.RegisterFPtrType("leaf_t", []Param{P("p", "u64"), P("n", "u64")}, "")
-	sinkT, leafT := s.BindIndirect("sink_t"), s.BindIndirect("leaf_t")
+	sinkT := s.RegisterFPtrType("sink_t", []Param{P("p", "void *"), P("n", "u64")}, annot)
+	leafT := s.RegisterFPtrType("leaf_t", []Param{P("p", "u64"), P("n", "u64")}, "")
 	sink := g.Func().Addr
 	slot := s.Statics.Alloc(8, 8)
-	if err := s.AS.WriteU64(slot, uint64(m.Funcs["leaf"].Addr)); err != nil {
-		t.Fatal(err)
+	modSlot := m.Data + 64 // the module's shared principal holds WRITE here
+	for _, a := range []mem.Addr{slot, modSlot} {
+		if err := s.AS.WriteU64(a, uint64(m.Funcs["leaf"].Addr)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if !s.WST.Empty(slot) || s.WST.Empty(modSlot) {
+		t.Fatal("want one slot on each side of the writer-set check")
+	}
+	// Re-granting a capability the module already holds changes nothing
+	// but the epoch.
+	churn := caps.RefCap("epoch churn", m.Data)
+	bump := func() { s.Caps.Grant(m.Set.Shared(), churn) }
 	p := uint64(m.Data) // module owns its data section
 	for _, e := range []struct {
 		name     string
@@ -87,12 +102,16 @@ func TestGateCallAllocationFree(t *testing.T) {
 		call     func() (uint64, error)
 	}{
 		{"Gate.Call", true, func() (uint64, error) { return g.Call(th, p, 8) }},
-		{"IndGate.CallAddr", true, func() (uint64, error) { return sinkT.CallAddr(th, sink, p, 8) }},
+		{"FPtrType.CallAddr", true, func() (uint64, error) { return sinkT.CallAddr(th, sink, p, 8) }},
 		{"CallKernel", true, func() (uint64, error) { return th.CallKernel("gate_sink", p, 8) }},
 		{"CallAddr", true, func() (uint64, error) { return th.CallAddr(sink, "sink_t", p, 8) }},
-		{"IndGate.Call", false, func() (uint64, error) { return leafT.Call(th, slot, 1, 2) }},
+		{"FPtrType.Call", false, func() (uint64, error) { return leafT.Call(th, slot, 1, 2) }},
 		{"IndirectCall", false, func() (uint64, error) { return th.IndirectCall(slot, "leaf_t", 1, 2) }},
 		{"CallModule", false, func() (uint64, error) { return th.CallModule(m, "leaf", 1, 2) }},
+		{"FPtrType.Call_churn_kernel_slot", false, func() (uint64, error) { bump(); return leafT.Call(th, slot, 1, 2) }},
+		{"FPtrType.Call_churn_module_slot", false, func() (uint64, error) { bump(); return leafT.Call(th, modSlot, 1, 2) }},
+		{"IndirectCall_churn_kernel_slot", false, func() (uint64, error) { bump(); return th.IndirectCall(slot, "leaf_t", 1, 2) }},
+		{"IndirectCall_churn_module_slot", false, func() (uint64, error) { bump(); return th.IndirectCall(modSlot, "leaf_t", 1, 2) }},
 	} {
 		t.Run(e.name, func(t *testing.T) {
 			if e.inModule {

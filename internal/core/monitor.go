@@ -68,6 +68,24 @@ func (e *DegradedError) Error() string {
 
 func (e *DegradedError) Unwrap() error { return e.Err }
 
+// Degrade is the graceful-degradation boundary of a syscall entry that
+// crosses into a module: while the module is dead (killed after a
+// violation, or quarantined by the supervisor awaiting restart), err
+// wraps ErrModuleDead, and Degrade maps it to the DegradedError
+// carrying errno, the errno the substrate's syscall surface returns.
+// Every other error, and one an inner op already mapped, passes
+// through unchanged.
+func Degrade(errno int64, op string, err error) error {
+	if err == nil || !errors.Is(err, ErrModuleDead) {
+		return err
+	}
+	var d *DegradedError
+	if errors.As(err, &d) {
+		return err // already mapped by an inner op
+	}
+	return &DegradedError{Errno: errno, Op: op, Err: err}
+}
+
 // Stats counts executed guards by type, matching the guard taxonomy of
 // Figure 13. Counters are atomic so benchmark harnesses may sample them
 // concurrently.
@@ -78,7 +96,6 @@ type Stats struct {
 	MemWriteChecks    atomic.Uint64 // guards before module memory writes
 	IndCallAll        atomic.Uint64 // kernel indirect-call guards executed
 	IndCallSlow       atomic.Uint64 // ... that took the slow (non-empty writer set) path
-	IndCacheHits      atomic.Uint64 // ... answered by a bound IndGate's epoch-valid slot cache
 	PrincipalSwitches atomic.Uint64
 	CapGrants         atomic.Uint64
 	CapRevokes        atomic.Uint64
@@ -88,7 +105,9 @@ type Stats struct {
 }
 
 // Snapshot is a point-in-time copy of Stats. MetricsSnapshot embeds
-// it, so its JSON tags are the metrics registry's keys.
+// it, so its JSON tags are the metrics registry's keys. IndCacheHits
+// has no counter behind it and reads 0: kernel indirect calls have no
+// slot cache. The key stays for the metrics' existing readers.
 type Snapshot struct {
 	AnnotationActions uint64 `json:"annotation_actions"`
 	FuncEntries       uint64 `json:"func_entries"`
@@ -114,7 +133,6 @@ func (s *Stats) Snapshot() Snapshot {
 		MemWriteChecks:    s.MemWriteChecks.Load(),
 		IndCallAll:        s.IndCallAll.Load(),
 		IndCallSlow:       s.IndCallSlow.Load(),
-		IndCacheHits:      s.IndCacheHits.Load(),
 		PrincipalSwitches: s.PrincipalSwitches.Load(),
 		CapGrants:         s.CapGrants.Load(),
 		CapRevokes:        s.CapRevokes.Load(),
@@ -133,7 +151,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		MemWriteChecks:    s.MemWriteChecks - o.MemWriteChecks,
 		IndCallAll:        s.IndCallAll - o.IndCallAll,
 		IndCallSlow:       s.IndCallSlow - o.IndCallSlow,
-		IndCacheHits:      s.IndCacheHits - o.IndCacheHits,
 		PrincipalSwitches: s.PrincipalSwitches - o.PrincipalSwitches,
 		CapGrants:         s.CapGrants - o.CapGrants,
 		CapRevokes:        s.CapRevokes - o.CapRevokes,
@@ -238,7 +255,6 @@ func (m *Monitor) ResetStats() {
 	m.Stats.MemWriteChecks.Store(0)
 	m.Stats.IndCallAll.Store(0)
 	m.Stats.IndCallSlow.Store(0)
-	m.Stats.IndCacheHits.Store(0)
 	m.Stats.PrincipalSwitches.Store(0)
 	m.Stats.CapGrants.Store(0)
 	m.Stats.CapRevokes.Store(0)

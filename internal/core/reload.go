@@ -21,7 +21,7 @@
 //
 // The bind-time gate architecture is what makes this tractable: every
 // crossing enters through a small number of choke points
-// (callModuleDecl for inbound, Gate/IndGate for outbound), so quiescing
+// (callModuleDecl for inbound, Gate for outbound), so quiescing
 // the module means parking exactly those.
 package core
 
@@ -138,11 +138,11 @@ func (s *System) BeginReload(m *Module, timeout time.Duration) error {
 
 // RetireModule unpublishes a quiesced module: the name is freed for
 // the successor and the generation's capabilities are revoked (the
-// epoch bump invalidates every per-thread check cache and IndGate slot
-// cache), but — unlike UnloadModule — its function registrations stay
-// in the address registry so stale function-pointer slots still
-// resolve and can be redirected through the successor. Lock order:
-// core.System.mu before the caps locks, as in LoadModule/UnloadModule.
+// epoch bump invalidates every per-thread check cache), but — unlike
+// UnloadModule — its function registrations stay in the address
+// registry so stale function-pointer slots still resolve and can be
+// redirected through the successor. Lock order: core.System.mu before
+// the caps locks, as in LoadModule/UnloadModule.
 func (s *System) RetireModule(m *Module) {
 	s.mu.Lock()
 	if cur, ok := s.modules[m.Name]; ok && cur == m {

@@ -58,8 +58,9 @@ func moduleSlot(tb testing.TB, f *fixture, m *core.Module) mem.Addr {
 
 // TestSubstitutedIndirectCall: a parameter-less handler reached
 // through an ops.handler slot runs as Instance(dev) on every kernel-side
-// indirect path — the module-written slot (writer-set slow path), a
-// bound IndGate cold and warm, and a kernel-written slot (fast path).
+// indirect path — the module-written slot (writer-set slow path) by
+// name and through the registered type, and a kernel-written slot
+// (fast path).
 func TestSubstitutedIndirectCall(t *testing.T) {
 	f := newFixture(t, core.Enforce)
 	m := loadSubstModule(t, f, "subst", runsAs)
@@ -88,14 +89,16 @@ func TestSubstitutedIndirectCall(t *testing.T) {
 		}
 	})
 
-	t.Run("indgate", func(t *testing.T) {
-		g := f.sys.BindIndirect("ops.handler")
-		for i, hits := range []uint64{0, 1} {
+	t.Run("fptrtype", func(t *testing.T) {
+		g, _ := f.sys.FPtrType("ops.handler")
+		// Every call through the module-written slot runs the writer-set
+		// check: nothing answers for the slot from an earlier call.
+		for i := 0; i < 2; i++ {
 			d := call(t, func(dev mem.Addr) (uint64, error) {
 				return g.Call(f.t, slot, uint64(dev), 5)
 			})
-			if d.IndCacheHits != hits {
-				t.Fatalf("call %d: %d gate cache hits, want %d", i, d.IndCacheHits, hits)
+			if d.IndCallSlow != 1 {
+				t.Fatalf("call %d: %d writer-set checks, want 1", i, d.IndCallSlow)
 			}
 		}
 		dev := uint64(f.sys.Statics.Alloc(16, 8))
@@ -167,16 +170,16 @@ func TestReloadSubstitutedIndirectCall(t *testing.T) {
 
 // TestConcurrentSubstitutedIndirectCall: threads alternate two slot
 // types with different parameter orders over one parameter-less
-// declaration, through bound gates and the by-name path. Every
-// crossing must bind dev from its own slot type's parameter list.
+// declaration, through the registered types and the by-name path.
+// Every crossing must bind dev from its own slot type's parameter list.
 func TestConcurrentSubstitutedIndirectCall(t *testing.T) {
 	f := newFixture(t, core.Enforce)
-	f.sys.RegisterFPtrType("ops.handler_rev",
+	rev := f.sys.RegisterFPtrType("ops.handler_rev",
 		[]core.Param{core.P("n", "int"), core.P("dev", "struct widget *")},
 		"principal(dev)")
+	fwd, _ := f.sys.FPtrType("ops.handler")
 	m := loadSubstModule(t, f, "subst", runsAs)
 	slot := moduleSlot(t, f, m)
-	fwd, rev := f.sys.BindIndirect("ops.handler"), f.sys.BindIndirect("ops.handler_rev")
 
 	const threads, rounds = 4, 200
 	errs := make([]error, threads)

@@ -73,6 +73,11 @@ type Thread struct {
 	iterBuf []caps.Cap
 	emit    func(caps.Cap) error
 
+	// writers is the scratch slice the writer-set slow path of kernel
+	// indirect calls collects a slot's grantees into
+	// (checkIndCallSlow), so those calls do not allocate.
+	writers []*caps.Principal
+
 	// iargBuf is the scratch slice for iterator arguments. A local
 	// array would escape through the indirect iterator call, costing
 	// one heap allocation per iterator-form crossing; resolveIterCaps

@@ -67,10 +67,10 @@ type Kernel struct {
 	// ports is the simulated I/O port space (see ioport.go).
 	ports map[uint64]uint8
 
-	// Bound indirect-call gates (shm ctl, timer callbacks), resolved
-	// by ShmInit/TimerInit.
-	gShmCtl  *core.IndGate
-	gTimerFn *core.IndGate
+	// The registered function-pointer types of the shm ctl slot and
+	// timer callbacks, kept by ShmInit/TimerInit.
+	gShmCtl  *core.FPtrType
+	gTimerFn *core.FPtrType
 
 	// timer state (see timer.go).
 	timerOn     bool
@@ -535,10 +535,9 @@ const ShmOpsSlot = "shm_operations.ctl"
 // ShmInit registers the shm fptr type and default operations table; call
 // once after New when the shm subsystem is needed.
 func (k *Kernel) ShmInit() {
-	k.Sys.RegisterFPtrType(ShmOpsSlot,
+	k.gShmCtl = k.Sys.RegisterFPtrType(ShmOpsSlot,
 		[]core.Param{core.P("shm", "struct shmid_kernel *"), core.P("cmd", "int")},
 		"")
-	k.gShmCtl = k.Sys.BindIndirect(ShmOpsSlot)
 	k.Sys.RegisterKernelFunc("shm_default_ctl",
 		[]core.Param{core.P("shm", "struct shmid_kernel *"), core.P("cmd", "int")},
 		"",

@@ -34,9 +34,8 @@ func (k *Kernel) TimerInit() {
 	k.timerOn = true
 	sys := k.Sys
 
-	sys.RegisterFPtrType(TimerFnType,
+	k.gTimerFn = sys.RegisterFPtrType(TimerFnType,
 		[]core.Param{core.P("arg", "u64")}, "")
-	k.gTimerFn = sys.BindIndirect(TimerFnType)
 
 	// mod_timer(expires, fn, arg): (re)arm a timer. The module must be
 	// able to call fn itself.

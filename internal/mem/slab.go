@@ -164,6 +164,53 @@ func (s *Slab) Free(addr Addr) error {
 	return nil
 }
 
+// PayloadRecordSize is the size of the kernel-private record
+// AllocWithPayload places right after an object's struct: the address
+// and size of the payload allocated with the object (an sk_buff's or a
+// bio's data buffer). The capabilities over such an object span only
+// its struct, so a module holding WRITE over the struct can retarget
+// the struct's own payload fields but never the record. Every kernel
+// decision about the payload — what a transfer covers, what a free
+// releases, how far I/O may run — reads the record.
+const PayloadRecordSize = 16
+
+// AllocWithPayload allocates an object whose struct is hdr bytes,
+// followed by its payload record, and a payload of size bytes, and
+// records the payload in the object.
+func (s *Slab) AllocWithPayload(hdr, size uint64) (obj, data Addr, err error) {
+	if obj, err = s.Alloc(hdr + PayloadRecordSize); err != nil {
+		return 0, 0, err
+	}
+	if data, err = s.Alloc(size); err != nil {
+		_ = s.Free(obj)
+		return 0, 0, err
+	}
+	// The record lies inside the object Alloc just mapped, so these
+	// writes cannot fail.
+	_ = s.as.WriteU64(obj+Addr(hdr), uint64(data))
+	_ = s.as.WriteU64(obj+Addr(hdr)+8, size)
+	return obj, data, nil
+}
+
+// Payload returns the payload recorded in obj, whose struct is hdr
+// bytes (AllocWithPayload).
+func (s *Slab) Payload(obj Addr, hdr uint64) (Addr, uint64) {
+	data, _ := s.as.ReadU64(obj + Addr(hdr))
+	size, _ := s.as.ReadU64(obj + Addr(hdr) + 8)
+	return Addr(data), size
+}
+
+// FreeWithPayload frees obj, whose struct is hdr bytes, and then the
+// payload its record names. The object goes first: a pointer that is
+// not the base of a slab object was not made by AllocWithPayload, and
+// its record words may lie in a neighbouring object.
+func (s *Slab) FreeWithPayload(obj Addr, hdr uint64) {
+	data, _ := s.Payload(obj, hdr)
+	if s.Free(obj) == nil && data != 0 {
+		_ = s.Free(data)
+	}
+}
+
 // ObjectSize returns the usable size of the live object based at addr.
 func (s *Slab) ObjectSize(addr Addr) (uint64, bool) {
 	s.mu.Lock()

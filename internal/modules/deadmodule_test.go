@@ -1,11 +1,12 @@
 package modules_test
 
-// Dead-module VFS semantics: while a filesystem module is quarantined
+// Dead-module semantics: while a filesystem module is quarantined
 // (killed after a violation or contained panic, not yet restarted),
 // operations against its mounts fail with clean EIO-mapped errors —
 // never a hang or an escaped panic — dirty pages park in the cache, and
 // after the supervisor publishes a successor generation everything
-// drains and round-trips.
+// drains and round-trips. Socket syscalls on a dead protocol module
+// fail the same way with ENETDOWN.
 
 import (
 	"bytes"
@@ -19,6 +20,7 @@ import (
 	"lxfi/internal/kernel"
 	"lxfi/internal/mem"
 	"lxfi/internal/modules"
+	"lxfi/internal/modules/econet"
 	"lxfi/internal/modules/minixsim"
 	"lxfi/internal/modules/tmpfssim"
 )
@@ -61,20 +63,16 @@ func TestDeadFSModuleFailsCleanly(t *testing.T) {
 
 	// Every op that needs a module crossing fails promptly with the EIO
 	// mapping, ErrModuleDead still in the chain.
-	for op, call := range map[string]func() error{
-		"lookup": func() error { _, err := v.Lookup(th, sb, "/uncached"); return err },
-		"create": func() error { _, err := v.Create(th, sb, "/g"); return err },
-		"mount":  func() error { _, err := v.Mount(th, tmpfssim.FsID, 0); return err },
-	} {
-		err := call()
-		if !errors.Is(err, core.ErrModuleDead) {
-			t.Fatalf("%s on dead module: %v, want ErrModuleDead in chain", op, err)
-		}
-		var deg *core.DegradedError
-		if !errors.As(err, &deg) || deg.Errno != kernel.EIO {
-			t.Fatalf("%s on dead module: %v, want DegradedError(EIO)", op, err)
-		}
-	}
+	wantDegraded(t, kernel.EIO, map[string]func() error{
+		"lookup":  func() error { _, err := v.Lookup(th, sb, "/uncached"); return err },
+		"stat":    func() error { _, _, err := v.Stat(th, sb, "/uncached"); return err },
+		"create":  func() error { _, err := v.Create(th, sb, "/g"); return err },
+		"mount":   func() error { _, err := v.Mount(th, tmpfssim.FsID, 0); return err },
+		"rename":  func() error { return v.Rename(th, sb, "/f", sb, "/moved") },
+		"link":    func() error { return v.Link(th, sb, "/f", "/alias") },
+		"ioctl":   func() error { _, err := v.Ioctl(th, sb, 0, 0); return err },
+		"unmount": func() error { return v.Unmount(th, sb) },
+	})
 	// Cached state still serves: the page cache holds the only copy of
 	// tmpfs data and reading it needs no module crossing.
 	got, err := v.Read(th, sb, "/f", 0, uint64(len(data)))
@@ -96,6 +94,56 @@ func TestDeadFSModuleFailsCleanly(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after recovery: %q, %v", got, err)
 	}
+}
+
+// wantDegraded runs every op against a dead module and requires the
+// DegradedError mapping to errno, with ErrModuleDead still in the
+// chain.
+func wantDegraded(t *testing.T, errno int64, ops map[string]func() error) {
+	t.Helper()
+	for op, call := range ops {
+		err := call()
+		if !errors.Is(err, core.ErrModuleDead) {
+			t.Fatalf("%s on dead module: %v, want ErrModuleDead in chain", op, err)
+		}
+		var deg *core.DegradedError
+		if !errors.As(err, &deg) || deg.Errno != errno {
+			t.Fatalf("%s on dead module: %v, want DegradedError(errno %d)", op, err, errno)
+		}
+	}
+}
+
+// TestDeadProtocolModuleFailsCleanly: socket syscalls on a socket of a
+// killed protocol module fail with ENETDOWN, ErrModuleDead still in
+// the chain.
+func TestDeadProtocolModuleFailsCleanly(t *testing.T) {
+	defer failpoint.DisarmAll()
+	ld, th := newLoader(t, core.Enforce)
+	if _, err := ld.Load(th, "econet"); err != nil {
+		t.Fatal(err)
+	}
+	net := ld.BC.Net
+	sock, err := net.Socket(th, econet.Family)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A contained panic at kmalloc, which econet's create calls, kills
+	// the module.
+	failpoint.Arm("kernel.entry", failpoint.Policy{Arg: "kmalloc", Panic: true, OneShot: true})
+	if _, err := net.Socket(th, econet.Family); err == nil {
+		t.Fatal("socket succeeded with a panic armed at kmalloc")
+	}
+	if m, ok := ld.Module("econet"); !ok || !m.Dead() {
+		t.Fatal("contained panic did not kill econet")
+	}
+	buf := ld.BC.K.Sys.User.Alloc(64, 8)
+	wantDegraded(t, kernel.ENETDOWN, map[string]func() error{
+		"socket":  func() error { _, err := net.Socket(th, econet.Family); return err },
+		"bind":    func() error { _, err := net.Bind(th, sock, buf, 8); return err },
+		"sendmsg": func() error { _, err := net.Sendmsg(th, sock, buf, 16, 0); return err },
+		"recvmsg": func() error { _, err := net.Recvmsg(th, sock, buf, 16, 0); return err },
+		"ioctl":   func() error { _, err := net.Ioctl(th, sock, econet.SIOCSIFADDR, uint64(buf)); return err },
+	})
 }
 
 func TestDirtyPagesParkAcrossModuleDeath(t *testing.T) {

@@ -3,6 +3,7 @@ package minixsim_test
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand/v2"
 	"path"
 	"slices"
@@ -123,10 +124,18 @@ func TestDirProbeCostIndependentOfSize(t *testing.T) {
 	lookupSmall, renameSmall := costs(small)
 	lookupLarge, renameLarge := costs(large)
 	t.Logf("negative lookup: %v allocations; rename and back: %v", lookupSmall, renameSmall)
-	if lookupLarge != lookupSmall {
+	// Exact without the race detector. Under it, sync.Pool drops
+	// objects at random, and the negative lookup builds its ENOENT
+	// error with fmt, whose printer is pooled: the counts may then
+	// differ by one allocation either way.
+	tol := 0.0
+	if raceEnabled {
+		tol = 1
+	}
+	if math.Abs(lookupLarge-lookupSmall) > tol {
 		t.Errorf("negative lookup: %v allocations at %d files, %v at %d", lookupSmall, small, lookupLarge, large)
 	}
-	if renameLarge != renameSmall {
+	if math.Abs(renameLarge-renameSmall) > tol {
 		t.Errorf("rename and back: %v allocations at %d files, %v at %d", renameSmall, small, renameLarge, large)
 	}
 }

@@ -108,22 +108,22 @@ type Stack struct {
 	sockMu    sync.Mutex
 	sockLocks map[mem.Addr]*sync.Mutex // socket -> per-instance op lock
 
-	// Bound indirect-call gates for the stack's interface slots,
-	// resolved once at Init (bind-time resolution; the per-packet and
-	// per-syscall paths never repeat the type lookup).
-	gQdiscEnq       *core.IndGate
-	gQdiscDeq       *core.IndGate
-	gStartXmit      *core.IndGate
-	gStartXmitBatch *core.IndGate
-	gNapiPoll       *core.IndGate
-	gCreate         *core.IndGate
-	gSendmsg        *core.IndGate
-	gRecvmsg        *core.IndGate
-	gBind           *core.IndGate
-	gIoctl          *core.IndGate
-	gRelease        *core.IndGate
-	// gStartXmitStrict is bound by StrictInit (strict.go).
-	gStartXmitStrict *core.IndGate
+	// The registered function-pointer types of the stack's interface
+	// slots, kept from Init so the per-packet and per-syscall indirect
+	// calls never repeat the type lookup (bind-time resolution).
+	gQdiscEnq       *core.FPtrType
+	gQdiscDeq       *core.FPtrType
+	gStartXmit      *core.FPtrType
+	gStartXmitBatch *core.FPtrType
+	gNapiPoll       *core.FPtrType
+	gCreate         *core.FPtrType
+	gSendmsg        *core.FPtrType
+	gRecvmsg        *core.FPtrType
+	gBind           *core.FPtrType
+	gIoctl          *core.FPtrType
+	gRelease        *core.FPtrType
+	// gStartXmitStrict is registered by StrictInit (strict.go).
+	gStartXmitStrict *core.FPtrType
 
 	// RxDelivered counts packets that reached the kernel via netif_rx.
 	// Guarded by backlogMu; read directly only from quiescent test
@@ -210,7 +210,7 @@ func Init(k *kernel.Kernel) *Stack {
 
 func (s *Stack) registerFPtrTypes() {
 	sys := s.K.Sys
-	sys.RegisterFPtrType(NdoStartXmit,
+	s.gStartXmit = sys.RegisterFPtrType(NdoStartXmit,
 		[]core.Param{core.P("skb", "struct sk_buff *"), core.P("dev", "struct net_device *")},
 		"principal(dev) pre(transfer(skb_caps(skb))) "+
 			"post(if (return == NETDEV_TX_BUSY) transfer(skb_caps(skb)))")
@@ -227,52 +227,39 @@ func (s *Stack) registerFPtrTypes() {
 	// completes consumed elements itself after the crossing returns, so
 	// the batch carries no per-segment grant/revoke churn. Per-element
 	// WRITE verdicts ride the per-thread check cache in DrainTx.
-	sys.RegisterFPtrType(NdoStartXmitBatch,
+	s.gStartXmitBatch = sys.RegisterFPtrType(NdoStartXmitBatch,
 		[]core.Param{core.P("skbs", "u64 *"), core.P("n", "u64"), core.P("dev", "struct net_device *")},
 		"principal(dev) pre(check(skb_array_caps(skbs, n)))")
 	sys.RegisterFPtrType(NdoOpen,
 		[]core.Param{core.P("dev", "struct net_device *")}, "principal(dev)")
 	sys.RegisterFPtrType(NdoStop,
 		[]core.Param{core.P("dev", "struct net_device *")}, "principal(dev)")
-	sys.RegisterFPtrType(NapiPollType,
+	s.gNapiPoll = sys.RegisterFPtrType(NapiPollType,
 		[]core.Param{core.P("dev", "struct net_device *"), core.P("budget", "int")},
 		"principal(dev)")
-	sys.RegisterFPtrType(QdiscEnq,
+	s.gQdiscEnq = sys.RegisterFPtrType(QdiscEnq,
 		[]core.Param{core.P("qdisc", "struct Qdisc *"), core.P("skb", "struct sk_buff *")}, "")
-	sys.RegisterFPtrType(QdiscDeq,
+	s.gQdiscDeq = sys.RegisterFPtrType(QdiscDeq,
 		[]core.Param{core.P("qdisc", "struct Qdisc *")}, "")
-	sys.RegisterFPtrType(FamilyCreate,
+	s.gCreate = sys.RegisterFPtrType(FamilyCreate,
 		[]core.Param{core.P("sock", "struct socket *")},
 		"principal(sock) pre(copy(write, sock))")
-	sys.RegisterFPtrType(OpsRelease,
+	s.gRelease = sys.RegisterFPtrType(OpsRelease,
 		[]core.Param{core.P("sock", "struct socket *")}, "principal(sock)")
-	sys.RegisterFPtrType(OpsBind,
+	s.gBind = sys.RegisterFPtrType(OpsBind,
 		[]core.Param{core.P("sock", "struct socket *"), core.P("addr", "const void *"), core.P("len", "int")},
 		"principal(sock)")
-	sys.RegisterFPtrType(OpsSendmsg,
+	s.gSendmsg = sys.RegisterFPtrType(OpsSendmsg,
 		[]core.Param{core.P("sock", "struct socket *"), core.P("buf", "const void *"),
 			core.P("len", "size_t"), core.P("flags", "int")},
 		"principal(sock)")
-	sys.RegisterFPtrType(OpsRecvmsg,
+	s.gRecvmsg = sys.RegisterFPtrType(OpsRecvmsg,
 		[]core.Param{core.P("sock", "struct socket *"), core.P("buf", "void *"),
 			core.P("len", "size_t"), core.P("flags", "int")},
 		"principal(sock)")
-	sys.RegisterFPtrType(OpsIoctl,
+	s.gIoctl = sys.RegisterFPtrType(OpsIoctl,
 		[]core.Param{core.P("sock", "struct socket *"), core.P("cmd", "int"), core.P("arg", "u64")},
 		"principal(sock)")
-
-	// Bind the crossing gates for the interface slots just registered.
-	s.gQdiscEnq = sys.BindIndirect(QdiscEnq)
-	s.gQdiscDeq = sys.BindIndirect(QdiscDeq)
-	s.gStartXmit = sys.BindIndirect(NdoStartXmit)
-	s.gStartXmitBatch = sys.BindIndirect(NdoStartXmitBatch)
-	s.gNapiPoll = sys.BindIndirect(NapiPollType)
-	s.gCreate = sys.BindIndirect(FamilyCreate)
-	s.gSendmsg = sys.BindIndirect(OpsSendmsg)
-	s.gRecvmsg = sys.BindIndirect(OpsRecvmsg)
-	s.gBind = sys.BindIndirect(OpsBind)
-	s.gIoctl = sys.BindIndirect(OpsIoctl)
-	s.gRelease = sys.BindIndirect(OpsRelease)
 }
 
 func (s *Stack) registerExports() {
@@ -393,26 +380,16 @@ func (s *Stack) registerExports() {
 
 // --- sk_buff management (trusted-side helpers) ---
 
-// skbRecordSize is the kernel-private record AllocSkb places right
-// after the sk_buff struct: the payload's address and size. No skb
-// capability covers it (they span the struct's s.skb.Size bytes), so a
-// module holding WRITE over the struct can retarget head and truesize
-// but never the record, and the kernel frees and revokes exactly the
-// payload it allocated. Struct and record share one 64-byte object.
-const skbRecordSize = 16
-
 // AllocSkb allocates an sk_buff and its payload buffer in kernel
-// context.
+// context. The payload is also noted in the sk_buff's kernel-private
+// payload record (mem.PayloadRecordSize), which no skb capability
+// covers; struct and record share one 64-byte object.
 func (s *Stack) AllocSkb(size uint64) (mem.Addr, error) {
 	sys := s.K.Sys
-	skb, err := sys.Slab.Alloc(s.skb.Size + skbRecordSize)
-	if err != nil {
-		return 0, err
-	}
 	if size == 0 {
 		size = 1
 	}
-	data, err := sys.Slab.Alloc(size)
+	skb, data, err := sys.Slab.AllocWithPayload(s.skb.Size, size)
 	if err != nil {
 		return 0, err
 	}
@@ -420,21 +397,17 @@ func (s *Stack) AllocSkb(size uint64) (mem.Addr, error) {
 	must(sys.AS.WriteU64(skb+mem.Addr(s.skb.Off("head")), uint64(data)))
 	must(sys.AS.WriteU64(skb+mem.Addr(s.skb.Off("truesize")), size))
 	must(sys.AS.WriteU64(skb+mem.Addr(s.skb.Off("len")), 0))
-	must(sys.AS.WriteU64(skb+mem.Addr(s.skb.Size), uint64(data)))
-	must(sys.AS.WriteU64(skb+mem.Addr(s.skb.Size+8), size))
 	return skb, nil
 }
 
 // skbPayload returns the payload AllocSkb allocated for skb, from the
-// kernel-private record rather than the module-writable head and
-// truesize fields. Every kernel decision about an skb's payload — the
+// payload record rather than the module-writable head and truesize
+// fields. Every kernel decision about an skb's payload — the
 // capabilities its iterators emit, what TX completion revokes, what
-// FreeSkb frees — goes through here, so a transfer always covers
+// FreeSkb frees — goes through the record, so a transfer always covers
 // exactly the buffer the free releases.
 func (s *Stack) skbPayload(skb mem.Addr) (mem.Addr, uint64) {
-	data, _ := s.K.Sys.AS.ReadU64(skb + mem.Addr(s.skb.Size))
-	size, _ := s.K.Sys.AS.ReadU64(skb + mem.Addr(s.skb.Size+8))
-	return mem.Addr(data), size
+	return s.K.Sys.Slab.Payload(skb, s.skb.Size)
 }
 
 // emitSkb emits hdr, the capability over skb's header, then WRITE over
@@ -450,17 +423,10 @@ func (s *Stack) emitSkb(skb mem.Addr, hdr caps.Cap, emit func(caps.Cap) error) e
 }
 
 // FreeSkb releases an sk_buff and the payload AllocSkb allocated for
-// it. The struct goes first: a pointer that is not the base of a slab
-// object was not made by AllocSkb, and its record words may lie in a
-// neighbouring object that the header's transfer did not revoke.
+// it.
 func (s *Stack) FreeSkb(skb mem.Addr) {
-	if skb == 0 {
-		return
-	}
-	sys := s.K.Sys
-	data, _ := s.skbPayload(skb)
-	if sys.Slab.Free(skb) == nil && data != 0 {
-		_ = sys.Slab.Free(data)
+	if skb != 0 {
+		s.K.Sys.Slab.FreeWithPayload(skb, s.skb.Size)
 	}
 }
 
@@ -602,7 +568,7 @@ func (s *Stack) BacklogLen() int {
 // per-instance operation lock, the netstack analogue of a VFS mount
 // lock.
 func (s *Stack) Socket(t *core.Thread, familyID uint64) (_ mem.Addr, rerr error) {
-	defer func() { rerr = netDegrade("netstack.socket", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.ENETDOWN, "netstack.socket", rerr) }()
 	s.regMu.RLock()
 	fam, ok := s.families[familyID]
 	s.regMu.RUnlock()
@@ -656,7 +622,7 @@ func (s *Stack) sockOpSlot(sock mem.Addr, op string) (mem.Addr, error) {
 
 // Sendmsg implements sendmsg(2) for a module socket.
 func (s *Stack) Sendmsg(t *core.Thread, sock, buf mem.Addr, n, flags uint64) (_ uint64, rerr error) {
-	defer func() { rerr = netDegrade("netstack.sendmsg", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.ENETDOWN, "netstack.sendmsg", rerr) }()
 	defer s.lockSock(sock)()
 	slot, err := s.sockOpSlot(sock, "sendmsg")
 	if err != nil {
@@ -667,7 +633,7 @@ func (s *Stack) Sendmsg(t *core.Thread, sock, buf mem.Addr, n, flags uint64) (_ 
 
 // Recvmsg implements recvmsg(2).
 func (s *Stack) Recvmsg(t *core.Thread, sock, buf mem.Addr, n, flags uint64) (_ uint64, rerr error) {
-	defer func() { rerr = netDegrade("netstack.recvmsg", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.ENETDOWN, "netstack.recvmsg", rerr) }()
 	defer s.lockSock(sock)()
 	slot, err := s.sockOpSlot(sock, "recvmsg")
 	if err != nil {
@@ -678,7 +644,7 @@ func (s *Stack) Recvmsg(t *core.Thread, sock, buf mem.Addr, n, flags uint64) (_ 
 
 // Bind implements bind(2).
 func (s *Stack) Bind(t *core.Thread, sock, addr mem.Addr, n uint64) (_ uint64, rerr error) {
-	defer func() { rerr = netDegrade("netstack.bind", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.ENETDOWN, "netstack.bind", rerr) }()
 	defer s.lockSock(sock)()
 	slot, err := s.sockOpSlot(sock, "bind")
 	if err != nil {
@@ -689,7 +655,8 @@ func (s *Stack) Bind(t *core.Thread, sock, addr mem.Addr, n uint64) (_ uint64, r
 
 // Ioctl implements ioctl(2) on a socket — the kernel path both the RDS
 // and Econet exploits redirect.
-func (s *Stack) Ioctl(t *core.Thread, sock mem.Addr, cmd, arg uint64) (uint64, error) {
+func (s *Stack) Ioctl(t *core.Thread, sock mem.Addr, cmd, arg uint64) (_ uint64, rerr error) {
+	defer func() { rerr = core.Degrade(kernel.ENETDOWN, "netstack.ioctl", rerr) }()
 	defer s.lockSock(sock)()
 	slot, err := s.sockOpSlot(sock, "ioctl")
 	if err != nil {
@@ -702,7 +669,7 @@ func (s *Stack) Ioctl(t *core.Thread, sock mem.Addr, cmd, arg uint64) (uint64, e
 // runs, the socket's instance principal is discarded along with the
 // socket object, so a recycled address cannot inherit stale privileges.
 func (s *Stack) Release(t *core.Thread, sock mem.Addr) (_ uint64, rerr error) {
-	defer func() { rerr = netDegrade("netstack.release", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.ENETDOWN, "netstack.release", rerr) }()
 	unlock := s.lockSock(sock)
 	slot, err := s.sockOpSlot(sock, "release")
 	if err != nil {

@@ -35,8 +35,8 @@ const NdoStartXmitStrict = "net_device_ops.ndo_start_xmit_strict"
 // when a strict driver is in use.
 func (s *Stack) StrictInit() {
 	sys := s.K.Sys
-	if _, ok := sys.FPtrType(NdoStartXmitStrict); ok {
-		s.gStartXmitStrict = sys.BindIndirect(NdoStartXmitStrict)
+	if ft, ok := sys.FPtrType(NdoStartXmitStrict); ok {
+		s.gStartXmitStrict = ft
 		return
 	}
 
@@ -49,11 +49,10 @@ func (s *Stack) StrictInit() {
 		return s.emitSkb(skb, caps.RefCap(SkbFieldsRefType, skb), emit)
 	})
 
-	sys.RegisterFPtrType(NdoStartXmitStrict,
+	s.gStartXmitStrict = sys.RegisterFPtrType(NdoStartXmitStrict,
 		[]core.Param{core.P("skb", "struct sk_buff *"), core.P("dev", "struct net_device *")},
 		"principal(dev) pre(transfer(skb_strict_caps(skb))) "+
 			"post(if (return == NETDEV_TX_BUSY) transfer(skb_strict_caps(skb)))")
-	s.gStartXmitStrict = sys.BindIndirect(NdoStartXmitStrict)
 
 	// kfree_skb_strict: the free path matching the strict capability
 	// split — ownership is proven with REF(sk_buff fields) + payload

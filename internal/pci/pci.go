@@ -29,8 +29,9 @@ type Bus struct {
 	drivers []*driver
 	lay     *layout.Struct
 
-	// gIrq is the bound irq_handler dispatch gate.
-	gIrq *core.IndGate
+	// gIrq is the registered irq_handler type handlers are called
+	// through.
+	gIrq *core.FPtrType
 }
 
 // Device is one simulated PCI device.
@@ -106,10 +107,9 @@ func Init(k *kernel.Kernel) *Bus {
 	// handler; it must own the device and the handler must be code it
 	// could call itself ("the module should be able to provide only
 	// pointers to functions that the module itself can invoke", §2.2).
-	sys.RegisterFPtrType("irq_handler",
+	b.gIrq = sys.RegisterFPtrType("irq_handler",
 		[]core.Param{core.P("pcidev", "struct pci_dev *")},
 		"principal(pcidev)")
-	b.gIrq = sys.BindIndirect("irq_handler")
 	sys.RegisterKernelFunc("request_irq",
 		[]core.Param{core.P("pcidev", "struct pci_dev *"), core.P("handler", "irq_handler_t")},
 		"pre(check(ref(struct pci_dev), pcidev)) pre(check(call, handler))",

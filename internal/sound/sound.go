@@ -36,11 +36,11 @@ type Sound struct {
 	card *layout.Struct
 	pcm  *layout.Struct
 
-	// Bound indirect-call gates for the snd_pcm_ops slots.
-	gOpen    *core.IndGate
-	gClose   *core.IndGate
-	gTrigger *core.IndGate
-	gPointer *core.IndGate
+	// The registered function-pointer types of the snd_pcm_ops slots.
+	gOpen    *core.FPtrType
+	gClose   *core.FPtrType
+	gTrigger *core.FPtrType
+	gPointer *core.FPtrType
 }
 
 // Init builds the sound core.
@@ -61,22 +61,18 @@ func Init(k *kernel.Kernel) *Sound {
 		layout.F("pointer", 8),
 	)
 
-	sys.RegisterFPtrType(PcmOpen,
+	s.gOpen = sys.RegisterFPtrType(PcmOpen,
 		[]core.Param{core.P("card", "struct snd_card *")},
 		"principal(card) pre(copy(write, card))")
-	sys.RegisterFPtrType(PcmClose,
+	s.gClose = sys.RegisterFPtrType(PcmClose,
 		[]core.Param{core.P("card", "struct snd_card *")},
 		"principal(card)")
-	sys.RegisterFPtrType(PcmTrigger,
+	s.gTrigger = sys.RegisterFPtrType(PcmTrigger,
 		[]core.Param{core.P("card", "struct snd_card *"), core.P("cmd", "int")},
 		"principal(card)")
-	sys.RegisterFPtrType(PcmPointer,
+	s.gPointer = sys.RegisterFPtrType(PcmPointer,
 		[]core.Param{core.P("card", "struct snd_card *")},
 		"principal(card)")
-	s.gOpen = sys.BindIndirect(PcmOpen)
-	s.gClose = sys.BindIndirect(PcmClose)
-	s.gTrigger = sys.BindIndirect(PcmTrigger)
-	s.gPointer = sys.BindIndirect(PcmPointer)
 	return s
 }
 

@@ -156,7 +156,7 @@ func (v *VFS) dirNotEmpty(t *core.Thread, mnt *mount, n *dnode) (bool, error) {
 
 // Lookup resolves path to its inode address.
 func (v *VFS) Lookup(t *core.Thread, sb mem.Addr, path string) (_ mem.Addr, rerr error) {
-	defer func() { rerr = degradeFS("vfs.lookup", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.lookup", rerr) }()
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return 0, err
@@ -171,7 +171,7 @@ func (v *VFS) Lookup(t *core.Thread, sb mem.Addr, path string) (_ mem.Addr, rerr
 
 // create is the shared implementation of Create and Mkdir.
 func (v *VFS) create(t *core.Thread, sb mem.Addr, path string, mode uint64) (_ mem.Addr, rerr error) {
-	defer func() { rerr = degradeFS("vfs.create", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.create", rerr) }()
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return 0, err
@@ -222,7 +222,7 @@ func (v *VFS) Mkdir(t *core.Thread, sb mem.Addr, path string) (mem.Addr, error) 
 // (via iput, dropping its page-cache pages), then the kernel drops the
 // dentry.
 func (v *VFS) Unlink(t *core.Thread, sb mem.Addr, path string) (rerr error) {
-	defer func() { rerr = degradeFS("vfs.unlink", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.unlink", rerr) }()
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return err
@@ -286,7 +286,7 @@ func (v *VFS) dirEmpty(t *core.Thread, mnt *mount, dir mem.Addr) (bool, error) {
 // The dentry cache cannot answer this — it only holds what was already
 // looked up — so enumeration always reflects the module's own table.
 func (v *VFS) Readdir(t *core.Thread, sb mem.Addr, path string) (_ []DirEntry, rerr error) {
-	defer func() { rerr = degradeFS("vfs.readdir", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.readdir", rerr) }()
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return nil, err
@@ -356,7 +356,8 @@ func (v *VFS) Rename(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB mem.A
 // Because cross-mount renames are rejected before any lock is taken,
 // RenameFlags only ever holds one mount lock — no two-mount ordering
 // issue.
-func (v *VFS) RenameFlags(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB mem.Addr, dstPath string, flags uint64) error {
+func (v *VFS) RenameFlags(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB mem.Addr, dstPath string, flags uint64) (rerr error) {
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.rename", rerr) }()
 	if v.mountOf(srcSB) == nil {
 		return fmt.Errorf("vfs: not a mounted superblock: %#x", uint64(srcSB))
 	}
@@ -512,7 +513,8 @@ func (v *VFS) RenameFlags(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB 
 // Link creates newPath as an additional name (hardlink) for the inode
 // at oldPath. Directories cannot be hardlinked. The module persists the
 // new entry and bumps nlink; the kernel then adds the dentry.
-func (v *VFS) Link(t *core.Thread, sb mem.Addr, oldPath, newPath string) error {
+func (v *VFS) Link(t *core.Thread, sb mem.Addr, oldPath, newPath string) (rerr error) {
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.link", rerr) }()
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return err
@@ -598,9 +600,11 @@ func (v *VFS) relinkDentry(mnt *mount, n *dnode, newParent *dnode, newName strin
 }
 
 // Stat returns a file's size and link count from the inode cache — a
-// pure kernel-side path, no module crossing (as in Linux, where a cached
-// stat never enters the filesystem).
+// pure kernel-side path once the path is cached (as in Linux, where a
+// cached stat never enters the filesystem); a dentry-cache miss crosses
+// into the module's lookup.
 func (v *VFS) Stat(t *core.Thread, sb mem.Addr, path string) (size, nlink uint64, err error) {
+	defer func() { err = core.Degrade(kernel.EIO, "vfs.stat", err) }()
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return 0, 0, err

@@ -258,7 +258,7 @@ func (v *VFS) allocPage(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64) (m
 // bounded by the inode size. Cold pages are filled by the module;
 // everything else is a trusted kernel-side copy.
 func (v *VFS) Read(t *core.Thread, sb mem.Addr, path string, off, n uint64) (_ []byte, rerr error) {
-	defer func() { rerr = degradeFS("vfs.read", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.read", rerr) }()
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return nil, err
@@ -305,7 +305,7 @@ func (v *VFS) Read(t *core.Thread, sb mem.Addr, path string, off, n uint64) (_ [
 // contents are dead on arrival, so reading them back would only leak
 // stale bytes and pay a pointless module crossing.
 func (v *VFS) Write(t *core.Thread, sb mem.Addr, path string, off uint64, data []byte) (_ uint64, rerr error) {
-	defer func() { rerr = degradeFS("vfs.write", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.write", rerr) }()
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return 0, err
@@ -405,7 +405,7 @@ func (v *VFS) syncLocked(t *core.Thread, mnt *mount, keys []pageKey) error {
 // writepage callback (REF handoff: the module proves ownership to
 // pc_writeback but cannot modify the clean page).
 func (v *VFS) Sync(t *core.Thread, sb mem.Addr) (rerr error) {
-	defer func() { rerr = degradeFS("vfs.sync", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.sync", rerr) }()
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return err

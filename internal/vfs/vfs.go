@@ -189,22 +189,22 @@ type VFS struct {
 	lru        *list.List
 	pageBudget int
 
-	// Bound indirect-call gates, one per fs_operations slot: resolved
-	// once at Init so the per-crossing path never repeats the
-	// string-keyed function-pointer-type lookup (the §4.2 bind-time
-	// move applied to the kernel side).
-	gMount     *core.IndGate
-	gKillSB    *core.IndGate
-	gCreate    *core.IndGate
-	gLookup    *core.IndGate
-	gUnlink    *core.IndGate
-	gReaddir   *core.IndGate
-	gRename    *core.IndGate
-	gExchange  *core.IndGate
-	gLink      *core.IndGate
-	gReadPage  *core.IndGate
-	gWritePage *core.IndGate
-	gIoctl     *core.IndGate
+	// The registered function-pointer type of each fs_operations slot,
+	// kept from Init so the per-crossing path never repeats the
+	// string-keyed type lookup (the §4.2 bind-time move applied to the
+	// kernel side).
+	gMount     *core.FPtrType
+	gKillSB    *core.FPtrType
+	gCreate    *core.FPtrType
+	gLookup    *core.FPtrType
+	gUnlink    *core.FPtrType
+	gReaddir   *core.FPtrType
+	gRename    *core.FPtrType
+	gExchange  *core.FPtrType
+	gLink      *core.FPtrType
+	gReadPage  *core.FPtrType
+	gWritePage *core.FPtrType
+	gIoctl     *core.FPtrType
 
 	// Writeback flusher state (see flusher.go).
 	flushTick     atomic.Uint64
@@ -325,24 +325,24 @@ func (v *VFS) registerFPtrTypes() {
 
 	// mount fills in the superblock, so the module's instance principal
 	// (named by the superblock itself) gets write access to it.
-	sys.RegisterFPtrType(FsMount,
+	v.gMount = sys.RegisterFPtrType(FsMount,
 		[]core.Param{sbP},
 		"principal(sb) pre(copy(write, sb))")
-	sys.RegisterFPtrType(FsKillSB,
+	v.gKillSB = sys.RegisterFPtrType(FsKillSB,
 		[]core.Param{sbP}, "principal(sb)")
-	sys.RegisterFPtrType(FsCreate,
+	v.gCreate = sys.RegisterFPtrType(FsCreate,
 		[]core.Param{sbP, dirP, nameP, lenP, core.P("mode", "int")},
 		"principal(sb)")
-	sys.RegisterFPtrType(FsLookup,
+	v.gLookup = sys.RegisterFPtrType(FsLookup,
 		[]core.Param{sbP, dirP, nameP, lenP},
 		"principal(sb)")
-	sys.RegisterFPtrType(FsUnlink,
+	v.gUnlink = sys.RegisterFPtrType(FsUnlink,
 		[]core.Param{sbP, dirP, core.P("inode", "struct inode *")},
 		"principal(sb)")
 	// readdir: the module fills the kernel's name buffer with one entry
 	// per call (a dir_context-style cursor). WRITE on the buffer travels
 	// kernel -> module -> kernel, exactly like a page through readpage.
-	sys.RegisterFPtrType(FsReaddir,
+	v.gReaddir = sys.RegisterFPtrType(FsReaddir,
 		[]core.Param{sbP, dirP, core.P("pos", "u64"), core.P("buf", "void *")},
 		"principal(sb) pre(transfer(name_caps(buf))) "+
 			"post(transfer(name_caps(buf)))")
@@ -355,7 +355,7 @@ func (v *VFS) registerFPtrTypes() {
 	// crossing lets a journaling module commit the relink and the
 	// target's removal as one atomic transaction instead of exposing a
 	// crash window between two crossings.
-	sys.RegisterFPtrType(FsRename,
+	v.gRename = sys.RegisterFPtrType(FsRename,
 		[]core.Param{sbP, core.P("olddir", "struct inode *"),
 			core.P("inode", "struct inode *"), core.P("newdir", "struct inode *"),
 			nameP, lenP, core.P("victim", "struct inode *")},
@@ -365,7 +365,7 @@ func (v *VFS) registerFPtrTypes() {
 	// exchange: RENAME_EXCHANGE — two existing entries swap their
 	// (directory, name) positions atomically. Both entries and both
 	// directories must still belong to the mount's principal afterwards.
-	sys.RegisterFPtrType(FsExchange,
+	v.gExchange = sys.RegisterFPtrType(FsExchange,
 		[]core.Param{sbP, core.P("dira", "struct inode *"),
 			core.P("inoa", "struct inode *"), core.P("dirb", "struct inode *"),
 			core.P("inob", "struct inode *")},
@@ -376,40 +376,26 @@ func (v *VFS) registerFPtrTypes() {
 	// link: a new name for an existing inode (hardlink). The module
 	// bumps nlink and persists the new entry; the kernel adds the
 	// dentry afterwards.
-	sys.RegisterFPtrType(FsLink,
+	v.gLink = sys.RegisterFPtrType(FsLink,
 		[]core.Param{sbP, dirP, core.P("inode", "struct inode *"), nameP, lenP},
 		"principal(sb) post(if (return == 0) check(write, dir)) "+
 			"post(if (return == 0) check(write, inode))")
 	// readpage: WRITE ownership of the page travels kernel -> module ->
 	// kernel; a failing module keeps nothing (revoke).
-	sys.RegisterFPtrType(FsReadPage,
+	v.gReadPage = sys.RegisterFPtrType(FsReadPage,
 		[]core.Param{sbP, core.P("inode", "struct inode *"), core.P("idx", "u64"), core.P("page", "void *")},
 		"principal(sb) pre(transfer(page_caps(page))) "+
 			"post(if (return == 0) transfer(page_caps(page))) "+
 			"post(if (return != 0) revoke(page_caps(page)))")
 	// writepage: the module proves page ownership with a REF capability
 	// but cannot modify the clean page it is persisting.
-	sys.RegisterFPtrType(FsWritePage,
+	v.gWritePage = sys.RegisterFPtrType(FsWritePage,
 		[]core.Param{sbP, core.P("inode", "struct inode *"), core.P("idx", "u64"), core.P("page", "void *")},
 		"principal(sb) pre(transfer(ref(struct page), page)) "+
 			"post(transfer(ref(struct page), page))")
-	sys.RegisterFPtrType(FsIoctl,
+	v.gIoctl = sys.RegisterFPtrType(FsIoctl,
 		[]core.Param{sbP, core.P("cmd", "int"), core.P("arg", "u64")},
 		"principal(sb)")
-
-	// Bind the crossing gates for every interface slot just registered.
-	v.gMount = sys.BindIndirect(FsMount)
-	v.gKillSB = sys.BindIndirect(FsKillSB)
-	v.gCreate = sys.BindIndirect(FsCreate)
-	v.gLookup = sys.BindIndirect(FsLookup)
-	v.gUnlink = sys.BindIndirect(FsUnlink)
-	v.gReaddir = sys.BindIndirect(FsReaddir)
-	v.gRename = sys.BindIndirect(FsRename)
-	v.gExchange = sys.BindIndirect(FsExchange)
-	v.gLink = sys.BindIndirect(FsLink)
-	v.gReadPage = sys.BindIndirect(FsReadPage)
-	v.gWritePage = sys.BindIndirect(FsWritePage)
-	v.gIoctl = sys.BindIndirect(FsIoctl)
 }
 
 func (v *VFS) registerExports() {
@@ -563,7 +549,7 @@ func (v *VFS) lockMount(sb mem.Addr) (*mount, error) {
 // instance principal, and roots the dentry cache at the inode the module
 // returns.
 func (v *VFS) Mount(t *core.Thread, fsid, dev uint64) (_ mem.Addr, rerr error) {
-	defer func() { rerr = degradeFS("vfs.mount", rerr) }()
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.mount", rerr) }()
 	v.mu.RLock()
 	ft, ok := v.filesystems[fsid]
 	v.mu.RUnlock()
@@ -636,7 +622,8 @@ func (v *VFS) Mount(t *core.Thread, fsid, dev uint64) (_ mem.Addr, rerr error) {
 // Unmount runs the module's kill_sb, then reclaims every dentry, inode,
 // and page of the mount and discards the mount's instance principal so a
 // recycled superblock address cannot inherit stale privileges.
-func (v *VFS) Unmount(t *core.Thread, sb mem.Addr) error {
+func (v *VFS) Unmount(t *core.Thread, sb mem.Addr) (rerr error) {
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.unmount", rerr) }()
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return err
@@ -669,7 +656,8 @@ func (v *VFS) Unmount(t *core.Thread, sb mem.Addr) error {
 
 // Ioctl dispatches a filesystem-specific control operation through the
 // module-writable ioctl slot.
-func (v *VFS) Ioctl(t *core.Thread, sb mem.Addr, cmd, arg uint64) (uint64, error) {
+func (v *VFS) Ioctl(t *core.Thread, sb mem.Addr, cmd, arg uint64) (_ uint64, rerr error) {
+	defer func() { rerr = core.Degrade(kernel.EIO, "vfs.ioctl", rerr) }()
 	mnt, err := v.lockMount(sb)
 	if err != nil {
 		return 0, err

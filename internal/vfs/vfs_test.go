@@ -168,7 +168,7 @@ func TestPageOwnershipReturns(t *testing.T) {
 	if r.k.Sys.Caps.OwnsDirectly(prin, caps.WriteCap(pg, mem.PageSize)) {
 		t.Fatal("mount principal retained WRITE on a clean page-cache page")
 	}
-	if got := r.k.Sys.Caps.WriteGrantees(pg); len(got) != 0 {
+	if got := r.k.Sys.Caps.WriteGrantees(nil, pg); len(got) != 0 {
 		t.Fatalf("page still write-granted to %v", got)
 	}
 	if got := r.k.Sys.Caps.RefGrantees(vfs.PageRef, pg); len(got) != 0 {

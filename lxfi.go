@@ -68,8 +68,9 @@ type (
 	// Gate is a bound module→kernel crossing (resolved at load time;
 	// one variadic, allocation-free Call).
 	Gate = core.Gate
-	// IndGate is a bound indirect-call interface for kernel substrates.
-	IndGate = core.IndGate
+	// FPtrType is an annotated function-pointer type; kernel
+	// substrates make their checked indirect calls through it.
+	FPtrType = core.FPtrType
 	// Cap is a WRITE/REF/CALL capability.
 	Cap = caps.Cap
 	// Addr is a simulated virtual address.
