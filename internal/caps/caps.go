@@ -123,8 +123,20 @@ func (w writeEntry) covers(addr mem.Addr, size uint64) bool {
 	return w.addr <= addr && addr <= end && end <= w.addr+mem.Addr(w.size)
 }
 
+// overlaps reports whether w shares a byte with [addr, addr+size). An
+// empty range overlaps nothing.
 func (w writeEntry) overlaps(addr mem.Addr, size uint64) bool {
-	return w.addr < addr+mem.Addr(size) && addr < w.addr+mem.Addr(w.size)
+	return size != 0 && w.addr <= lastByte(addr, size) && addr <= lastByte(w.addr, w.size)
+}
+
+// lastByte returns the last address of the nonempty range [addr,
+// addr+size), saturated at the top of the address space when the range
+// wraps past it: revocation then strips more than requested, never less.
+func lastByte(addr mem.Addr, size uint64) mem.Addr {
+	if last := addr + mem.Addr(size-1); last >= addr {
+		return last
+	}
+	return ^mem.Addr(0)
 }
 
 type refKey struct {
@@ -219,13 +231,14 @@ func (p *Principal) shardIdx(a mem.Addr) int {
 	return int(bucketOf(a)) & (len(p.shards) - 1)
 }
 
-// eachWriteShard calls fn for every shard a WRITE range's tables touch.
-// A range spanning at least as many buckets as there are shards wraps
-// around the whole ring, so every shard is visited exactly once.
+// eachWriteShard calls fn for every shard a WRITE range's tables touch,
+// with the range's end saturated as in lastByte. A range spanning at
+// least as many buckets as there are shards wraps around the whole ring,
+// so every shard is visited exactly once.
 func (p *Principal) eachWriteShard(addr mem.Addr, size uint64, fn func(*prinShard)) {
 	n := len(p.shards)
 	first := bucketOf(addr)
-	last := bucketOf(addr + mem.Addr(size) - 1)
+	last := bucketOf(lastByte(addr, size))
 	if span := uint64(last-first) + 1; span >= uint64(n) {
 		for i := range p.shards {
 			fn(&p.shards[i])
@@ -678,7 +691,7 @@ func (s *System) shardBits(c Cap) uint64 {
 		return 0
 	}
 	first := bucketOf(c.Addr)
-	last := bucketOf(c.Addr + mem.Addr(c.Size) - 1)
+	last := bucketOf(lastByte(c.Addr, c.Size))
 	if span := uint64(last-first) + 1; span >= uint64(s.nshards) {
 		return s.allShardBits()
 	}

@@ -355,3 +355,40 @@ func TestWrappingWriteProbeNotCovered(t *testing.T) {
 		}
 	}
 }
+
+// TestWrappingRevocationStrips: a WRITE revocation whose range wraps
+// past the top of the address space strips every entry it reaches below
+// the top, whatever the shard count. Computed with the wrapped end, the
+// overlap test and the shard walk would see an empty or low range and
+// strip nothing.
+func TestWrappingRevocationStrips(t *testing.T) {
+	held := WriteCap(0xffffffffffff0000, 0x1000)
+	revokes := []Cap{
+		WriteCap(0xffffffffffff0000, 0x20000),
+		WriteCap(0xfffffffffffe8000, 0x20000),
+		WriteCap(0xffff880000000000, ^uint64(0)),
+	}
+	for _, n := range []int{1, 2, 8, 64} {
+		for _, c := range revokes {
+			s := NewSystemWithShards(n)
+			p := s.LoadModule("m").Instance(0x1)
+			s.Grant(p, held)
+			s.Revoke(p, c)
+			if s.Check(p, held) {
+				t.Errorf("%d shards: Revoke(%s) left %s", n, c, held)
+			}
+			s.Grant(p, held)
+			if got := s.RevokeAll(c); got != 1 || s.Check(p, held) {
+				t.Errorf("%d shards: RevokeAll(%s) stripped %d principals, %s still held: %v",
+					n, c, got, held, s.Check(p, held))
+			}
+		}
+	}
+	for _, c := range revokes {
+		var l LinearWriteSet
+		l.Grant(held.Addr, held.Size)
+		if !l.RevokeOverlap(c.Addr, c.Size) || l.Check(held.Addr, held.Size) {
+			t.Errorf("linear set: RevokeOverlap(%s) left %s", c, held)
+		}
+	}
+}

@@ -92,14 +92,15 @@ func (s *intervalSet) remove(e writeEntry) bool {
 
 // appendOverlap appends every entry overlapping [addr, addr+size) to
 // out. The candidate window is narrowed from both sides by binary
-// search: entries starting at or past the probe's end cannot overlap,
-// and the nondecreasing prefix maximum locates the first index whose
-// prefix reaches past addr.
+// search: entries starting past the probe's last byte (lastByte, so a
+// probe that wraps reaches the top of the address space) cannot
+// overlap, and the nondecreasing prefix maximum locates the first index
+// whose prefix reaches past addr.
 func (s *intervalSet) appendOverlap(addr mem.Addr, size uint64, out []writeEntry) []writeEntry {
 	if size == 0 || len(s.ents) == 0 {
 		return out
 	}
-	hi := s.searchAfter(addr + mem.Addr(size) - 1)
+	hi := s.searchAfter(lastByte(addr, size))
 	lo, r := 0, hi
 	for lo < r {
 		mid := int(uint(lo+r) >> 1)

@@ -639,7 +639,7 @@ func MeasureConcurrency(files int, fileSize uint64) (*ConcurrencyCosts, error) {
 			// pages leave through the flusher thread while the workers
 			// hammer their mounts, speeding up whenever more than a
 			// quarter of the cache is dirty.
-			rig.v.EnableWriteback(time.Millisecond, 0.25)
+			rig.v.EnableWriteback(time.Millisecond)
 			span, overlapped, err := rig.runWorkers(files, payload)
 			rig.k.Shutdown()
 			if err != nil {

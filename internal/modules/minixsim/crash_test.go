@@ -406,7 +406,7 @@ func TestConcurrentJournaledRenamesVsFlusher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.EnableWriteback(200*time.Microsecond, 0.25)
+	v.EnableWriteback(200 * time.Microsecond)
 	defer v.DisableWriteback()
 
 	const workers = 4

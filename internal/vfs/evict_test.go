@@ -83,6 +83,125 @@ func TestEvictionSparesInsertedPage(t *testing.T) {
 	r.noViolations(t)
 }
 
+// writePages creates each path on sb and fills its first page,
+// returning the inodes.
+func writePages(t *testing.T, r *rig, sb mem.Addr, paths ...string) []mem.Addr {
+	t.Helper()
+	var inos []mem.Addr
+	for _, p := range paths {
+		ino, err := r.v.Create(r.th, sb, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.v.Write(r.th, sb, p, 0, bytes.Repeat([]byte{0x5e}, mem.PageSize)); err != nil {
+			t.Fatal(err)
+		}
+		inos = append(inos, ino)
+	}
+	return inos
+}
+
+// TestEvictionPassesOverBusyMount: with another thread holding mount B,
+// B's pages at the front of the LRU list cannot be evicted, so an insert
+// on mount A past the budget evicts A's least recently used page and
+// leaves B's pages cached.
+func TestEvictionPassesOverBusyMount(t *testing.T) {
+	r, sbA, sbB := twoMinixMounts(t)
+	defer r.k.Shutdown()
+	inosB := writePages(t, r, sbB, "/b0", "/b1")
+	if err := r.v.Sync(r.th, sbB); err != nil {
+		t.Fatal(err)
+	}
+	inosA := writePages(t, r, sbA, "/a0", "/a1")
+	if _, err := r.v.Create(r.th, sbA, "/a2"); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 4
+	r.v.SetPageBudget(budget)
+
+	releaseB := r.v.HoldMount(sbB)
+	_, err := r.v.Write(r.th, sbA, "/a2", 0, bytes.Repeat([]byte{0xa2}, mem.PageSize))
+	releaseB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.v.PageAddr(inosA[0], 0); ok {
+		t.Fatal("A's least recently used page survived the insert past the budget")
+	}
+	if _, ok := r.v.PageAddr(inosA[1], 0); !ok {
+		t.Fatal("A's second page was evicted in place of its first")
+	}
+	for i, ino := range inosB {
+		if _, ok := r.v.PageAddr(ino, 0); !ok {
+			t.Fatalf("B's page %d was evicted while another thread held B", i)
+		}
+	}
+	if n := r.v.PageCount(); n != budget {
+		t.Fatalf("cache holds %d pages, want the budget of %d", n, budget)
+	}
+	r.noViolations(t)
+}
+
+// TestFailedWritebackVictimMovesBack: a dirty page whose writeback fails
+// moves to the most-recently-used end, so the next budget walk evicts a
+// clean page without retrying the failing writepage crossing.
+func TestFailedWritebackVictimMovesBack(t *testing.T) {
+	r := newRig(t, core.Enforce)
+	defer r.k.Shutdown()
+	r.bl.AddDisk(1, minixsim.DiskSectors)
+	if _, err := minixsim.Load(r.th, r.k, r.v); err != nil {
+		t.Fatal(err)
+	}
+	sb, err := r.v.Mount(r.th, minixsim.FsID, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/x", "/y"} {
+		if _, err := r.v.Create(r.th, sb, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clean := writePages(t, r, sb, "/c0", "/c1")
+	if err := r.v.Sync(r.th, sb); err != nil {
+		t.Fatal(err)
+	}
+	dirty := writePages(t, r, sb, "/d")
+	// Touch the clean pages so the dirty one is least recently used.
+	for _, p := range []string{"/c0", "/c1"} {
+		if _, err := r.v.Read(r.th, sb, p, 0, mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.bl.RemoveDisk(1)
+	r.v.SetPageBudget(3)
+
+	page := bytes.Repeat([]byte{0x77}, mem.PageSize)
+	if _, err := r.v.Write(r.th, sb, "/x", 0, page); err != nil {
+		t.Fatal(err)
+	}
+	writes, evictions := r.v.Stats.PageWrites.Load(), r.v.Stats.Evictions.Load()
+	if _, err := r.v.Write(r.th, sb, "/y", 0, page); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.v.Stats.PageWrites.Load() - writes; got != 0 {
+		t.Fatalf("second insert made %d writepage crossings, want 0", got)
+	}
+	if got := r.v.Stats.Evictions.Load() - evictions; got != 1 {
+		t.Fatalf("second insert evicted %d pages, want 1", got)
+	}
+	for i, ino := range clean {
+		if _, ok := r.v.PageAddr(ino, 0); ok {
+			t.Fatalf("clean page %d still cached after two inserts past the budget", i)
+		}
+	}
+	if _, ok := r.v.PageAddr(dirty[0], 0); !ok {
+		t.Fatal("the unpersistable dirty page left the cache")
+	}
+	if len(r.k.Sys.Mon.Violations()) != 0 {
+		t.Fatalf("I/O error recorded as a violation: %v", r.k.Sys.Mon.LastViolation())
+	}
+}
+
 // TestStressUnlinkAgainstCrossMountEviction: two threads, one per minix
 // mount, create, fill, read and unlink files under a budget smaller than
 // one thread's working set, so every insert walks the LRU list, over the

@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"math"
 	"time"
 
 	"lxfi/internal/core"
@@ -19,30 +18,27 @@ import (
 // still flushed at interval granularity, while a page the foreground is
 // actively writing is never stolen mid-burst within the same tick.
 //
-// The interval is adaptive: EnableWriteback takes a dirty-ratio
-// threshold alongside the base interval. After each pass the flusher
-// compares the cache's dirty fraction against the threshold — under
-// pressure the tick halves (down to 1/8 of the base) so dirty pages
-// drain before foreground eviction is forced to write them back; once
-// the cache runs clean the tick doubles back toward the base. A
-// threshold <= 0 disables adaptation (fixed tick, the old behavior).
+// The interval is adaptive. After each pass the flusher compares the
+// cache's dirty fraction against flushDirtyRatio: under pressure the
+// tick halves (down to 1/8 of the base) so dirty pages drain before
+// foreground eviction is forced to write them back; once the cache runs
+// clean the tick doubles back toward the base.
 
-// minIntervalDiv bounds how far pressure can shorten the tick.
-const minIntervalDiv = 8
+const (
+	// flushDirtyRatio is the share of the page cache that may be dirty
+	// before the flusher speeds up.
+	flushDirtyRatio = 0.25
+	// minIntervalDiv bounds how far pressure can shorten the tick.
+	minIntervalDiv = 8
+)
 
 // EnableWriteback starts periodic background writeback with the given
-// base interval and dirty-ratio threshold (fraction of the page cache
-// that may be dirty before the flusher speeds up; <= 0 disables
-// adaptation). Safe to call at any time; a second call retunes both.
-func (v *VFS) EnableWriteback(interval time.Duration, dirtyRatio float64) {
+// base interval. Safe to call at any time; a second call retunes it.
+func (v *VFS) EnableWriteback(interval time.Duration) {
 	if interval <= 0 {
 		v.DisableWriteback()
 		return
 	}
-	if dirtyRatio < 0 {
-		dirtyRatio = 0
-	}
-	v.flushRatio.Store(math.Float64bits(dirtyRatio))
 	v.flushInterval.Store(int64(interval))
 	v.flushCur.Store(int64(interval))
 	select {
@@ -81,7 +77,7 @@ func (v *VFS) FlushInterval() time.Duration {
 // cache population otherwise.
 func (v *VFS) dirtyFraction() float64 {
 	v.pageMu.Lock()
-	dirty := len(v.dirty)
+	dirty := v.ndirty
 	total := v.pageBudget
 	if total <= 0 {
 		total = len(v.pages)
@@ -99,16 +95,11 @@ func (v *VFS) adaptInterval() {
 	if base <= 0 {
 		return
 	}
-	thr := math.Float64frombits(v.flushRatio.Load())
-	if thr <= 0 {
-		v.flushCur.Store(base)
-		return
-	}
 	cur := v.flushCur.Load()
 	if cur <= 0 {
 		cur = base
 	}
-	if v.dirtyFraction() > thr {
+	if v.dirtyFraction() > flushDirtyRatio {
 		if cur > base/minIntervalDiv {
 			cur /= 2
 			if cur < base/minIntervalDiv {
@@ -163,13 +154,13 @@ func (v *VFS) FlushAged(t *core.Thread) {
 			mnt.mu.Unlock()
 			continue
 		}
-		keys := v.dirtyKeysOf(mnt, true, tick)
-		if len(keys) > 0 {
-			v.Stats.FlushWrites.Add(uint64(len(keys)))
+		ents := v.dirtyOf(mnt, tick)
+		if len(ents) > 0 {
+			v.Stats.FlushWrites.Add(uint64(len(ents)))
 			// Errors stay dirty and will be retried next pass; a module
 			// killed for a writeback violation surfaces through the
 			// monitor's violation log, not through the flusher.
-			_ = v.syncLocked(t, mnt, keys)
+			_ = v.syncLocked(t, ents)
 		}
 		mnt.mu.Unlock()
 	}

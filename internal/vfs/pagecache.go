@@ -3,6 +3,7 @@ package vfs
 import (
 	"container/list"
 	"fmt"
+	"math"
 	"sort"
 
 	"lxfi/internal/caps"
@@ -16,7 +17,10 @@ type pageKey struct {
 	idx uint64
 }
 
-// pageEnt is one page-cache entry; its fields are set at insert.
+// pageEnt is one page-cache entry. key, pg and mnt are set at insert.
+// lru changes under pageMu, and is nil once the entry has left the
+// cache. dirty and tick change only while the writer holds both the
+// owning mount's lock and pageMu, so either lock suffices to read them.
 type pageEnt struct {
 	key pageKey
 	pg  mem.Addr
@@ -25,6 +29,12 @@ type pageEnt struct {
 	// the inode, which another mount's thread may be freeing.
 	mnt *mount
 	lru *list.Element // position in VFS.lru; Value is this entry
+	// dirty marks a page written since its last successful writeback;
+	// tick is the flusher tick at which it was last written. The
+	// background flusher only writes back pages that have aged at least
+	// one full tick.
+	dirty bool
+	tick  uint64
 }
 
 // SetPageBudget caps the number of cached pages (0 = unlimited).
@@ -45,213 +55,176 @@ func (v *VFS) SetPageBudget(n int) {
 // lock (victim mounts are locked as needed).
 func (v *VFS) ShrinkToBudget(t *core.Thread) { v.evictForBudget(t, nil, pageKey{}) }
 
-// insertPage records a fresh page of mnt in the cache, then applies the
-// budget, sparing the new page: the caller is about to use it. Caller
-// holds mnt.mu but not pageMu.
-func (v *VFS) insertPage(t *core.Thread, mnt *mount, key pageKey, pg mem.Addr) {
-	v.cachePage(mnt, key, pg)
-	v.evictForBudget(t, mnt, key)
-}
-
-// cachePage adds a page to the index as the most recently used. Caller
-// holds mnt.mu but not pageMu.
-func (v *VFS) cachePage(mnt *mount, key pageKey, pg mem.Addr) {
+// cachePage adds a page to the index as the most recently used and
+// returns its entry. Caller holds mnt.mu but not pageMu.
+func (v *VFS) cachePage(mnt *mount, key pageKey, pg mem.Addr) *pageEnt {
 	e := &pageEnt{key: key, pg: pg, mnt: mnt}
 	v.pageMu.Lock()
 	e.lru = v.lru.PushBack(e)
 	v.pages[key] = e
 	v.pageMu.Unlock()
+	return e
 }
 
-// cachedLocked returns the cached page for key and marks it most
-// recently used. Caller holds pageMu.
-func (v *VFS) cachedLocked(key pageKey) (mem.Addr, bool) {
-	e, ok := v.pages[key]
-	if !ok {
-		return 0, false
-	}
-	v.lru.MoveToBack(e.lru)
-	return e.pg, true
-}
-
-// removePageLocked frees a cached page and drops every index entry for
-// it. Caller holds pageMu.
-func (v *VFS) removePageLocked(key pageKey) {
-	e, ok := v.pages[key]
-	if !ok {
-		return
-	}
+// removePageLocked frees a cached page and drops it from the index.
+// Caller holds pageMu.
+func (v *VFS) removePageLocked(e *pageEnt) {
 	_ = v.K.Sys.Slab.Free(e.pg)
-	delete(v.pages, key)
-	delete(v.dirty, key)
-	delete(v.dirtyTick, key)
+	delete(v.pages, e.key)
+	if e.dirty {
+		v.ndirty--
+	}
 	v.lru.Remove(e.lru)
+	e.lru = nil
 }
 
-// evictForBudget walks the cache from its LRU end until it fits the
-// budget, never evicting keep (the page the caller just inserted).
-// Unevictable pages (memory-only mounts, failed writebacks, mounts whose
-// lock another thread holds) are passed over, so the cache can exceed
-// the budget when nothing else remains. The walk resumes after the last
-// page it tried, so one call tries each page at most once; it ends early
-// if that page left the cache meanwhile. holder is the mount whose lock
-// the calling thread already holds (nil when none).
+// evictForBudget evicts least-recently-used pages until the cache fits
+// the budget, never evicting keep (the page the caller just inserted).
+// Each pass chooses one victim (pickVictim) and evicts it. A walk makes
+// at most as many passes as the cache held pages when it began: pages
+// that cannot go (memory-only or dead mounts, mounts another thread
+// holds, failed writebacks) leave the cache over budget rather than
+// keep the caller walking. holder is the mount whose lock the calling
+// thread already holds (nil when none).
 func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep pageKey) {
-	var next *pageEnt // the page after the last one tried
-	for first := true; ; first = false {
-		v.pageMu.Lock()
-		if v.pageBudget <= 0 || len(v.pages) <= v.pageBudget {
-			v.pageMu.Unlock()
+	v.pageMu.Lock()
+	passes := len(v.pages)
+	v.pageMu.Unlock()
+	for ; passes > 0; passes-- {
+		e := v.pickVictim(holder, keep)
+		if e == nil {
 			return
 		}
-		var e *list.Element
-		switch {
-		case first:
-			e = v.lru.Front()
-		case next != nil && v.pages[next.key] == next:
-			e = next.lru
+		v.evictPage(t, e)
+		if e.mnt != holder {
+			e.mnt.mu.Unlock()
 		}
-		if e != nil && e.Value.(*pageEnt).key == keep {
-			e = e.Next()
-		}
-		if e == nil {
-			v.pageMu.Unlock()
-			return // nothing evictable remains
-		}
-		victim := e.Value.(*pageEnt)
-		next = nil
-		if n := e.Next(); n != nil {
-			next = n.Value.(*pageEnt)
-		}
-		v.pageMu.Unlock()
-		v.evictPage(t, holder, victim)
 	}
 }
 
-// evictPage tries to reclaim one page: dirty victims are forced through
-// the owning module's writepage first (the REF-capability crossing), so
-// eviction under enforcement exercises the same contract as Sync. The
-// page stays if its mount is memory-only, dead, or busy on another
-// thread, or if its writeback fails. Caller holds holder.mu (when holder
-// != nil) and not pageMu.
-func (v *VFS) evictPage(t *core.Thread, holder *mount, e *pageEnt) {
-	mnt := e.mnt
-	// Evicting another mount's page needs that mount's lock. TryLock
-	// keeps the lock order acyclic: a thread never *blocks* on a second
-	// mount lock, so two mounts evicting each other's pages cannot
-	// deadlock — one of them just skips the victim.
-	if mnt != holder {
-		if !mnt.mu.TryLock() {
-			return
-		}
-		defer mnt.mu.Unlock()
-		if mnt.dead {
-			return
-		}
-	}
-	if flags, _ := v.K.Sys.AS.ReadU64(v.SBField(mnt.sb, "flags")); flags&SBMemOnly != 0 {
-		return
-	}
-	v.pageMu.Lock()
-	cached, dirty := v.pages[e.key] == e, v.dirty[e.key]
-	v.pageMu.Unlock()
-	if !cached {
-		return
-	}
-	if dirty {
-		if ok, _ := v.writeBackPage(t, mnt, e.key, e.pg); !ok {
-			return // stays dirty; Sync (or a later pass) retries
-		}
-		v.Stats.EvictWrites.Add(1)
-		mnt.wbForced.Add(1)
-	}
+// pickVictim returns the least recently used page the budget may evict,
+// with its mount locked, or nil when the cache fits the budget or no
+// page qualifies. A page qualifies unless it is keep or its mount is
+// memory-only, dead, or held by another thread. The whole choice runs
+// under pageMu: a mount other than holder is taken with TryLock, which
+// never waits, so holding pageMu across it cannot close a lock cycle.
+func (v *VFS) pickVictim(holder *mount, keep pageKey) *pageEnt {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
-	if v.pages[e.key] != e || v.dirty[e.key] {
-		// Redirtied or replaced while we crossed; not our victim anymore.
-		return
+	if v.pageBudget <= 0 || len(v.pages) <= v.pageBudget {
+		return nil
 	}
-	v.removePageLocked(e.key)
-	v.Stats.Evictions.Add(1)
+	for le := v.lru.Front(); le != nil; le = le.Next() {
+		e := le.Value.(*pageEnt)
+		mnt := e.mnt
+		if e.key == keep || (mnt != holder && !mnt.mu.TryLock()) {
+			continue
+		}
+		if flags, _ := v.K.Sys.AS.ReadU64(v.SBField(mnt.sb, "flags")); !mnt.dead && flags&SBMemOnly == 0 {
+			return e
+		}
+		if mnt != holder {
+			mnt.mu.Unlock()
+		}
+	}
+	return nil
+}
+
+// evictPage reclaims a victim whose mount lock the caller holds. A dirty
+// victim is forced through the owning module's writepage first (the
+// REF-capability crossing), so eviction under enforcement exercises the
+// same contract as Sync. A victim whose writeback fails stays dirty and
+// moves to the most-recently-used end, so the passes after it try other
+// pages first. Caller does not hold pageMu.
+func (v *VFS) evictPage(t *core.Thread, e *pageEnt) {
+	if e.dirty {
+		if v.writeBackPage(t, e) != nil {
+			v.pageMu.Lock()
+			if e.lru != nil {
+				v.lru.MoveToBack(e.lru)
+			}
+			v.pageMu.Unlock()
+			return // Sync (or a later walk) retries
+		}
+		v.Stats.EvictWrites.Add(1)
+		e.mnt.wbForced.Add(1)
+	}
+	v.pageMu.Lock()
+	// The writeback crossing may have dropped the page (iput).
+	if e.lru != nil {
+		v.removePageLocked(e)
+		v.Stats.Evictions.Add(1)
+	}
+	v.pageMu.Unlock()
 }
 
 // writeBackPage pushes one dirty page through the owning module's
-// writepage and clears the dirty bit on success. Caller holds mnt.mu
-// but not pageMu.
-func (v *VFS) writeBackPage(t *core.Thread, mnt *mount, key pageKey, pg mem.Addr) (bool, error) {
+// writepage and clears the dirty bit on success. Caller holds the
+// entry's mount lock but not pageMu.
+func (v *VFS) writeBackPage(t *core.Thread, e *pageEnt) error {
+	mnt, key := e.mnt, e.key
 	v.Stats.PageWrites.Add(1)
 	ret, err := v.gWritePage.Call(t, v.OpsSlot(mnt.fs.ops, "writepage"),
-		uint64(mnt.sb), uint64(key.ino), key.idx, uint64(pg))
+		uint64(mnt.sb), uint64(key.ino), key.idx, uint64(e.pg))
 	if err == nil && ret != 0 {
 		err = fmt.Errorf("vfs: writepage(%#x, %d): errno %d", uint64(key.ino), key.idx, -int64(ret))
 	}
 	if err != nil {
-		return false, err
+		return err
 	}
 	mnt.wbFlushed.Add(1)
 	v.pageMu.Lock()
-	if e, ok := v.pages[key]; ok && e.pg == pg {
-		delete(v.dirty, key)
-		delete(v.dirtyTick, key)
+	if e.lru != nil && e.dirty {
+		e.dirty = false
+		v.ndirty--
 	}
 	v.pageMu.Unlock()
-	return true, nil
+	return nil
 }
 
-// getPage returns the cached page for (inode, idx), filling a fresh one
-// through the module's readpage callback on a miss. Ownership of the
-// page travels with the call: WRITE transfers to the mount's principal
-// on entry and back to the kernel on successful return. Caller holds
+// pageFor returns the cache entry for (inode, idx), marking it most
+// recently used. On a miss it installs a fresh page, filled through the
+// module's readpage when fill is set and zeroed otherwise (a write that
+// covers the whole page: its old contents are dead on arrival), then
+// applies the budget, sparing the new page. Ownership of a filled page
+// travels with the call: WRITE transfers to the mount's principal on
+// entry and back to the kernel on successful return. Caller holds
 // mnt.mu, which is what keeps two fills of the same page from racing.
-func (v *VFS) getPage(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64) (mem.Addr, error) {
+func (v *VFS) pageFor(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64, fill bool) (*pageEnt, error) {
 	key := pageKey{ino, idx}
 	v.pageMu.Lock()
-	pg, ok := v.cachedLocked(key)
-	v.pageMu.Unlock()
-	if ok {
-		return pg, nil
+	if e, ok := v.pages[key]; ok {
+		v.lru.MoveToBack(e.lru)
+		v.pageMu.Unlock()
+		return e, nil
 	}
+	v.pageMu.Unlock()
 	sys := v.K.Sys
 	pg, err := sys.Slab.Alloc(mem.PageSize)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	v.Stats.PageFills.Add(1)
-	ret, err := v.gReadPage.Call(t, v.OpsSlot(mnt.fs.ops, "readpage"),
-		uint64(mnt.sb), uint64(ino), idx, uint64(pg))
-	if err != nil || ret != 0 {
-		// The revoke post-action (or the aborted call) already stripped
-		// the module's WRITE; make sure no grant survives an interrupted
-		// annotation run, then recycle the page.
-		sys.Caps.RevokeAll(caps.WriteCap(pg, mem.PageSize))
-		_ = sys.Slab.Free(pg)
-		if err == nil {
-			err = fmt.Errorf("vfs: readpage(%#x, %d): errno %d", uint64(ino), idx, -int64(ret))
+	if fill {
+		v.Stats.PageFills.Add(1)
+		ret, err := v.gReadPage.Call(t, v.OpsSlot(mnt.fs.ops, "readpage"),
+			uint64(mnt.sb), uint64(ino), idx, uint64(pg))
+		if err != nil || ret != 0 {
+			// The revoke post-action (or the aborted call) already stripped
+			// the module's WRITE; make sure no grant survives an interrupted
+			// annotation run, then recycle the page.
+			sys.Caps.RevokeAll(caps.WriteCap(pg, mem.PageSize))
+			_ = sys.Slab.Free(pg)
+			if err == nil {
+				err = fmt.Errorf("vfs: readpage(%#x, %d): errno %d", uint64(ino), idx, -int64(ret))
+			}
+			return nil, err
 		}
-		return 0, err
+	} else {
+		must(sys.AS.Zero(pg, mem.PageSize))
 	}
-	v.insertPage(t, mnt, key, pg)
-	return pg, nil
-}
-
-// allocPage returns the cached page for (inode, idx), or installs a
-// fresh zeroed one without consulting the module — for writes that
-// cover the entire page. Caller holds mnt.mu.
-func (v *VFS) allocPage(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64) (mem.Addr, error) {
-	key := pageKey{ino, idx}
-	v.pageMu.Lock()
-	pg, ok := v.cachedLocked(key)
-	v.pageMu.Unlock()
-	if ok {
-		return pg, nil
-	}
-	pg, err := v.K.Sys.Slab.Alloc(mem.PageSize)
-	if err != nil {
-		return 0, err
-	}
-	must(v.K.Sys.AS.Zero(pg, mem.PageSize))
-	v.insertPage(t, mnt, key, pg)
-	return pg, nil
+	e := v.cachePage(mnt, key, pg)
+	v.evictForBudget(t, mnt, key)
+	return e, nil
 }
 
 // Read copies n bytes starting at off out of the file's page cache,
@@ -273,7 +246,8 @@ func (v *VFS) Read(t *core.Thread, sb mem.Addr, path string, off, n uint64) (_ [
 	if off >= size {
 		return nil, nil
 	}
-	if off+n > size {
+	// Compared as n > size-off: off+n can wrap past 2^64.
+	if n > size-off {
 		n = size - off
 	}
 	out := make([]byte, n)
@@ -285,11 +259,11 @@ func (v *VFS) Read(t *core.Thread, sb mem.Addr, path string, off, n uint64) (_ [
 		if rem := n - done; chunk > rem {
 			chunk = rem
 		}
-		pg, err := v.getPage(t, mnt, d.inode, idx)
+		e, err := v.pageFor(t, mnt, d.inode, idx, true)
 		if err != nil {
 			return nil, err
 		}
-		if err := as.Read(pg+mem.Addr(po), out[done:done+chunk]); err != nil {
+		if err := as.Read(e.pg+mem.Addr(po), out[done:done+chunk]); err != nil {
 			return nil, err
 		}
 		done += chunk
@@ -317,6 +291,11 @@ func (v *VFS) Write(t *core.Thread, sb mem.Addr, path string, off uint64, data [
 	}
 	as := v.K.Sys.AS
 	n := uint64(len(data))
+	// A range that wraps past 2^64 would write its tail over the file's
+	// first pages.
+	if off+n < off {
+		return 0, fmt.Errorf("vfs: %s: errno %d", path, kernel.EINVAL)
+	}
 	// s_maxbytes: the module declares its per-file capacity at mount
 	// time (0 = unlimited); writes past it are rejected before any page
 	// is dirtied, so an unpersistable page can never wedge Sync.
@@ -331,21 +310,20 @@ func (v *VFS) Write(t *core.Thread, sb mem.Addr, path string, off uint64, data [
 		if rem := n - done; chunk > rem {
 			chunk = rem
 		}
-		var pg mem.Addr
-		if chunk == mem.PageSize {
-			pg, err = v.allocPage(t, mnt, d.inode, idx)
-		} else {
-			pg, err = v.getPage(t, mnt, d.inode, idx)
-		}
+		e, err := v.pageFor(t, mnt, d.inode, idx, chunk < mem.PageSize)
 		if err != nil {
 			return done, err
 		}
-		if err := as.Write(pg+mem.Addr(po), data[done:done+chunk]); err != nil {
+		if err := as.Write(e.pg+mem.Addr(po), data[done:done+chunk]); err != nil {
 			return done, err
 		}
 		v.pageMu.Lock()
-		v.dirty[pageKey{d.inode, idx}] = true
-		v.dirtyTick[pageKey{d.inode, idx}] = v.flushTick.Load()
+		// A page some crossing dropped (iput) is no longer counted.
+		if !e.dirty && e.lru != nil {
+			e.dirty = true
+			v.ndirty++
+		}
+		e.tick = v.flushTick.Load()
 		v.pageMu.Unlock()
 		done += chunk
 	}
@@ -356,27 +334,24 @@ func (v *VFS) Write(t *core.Thread, sb mem.Addr, path string, off uint64, data [
 	return n, nil
 }
 
-// dirtyKeysOf collects the mount's dirty pages, sorted for stable
-// writeback order.
-func (v *VFS) dirtyKeysOf(mnt *mount, aged bool, tick uint64) []pageKey {
+// dirtyOf collects the mount's pages last dirtied before flusher tick
+// before, sorted for stable writeback order.
+func (v *VFS) dirtyOf(mnt *mount, before uint64) []*pageEnt {
 	v.pageMu.Lock()
-	var keys []pageKey
-	for key := range v.dirty {
-		if aged && v.dirtyTick[key] >= tick {
-			continue
-		}
-		if e, ok := v.pages[key]; ok && e.mnt == mnt {
-			keys = append(keys, key)
+	var ents []*pageEnt
+	for _, e := range v.pages {
+		if e.mnt == mnt && e.dirty && e.tick < before {
+			ents = append(ents, e)
 		}
 	}
 	v.pageMu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ino != keys[j].ino {
-			return keys[i].ino < keys[j].ino
+	sort.Slice(ents, func(i, j int) bool {
+		if ents[i].key.ino != ents[j].key.ino {
+			return ents[i].key.ino < ents[j].key.ino
 		}
-		return keys[i].idx < keys[j].idx
+		return ents[i].key.idx < ents[j].key.idx
 	})
-	return keys
+	return ents
 }
 
 // syncLocked writes the given dirty pages back through the module's
@@ -384,17 +359,16 @@ func (v *VFS) dirtyKeysOf(mnt *mount, aged bool, tick uint64) []pageKey {
 // dirty, but the pass continues: one bad page must not block the
 // persistence of every page sorting after it. The first error is
 // reported.
-func (v *VFS) syncLocked(t *core.Thread, mnt *mount, keys []pageKey) error {
+func (v *VFS) syncLocked(t *core.Thread, ents []*pageEnt) error {
 	var firstErr error
-	for _, key := range keys {
+	for _, e := range ents {
 		v.pageMu.Lock()
-		e, ok := v.pages[key]
-		dirty := v.dirty[key]
+		live := e.lru != nil && e.dirty
 		v.pageMu.Unlock()
-		if !ok || !dirty {
+		if !live {
 			continue // evicted or cleaned while we flushed its neighbors
 		}
-		if _, err := v.writeBackPage(t, mnt, key, e.pg); err != nil && firstErr == nil {
+		if err := v.writeBackPage(t, e); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -411,7 +385,7 @@ func (v *VFS) Sync(t *core.Thread, sb mem.Addr) (rerr error) {
 		return err
 	}
 	defer mnt.mu.Unlock()
-	return v.syncLocked(t, mnt, v.dirtyKeysOf(mnt, false, 0))
+	return v.syncLocked(t, v.dirtyOf(mnt, math.MaxUint64))
 }
 
 // DropCaches evicts every clean page of the mount (sync first to evict
@@ -431,12 +405,11 @@ func (v *VFS) DropCaches(sb mem.Addr) int {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
 	dropped := 0
-	for key, e := range v.pages {
-		if e.mnt != mnt || v.dirty[key] {
-			continue
+	for _, e := range v.pages {
+		if e.mnt == mnt && !e.dirty {
+			v.removePageLocked(e)
+			dropped++
 		}
-		v.removePageLocked(key)
-		dropped++
 	}
 	return dropped
 }
@@ -445,9 +418,9 @@ func (v *VFS) DropCaches(sb mem.Addr) int {
 func (v *VFS) dropPagesOf(ino mem.Addr) {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
-	for key := range v.pages {
+	for key, e := range v.pages {
 		if key.ino == ino {
-			v.removePageLocked(key)
+			v.removePageLocked(e)
 		}
 	}
 }
@@ -479,9 +452,9 @@ func (v *VFS) DumpPages() ([]CachedPage, int) {
 	v.pageMu.Lock()
 	out := make([]CachedPage, 0, len(v.pages))
 	for key, e := range v.pages {
-		out = append(out, CachedPage{Ino: key.ino, Idx: key.idx, Page: e.pg, Dirty: v.dirty[key]})
+		out = append(out, CachedPage{Ino: key.ino, Idx: key.idx, Page: e.pg, Dirty: e.dirty})
 	}
-	dirty := len(v.dirty)
+	dirty := v.ndirty
 	v.pageMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Ino != out[j].Ino {
@@ -503,7 +476,7 @@ func (v *VFS) PageCount() int {
 func (v *VFS) DirtyCount() int {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
-	return len(v.dirty)
+	return v.ndirty
 }
 
 // WritebackStats is one mount's writeback activity.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lxfi/internal/core"
+	"lxfi/internal/coredump"
 	"lxfi/internal/mem"
 	"lxfi/internal/modules/minixsim"
 	"lxfi/internal/modules/tmpfssim"
@@ -16,9 +17,12 @@ import (
 // mounts (tmpfssim and minixsim simultaneously) with the full op mix —
 // create, write, read, rename, readdir, unlink — under a page budget
 // small enough to force eviction (including cross-mount TryLock
-// eviction) and with the background writeback flusher enabled. The
-// assertions are (a) the race detector stays quiet, (b) the monitor
-// records no violations, and (c) both namespaces drain to empty.
+// eviction) and with the background writeback flusher enabled. One more
+// thread applies the budget with ShrinkToBudget in a loop: it holds no
+// mount, so every page it looks at is another mount's. The assertions
+// are (a) the race detector stays quiet, (b) the monitor records no
+// violations, (c) both namespaces drain to empty, and (d) a dump of the
+// system validates, its page-cache dirty count included.
 func TestVFSParallelStressTwoMounts(t *testing.T) {
 	for _, mode := range []core.Mode{core.Off, core.Enforce} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -42,7 +46,7 @@ func TestVFSParallelStressTwoMounts(t *testing.T) {
 
 			r.v.SetPageBudget(8)
 			defer r.v.SetPageBudget(0)
-			r.v.EnableWriteback(200*time.Microsecond, 0.25)
+			r.v.EnableWriteback(200 * time.Microsecond)
 			defer r.v.DisableWriteback()
 
 			const (
@@ -61,6 +65,17 @@ func TestVFSParallelStressTwoMounts(t *testing.T) {
 					job{sbM, fmt.Sprintf("m%d", w)})
 			}
 			errs := make([]error, len(jobs))
+			stop := make(chan struct{})
+			shrinker := r.k.Sys.Spawn("stress-shrink", func(th *core.Thread) {
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						r.v.ShrinkToBudget(th)
+					}
+				}
+			})
 			var handles []*core.ThreadHandle
 			for i, j := range jobs {
 				i, j := i, j
@@ -105,6 +120,8 @@ func TestVFSParallelStressTwoMounts(t *testing.T) {
 			for _, h := range handles {
 				h.Join()
 			}
+			close(stop)
+			shrinker.Join()
 			for i, err := range errs {
 				if err != nil {
 					t.Fatalf("worker %s: %v", jobs[i].name, err)
@@ -119,6 +136,10 @@ func TestVFSParallelStressTwoMounts(t *testing.T) {
 				if len(ents) != 0 {
 					t.Fatalf("mount %#x not drained: %v", uint64(sb), ents)
 				}
+			}
+			d := coredump.Snapshot(r.k.Sys, coredump.Options{Reason: "stress", VFS: r.v})
+			if issues := coredump.Validate(d); len(issues) != 0 {
+				t.Fatalf("dump invalid:\n%s", coredump.FormatIssues(issues))
 			}
 		})
 	}
@@ -200,7 +221,7 @@ func TestFlusherDaemonRunsOnTimer(t *testing.T) {
 	if _, err := r.v.Write(r.th, sb, "/aged", 0, []byte("patience")); err != nil {
 		t.Fatal(err)
 	}
-	r.v.EnableWriteback(time.Millisecond, 0)
+	r.v.EnableWriteback(time.Millisecond)
 	defer r.v.DisableWriteback()
 	deadline := time.Now().Add(5 * time.Second)
 	for r.v.DirtyCount() != 0 {

@@ -150,10 +150,14 @@ type mount struct {
 //	mount.mu  →  VFS.mu  →  VFS.pageMu  →  (caps/core/mem internal locks)
 //
 // VFS.mu (the mount table) and pageMu (the page cache index) are held
-// only across map manipulation, never across a module crossing; mount.mu
-// is the only lock held while crossing into a filesystem module. A
-// thread holding one mount.mu acquires another mount's lock exclusively
-// via TryLock (cross-mount eviction), which keeps the order acyclic.
+// only across map and list manipulation, never across a module crossing;
+// mount.mu is the only lock held while crossing into a filesystem
+// module. A page's dirty state lives in its cache entry. The budget
+// walk chooses each eviction victim in one pass under pageMu, taking
+// the victim's mount lock, when it is not the caller's own, by TryLock:
+// a TryLock never waits, so it keeps the order acyclic even from inside
+// pageMu. A victim whose writeback fails moves to the most-recently-used
+// end of the LRU list.
 type VFS struct {
 	K *kernel.Kernel
 	// Block is the block layer pc_writeback persists pages to; nil for
@@ -170,17 +174,14 @@ type VFS struct {
 	filesystems map[uint64]*fstype
 	mounts      map[mem.Addr]*mount
 
-	// pageMu guards the page-cache index: pages, dirty, dirtyTick, the
-	// LRU list, and the budget. Page *contents* are copied under the
-	// owning mount's lock.
+	// pageMu guards the page-cache index: pages, ndirty, the LRU list,
+	// and the budget. Page *contents* are copied under the owning
+	// mount's lock.
 	pageMu sync.Mutex
 	// pages is the page cache: (inode, page index) -> entry.
 	pages map[pageKey]*pageEnt
-	dirty map[pageKey]bool
-	// dirtyTick records the flusher tick at which a page was last
-	// dirtied; the background flusher only writes back pages that have
-	// aged at least one full tick.
-	dirtyTick map[pageKey]uint64
+	// ndirty counts the cached entries marked dirty.
+	ndirty int
 
 	// lru orders the cached pages least- to most-recently used.
 	// pageBudget caps the cache size (0 = unlimited): inserting past the
@@ -208,9 +209,8 @@ type VFS struct {
 
 	// Writeback flusher state (see flusher.go).
 	flushTick     atomic.Uint64
-	flushInterval atomic.Int64  // base interval, nanoseconds; 0 = flusher parked
-	flushCur      atomic.Int64  // current (pressure-adapted) interval
-	flushRatio    atomic.Uint64 // dirty-ratio threshold as math.Float64bits
+	flushInterval atomic.Int64 // base interval, nanoseconds; 0 = flusher parked
+	flushCur      atomic.Int64 // current (pressure-adapted) interval
 	flushKick     chan struct{}
 
 	nextIno atomic.Uint64
@@ -229,8 +229,6 @@ func Init(k *kernel.Kernel, bl *blockdev.Layer) *VFS {
 		filesystems: make(map[uint64]*fstype),
 		mounts:      make(map[mem.Addr]*mount),
 		pages:       make(map[pageKey]*pageEnt),
-		dirty:       make(map[pageKey]bool),
-		dirtyTick:   make(map[pageKey]uint64),
 		lru:         list.New(),
 		flushKick:   make(chan struct{}, 1),
 	}

@@ -89,6 +89,54 @@ func TestTmpfsRoundtrip(t *testing.T) {
 	}
 }
 
+// tmpfsFile boots a tmpfs mount holding one file with the given bytes.
+func tmpfsFile(t *testing.T, path string, data []byte) (*rig, mem.Addr) {
+	t.Helper()
+	r := newRig(t, core.Enforce)
+	if _, err := tmpfssim.Load(r.th, r.k, r.v); err != nil {
+		t.Fatal(err)
+	}
+	sb, err := r.v.Mount(r.th, tmpfssim.FsID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.v.Create(r.th, sb, path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.v.Write(r.th, sb, path, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	return r, sb
+}
+
+// TestReadLengthPastTopClamped: a read whose off+n wraps past 2^64 is
+// clamped to the file's end like any other long read. Compared as a
+// wrapped sum, off+n would fall below the size, leave n huge, and panic
+// the kernel in the buffer allocation on a syscall argument.
+func TestReadLengthPastTopClamped(t *testing.T) {
+	r, sb := tmpfsFile(t, "/f", []byte("01234567"))
+	got, err := r.v.Read(r.th, sb, "/f", 4, ^uint64(0)-2)
+	if err != nil || string(got) != "4567" {
+		t.Fatalf("read = %q, %v; want \"4567\"", got, err)
+	}
+	r.noViolations(t)
+}
+
+// TestWriteRangePastTopRejected: a write whose range wraps past 2^64 is
+// rejected before any page is touched: its second chunk's position
+// would wrap to 0 and overwrite the file's first bytes.
+func TestWriteRangePastTopRejected(t *testing.T) {
+	r, sb := tmpfsFile(t, "/f", []byte("AAAA"))
+	if n, err := r.v.Write(r.th, sb, "/f", ^uint64(0), []byte("BB")); err == nil {
+		t.Fatalf("wrapping write returned %d bytes and no error", n)
+	}
+	got, err := r.v.Read(r.th, sb, "/f", 0, 16)
+	if err != nil || string(got) != "AAAA" {
+		t.Fatalf("file reads %q, %v after the rejected write; want \"AAAA\"", got, err)
+	}
+	r.noViolations(t)
+}
+
 func TestMinixPersistsToDisk(t *testing.T) {
 	r := newRig(t, core.Enforce)
 	r.bl.AddDisk(1, minixsim.DiskSectors)
