@@ -120,8 +120,10 @@ func (v *VFS) pickVictim(holder *mount, keep pageKey) *pageEnt {
 		if e.key == keep || (mnt != holder && !mnt.mu.TryLock()) {
 			continue
 		}
-		if flags, _ := v.K.Sys.AS.ReadU64(v.SBField(mnt.sb, "flags")); !mnt.dead && flags&SBMemOnly == 0 {
-			return e
+		if !mnt.dead { // a dead mount's superblock is freed
+			if flags, _ := v.K.Sys.AS.ReadU64(v.SBField(mnt.sb, "flags")); flags&SBMemOnly == 0 {
+				return e
+			}
 		}
 		if mnt != holder {
 			mnt.mu.Unlock()
@@ -354,11 +356,11 @@ func (v *VFS) dirtyOf(mnt *mount, before uint64) []*pageEnt {
 	return ents
 }
 
-// syncLocked writes the given dirty pages back through the module's
-// writepage. Caller holds mnt.mu. A page that fails writeback stays
-// dirty, but the pass continues: one bad page must not block the
-// persistence of every page sorting after it. The first error is
-// reported.
+// syncLocked writes the given dirty pages of one mount back through the
+// module's writepage. Caller holds that mount's lock. A page that fails
+// writeback stays dirty, but the pass continues: one bad page must not
+// block the persistence of every page sorting after it. The first error
+// is reported.
 func (v *VFS) syncLocked(t *core.Thread, ents []*pageEnt) error {
 	var firstErr error
 	for _, e := range ents {
