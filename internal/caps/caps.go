@@ -11,10 +11,10 @@
 //
 // WRITE capabilities live in a sorted interval index per (principal,
 // shard): lookups binary-search the start-sorted entries and consult a
-// prefix maximum of entry ends, so `owns` and `revokeOverlap` are
-// O(log n) in the shard's entry count instead of scanning a hash
-// bucket. The paper's 12-bit address masking survives as the shard hash
-// (capability state is sharded by 4 KiB address bucket).
+// prefix maximum of entry ends, so `owns` and a revocation's victim
+// search are O(log n) in the shard's entry count instead of scanning a
+// hash bucket. The paper's 12-bit address masking survives as the shard
+// hash (capability state is sharded by 4 KiB address bucket).
 //
 // Concurrency: simulated kernel threads run on their own goroutines, so
 // the capability state is shared monitor state. It is guarded by
@@ -22,12 +22,14 @@
 //
 //  1. shard[i].mu (RWMutex, i = bucket & mask) — the slice of every
 //     principal's capability tables whose addresses hash to shard i.
-//     Checks take one shard's read lock (the hot path); grant/revoke
-//     take the write lock of every shard the capability's address range
-//     covers. Multi-shard operations (spanning WRITE grants, WRITE
-//     revocation, introspection snapshots) acquire shard locks in
-//     ascending index order — the shard-ordering rule that keeps
-//     multi-shard ops deadlock-free.
+//     Checks take one shard's read lock (the hot path). Grant, revoke
+//     and transfer take the write locks of the shards the capability's
+//     address range covers, and no more: a WRITE revocation collects its
+//     victims there, and only when a victim entry reaches into further
+//     shards does it release every lock and re-lock the union. Shard
+//     locks are always acquired in ascending index order, and the
+//     re-lock step holds none while it waits, so multi-shard operations
+//     cannot deadlock.
 //  2. ModuleSet.mu (RWMutex) — a module's principal directory (the
 //     instances and aliases maps). Acquired before any shard lock
 //     (global-principal checks walk the directory under it), never
@@ -37,15 +39,16 @@
 // snapshot lock (System.prinMu) are directory-level leaves ordered
 // after ModuleSet.mu; no callback ever runs under any of these locks.
 //
-// Every mutation — grant, revoke, transfer revocation, module load/
-// unload, instance drop — bumps a global capability epoch
-// (System.Epoch). Per-thread check caches in internal/core validate
-// against the epoch, so a revoked capability can never be served from a
-// stale cache entry.
+// Every mutation — grant, revoke, transfer, module load/unload,
+// instance drop — bumps a global capability epoch (System.Epoch) once,
+// after its tables changed and before it returns. Per-thread check
+// caches in internal/core validate against the epoch, so a revoked
+// capability can never be served from a stale cache entry.
 package caps
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -120,7 +123,7 @@ type writeEntry struct {
 
 func (w writeEntry) covers(addr mem.Addr, size uint64) bool {
 	end := addr + mem.Addr(size)
-	return w.addr <= addr && addr <= end && end <= w.addr+mem.Addr(w.size)
+	return w.addr <= addr && addr <= end && end <= w.end()
 }
 
 // overlaps reports whether w shares a byte with [addr, addr+size). An
@@ -132,9 +135,14 @@ func (w writeEntry) overlaps(addr mem.Addr, size uint64) bool {
 // lastByte returns the last address of the nonempty range [addr,
 // addr+size), saturated at the top of the address space when the range
 // wraps past it: revocation then strips more than requested, never less.
-func lastByte(addr mem.Addr, size uint64) mem.Addr {
-	if last := addr + mem.Addr(size-1); last >= addr {
-		return last
+func lastByte(addr mem.Addr, size uint64) mem.Addr { return satAdd(addr, size-1) }
+
+// satAdd returns addr+n, or the top of the address space when the sum
+// wraps past it. Entry ends and range last bytes both go through it, so
+// a range that reaches 2^64 is never mistaken for one near address 0.
+func satAdd(addr mem.Addr, n uint64) mem.Addr {
+	if s := addr + mem.Addr(n); s >= addr {
+		return s
 	}
 	return ^mem.Addr(0)
 }
@@ -231,24 +239,34 @@ func (p *Principal) shardIdx(a mem.Addr) int {
 	return int(bucketOf(a)) & (len(p.shards) - 1)
 }
 
-// eachWriteShard calls fn for every shard a WRITE range's tables touch,
-// with the range's end saturated as in lastByte. A range spanning at
-// least as many buckets as there are shards wraps around the whole ring,
-// so every shard is visited exactly once.
-func (p *Principal) eachWriteShard(addr mem.Addr, size uint64, fn func(*prinShard)) {
-	n := len(p.shards)
+// writeShardBits returns the bitmap of the n shards (a power of two, at
+// most maxShards) whose tables a WRITE range touches, with the range's
+// end saturated as in lastByte. A range spanning at least n buckets
+// wraps around the whole ring and touches every shard; an empty range
+// touches none.
+func writeShardBits(addr mem.Addr, size uint64, n int) uint64 {
+	if size == 0 {
+		return 0
+	}
 	first := bucketOf(addr)
 	last := bucketOf(lastByte(addr, size))
-	if span := uint64(last-first) + 1; span >= uint64(n) {
-		for i := range p.shards {
-			fn(&p.shards[i])
-		}
-		return
+	if uint64(last-first)+1 >= uint64(n) {
+		return allShardBits(n)
 	}
 	mask := mem.Addr(n - 1)
+	var set uint64
 	for b := first; b <= last; b++ {
-		fn(&p.shards[int(b&mask)])
+		set |= uint64(1) << (b & mask)
 	}
+	return set
+}
+
+// allShardBits is the bitmap selecting every one of n shards.
+func allShardBits(n int) uint64 {
+	if n == 64 {
+		return ^uint64(0)
+	}
+	return uint64(1)<<n - 1
 }
 
 // grant inserts c into p's own tables. Caller holds the covering shard
@@ -256,13 +274,10 @@ func (p *Principal) eachWriteShard(addr mem.Addr, size uint64, fn func(*prinShar
 func (p *Principal) grant(c Cap) {
 	switch c.Kind {
 	case Write:
-		if c.Size == 0 {
-			return
-		}
 		e := writeEntry{addr: c.Addr, size: c.Size}
-		p.eachWriteShard(c.Addr, c.Size, func(sh *prinShard) {
-			sh.writes.insert(e)
-		})
+		for set := writeShardBits(c.Addr, c.Size, len(p.shards)); set != 0; set &= set - 1 {
+			p.shards[bits.TrailingZeros64(set)].writes.insert(e)
+		}
 	case Ref:
 		sh := &p.shards[p.shardIdx(c.Addr)]
 		if sh.refs == nil {
@@ -297,55 +312,76 @@ func (p *Principal) owns(c Cap) bool {
 	return false
 }
 
-// revokeOverlap removes capabilities matching c from p's own tables.
-// For WRITE, any entry overlapping [c.Addr, c.Addr+c.Size) is removed
-// entirely (the conservative direction: revocation may strip more than
-// requested, never less). Caller holds every shard write lock for WRITE
-// (victims may extend into shards outside the revoked range), or the
-// single covering shard lock for REF/CALL. A WRITE revocation collects
-// its victims in *scratch, whose backing array the caller keeps, so
-// the transfer-heavy crossing paths stay allocation-free.
-func (p *Principal) revokeOverlap(c Cap, scratch *[]writeEntry) bool {
-	switch c.Kind {
-	case Write:
-		if c.Size == 0 {
-			return false
-		}
-		victims := (*scratch)[:0]
-		p.eachWriteShard(c.Addr, c.Size, func(sh *prinShard) {
-			victims = sh.writes.appendOverlap(c.Addr, c.Size, victims)
-		})
-		removed := false
-		for vi, v := range victims {
-			// An entry spanning several shards was collected once per
-			// shard; process each distinct victim once.
-			dup := false
-			for _, u := range victims[:vi] {
-				if u == v {
-					dup = true
-					break
-				}
-			}
-			if dup {
+// victim is one WRITE entry a revocation strips, held by the principal
+// at index prin of the revocation's principal list.
+type victim struct {
+	e    writeEntry
+	prin int
+}
+
+// appendWriteVictims appends to out, as victims of principal index pi,
+// p's distinct WRITE entries overlapping c (the conservative direction:
+// revocation strips whole entries, so it may remove more than requested,
+// never less). It reads only the shards selected by scope, which must
+// cover c's range: every overlapping entry was inserted there. It also
+// returns the bitmap of every shard the victims' tables span. Caller
+// holds the write locks of the scope shards.
+func (p *Principal) appendWriteVictims(out []victim, pi int, c Cap, scope uint64) ([]victim, uint64) {
+	from := len(out)
+	var span uint64
+	for ; scope != 0; scope &= scope - 1 {
+		is := &p.shards[bits.TrailingZeros64(scope)].writes
+		lo, hi := is.overlapWindow(c.Addr, c.Size)
+	next:
+		for _, e := range is.ents[lo:hi] {
+			if !e.overlaps(c.Addr, c.Size) {
 				continue
 			}
-			p.eachWriteShard(v.addr, v.size, func(sh *prinShard) {
-				if sh.writes.remove(v) {
-					removed = true
+			// An entry spanning several scope shards is met once per
+			// shard; keep each distinct victim once.
+			for _, v := range out[from:] {
+				if v.e == e {
+					continue next
 				}
-			})
+			}
+			out = append(out, victim{e: e, prin: pi})
+			span |= writeShardBits(e.addr, e.size, len(p.shards))
 		}
-		*scratch = victims[:0]
-		return removed
+	}
+	return out, span
+}
+
+// removeVictims strips each victim entry from every shard its range
+// spans and returns how many distinct principals lost one. vs is grouped
+// by principal, as appendWriteVictims builds it. Caller holds the write
+// locks of every shard the victims span.
+func removeVictims(prins []*Principal, vs []victim) int {
+	n, last := 0, -1
+	for _, v := range vs {
+		p := prins[v.prin]
+		for set := writeShardBits(v.e.addr, v.e.size, len(p.shards)); set != 0; set &= set - 1 {
+			p.shards[bits.TrailingZeros64(set)].writes.remove(v.e)
+		}
+		if v.prin != last {
+			n, last = n+1, v.prin
+		}
+	}
+	return n
+}
+
+// revokeKey removes a REF or CALL capability from p's own tables and
+// reports whether p held it. Caller holds the covering shard's write
+// lock.
+func (p *Principal) revokeKey(c Cap) bool {
+	sh := &p.shards[p.shardIdx(c.Addr)]
+	switch c.Kind {
 	case Ref:
-		sh := &p.shards[p.shardIdx(c.Addr)]
 		k := refKey{c.RefType, c.Addr}
 		if _, ok := sh.refs[k]; ok {
 			delete(sh.refs, k)
 			return true
 		}
 	case Call:
-		sh := &p.shards[p.shardIdx(c.Addr)]
 		if _, ok := sh.calls[c.Addr]; ok {
 			delete(sh.calls, c.Addr)
 			return true
@@ -578,17 +614,32 @@ func (ms *ModuleSet) principalsLocked() []*Principal {
 // neighboring shard locks do not share a cache line under contention.
 type capShard struct {
 	mu sync.RWMutex
-	_  [40]byte
+	// victims is WRITE revocation's scratch list. A revocation uses the
+	// scratch of the lowest shard it holds write-locked, which
+	// serializes its users, and keeps the backing array, so the
+	// transfer-heavy crossing paths stay allocation-free.
+	victims []victim
+	_       [16]byte
 }
 
-// maxShards bounds the shard count so shard sets fit a single uint64
-// bitmap (and so a WRITE revoke locking every shard stays cheap).
+// maxShards bounds the shard count so a shard set fits one uint64
+// bitmap. The per-principal tables grow with the count (one prinShard
+// per shard), which is what keeps it from growing further.
 const maxShards = 64
 
+// shardsPerProc is how many capability shards each GOMAXPROCS slot gets.
+const shardsPerProc = 4
+
 // pickShardCount returns the smallest power of two covering
-// GOMAXPROCS, clamped to [1, maxShards].
-func pickShardCount() int {
-	n := runtime.GOMAXPROCS(0)
+// shardsPerProc × GOMAXPROCS, clamped to [1, maxShards]: 8 shards on a
+// 2-core host. No operation locks every shard on the crossing path (a
+// WRITE revocation locks its range's shards), so more shards than
+// threads make two threads' checks and transfers rarely meet on one
+// lock.
+func pickShardCount() int { return roundShards(shardsPerProc * runtime.GOMAXPROCS(0)) }
+
+// roundShards rounds n up to a power of two, clamped to [1, maxShards].
+func roundShards(n int) int {
 	s := 1
 	for s < n && s < maxShards {
 		s <<= 1
@@ -609,11 +660,6 @@ type System struct {
 	// so no revoked capability is ever served from a cache.
 	epoch atomic.Uint64
 
-	// victims is WRITE revocation's scratch list. Revoke and RevokeAll
-	// use it only while they hold every shard's write lock (revokeBits),
-	// which serializes its users.
-	victims []writeEntry
-
 	regMu   sync.RWMutex
 	modules map[string]*ModuleSet
 
@@ -631,7 +677,7 @@ type System struct {
 }
 
 // NewSystem returns an empty capability system sharded for the host
-// (one shard per GOMAXPROCS slot, rounded up to a power of two).
+// (pickShardCount).
 func NewSystem() *System {
 	return NewSystemWithShards(pickShardCount())
 }
@@ -641,14 +687,7 @@ func NewSystem() *System {
 // [1, 64]). Tests and benchmarks use it to exercise multi-shard
 // behavior regardless of the host's core count.
 func NewSystemWithShards(n int) *System {
-	if n < 1 {
-		n = 1
-	}
-	p := 1
-	for p < n && p < maxShards {
-		p <<= 1
-	}
-	n = p
+	n = roundShards(n)
 	s := &System{
 		nshards: n,
 		mask:    mem.Addr(n - 1),
@@ -674,49 +713,25 @@ func (s *System) bumpEpoch() { s.epoch.Add(1) }
 
 func (s *System) shardOf(a mem.Addr) int { return int(bucketOf(a) & s.mask) }
 
-// allShardBits is the bitmap selecting every shard.
-func (s *System) allShardBits() uint64 {
-	if s.nshards == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << s.nshards) - 1
-}
-
 // shardBits returns the bitmap of shards capability c's tables touch.
 func (s *System) shardBits(c Cap) uint64 {
 	if c.Kind != Write {
 		return uint64(1) << s.shardOf(c.Addr)
 	}
-	if c.Size == 0 {
-		return 0
-	}
-	first := bucketOf(c.Addr)
-	last := bucketOf(lastByte(c.Addr, c.Size))
-	if span := uint64(last-first) + 1; span >= uint64(s.nshards) {
-		return s.allShardBits()
-	}
-	var bits uint64
-	for b := first; b <= last; b++ {
-		bits |= uint64(1) << (b & s.mask)
-	}
-	return bits
+	return writeShardBits(c.Addr, c.Size, s.nshards)
 }
 
 // lockShards write-locks the selected shards in ascending index order —
 // the shard-ordering rule every multi-shard operation follows.
-func (s *System) lockShards(bits uint64) {
-	for i := 0; bits != 0; i, bits = i+1, bits>>1 {
-		if bits&1 != 0 {
-			s.shards[i].mu.Lock()
-		}
+func (s *System) lockShards(set uint64) {
+	for ; set != 0; set &= set - 1 {
+		s.shards[bits.TrailingZeros64(set)].mu.Lock()
 	}
 }
 
-func (s *System) unlockShards(bits uint64) {
-	for i := 0; bits != 0; i, bits = i+1, bits>>1 {
-		if bits&1 != 0 {
-			s.shards[i].mu.Unlock()
-		}
+func (s *System) unlockShards(set uint64) {
+	for ; set != 0; set &= set - 1 {
+		s.shards[bits.TrailingZeros64(set)].mu.Unlock()
 	}
 }
 
@@ -831,10 +846,10 @@ func (s *System) Grant(p *Principal, c Cap) {
 	if p == nil || p.IsTrusted() {
 		return
 	}
-	bits := s.shardBits(c)
-	s.lockShards(bits)
+	set := s.shardBits(c)
+	s.lockShards(set)
 	p.grant(c)
-	s.unlockShards(bits)
+	s.unlockShards(set)
 	s.bumpEpoch()
 }
 
@@ -896,52 +911,93 @@ func (s *System) OwnsDirectly(p *Principal, c Cap) bool {
 	return ok
 }
 
-// revokeBits returns the shard set a revocation of c must lock: every
-// shard for WRITE (an overlapping victim entry may extend into shards
-// outside the revoked range), the single covering shard otherwise.
-func (s *System) revokeBits(c Cap) uint64 {
-	if c.Kind == Write {
-		return s.allShardBits()
-	}
-	return uint64(1) << s.shardOf(c.Addr)
-}
-
 // Revoke removes capability c from principal p only.
 func (s *System) Revoke(p *Principal, c Cap) {
 	if p == nil || p.IsTrusted() {
 		return
 	}
-	bits := s.revokeBits(c)
-	s.lockShards(bits)
-	p.revokeOverlap(c, &s.victims)
-	s.unlockShards(bits)
-	s.bumpEpoch()
+	s.revoke(p, c, nil)
 }
 
 // RevokeAll removes capability c from every principal of every module in
-// the system. This implements the transfer semantics of §3.3: "Transfer
-// actions revoke the transferred capability from all principals in the
-// system, rather than just from the immediate source", so that no copies
-// remain and the referenced object can be reused safely. The principal
-// snapshot is traversed under the relevant shard locks, so no check can
-// observe a half-revoked capability within a shard.
-func (s *System) RevokeAll(c Cap) int {
-	bits := s.revokeBits(c)
-	s.lockShards(bits)
-	// The snapshot is loaded after the shard locks are held: any grant
-	// that completed before our acquisition (including one to a freshly
-	// created principal) published both the principal and its tables, so
-	// the sweep cannot miss a holder the way a pre-lock snapshot could.
-	prins := *s.prins.Load()
-	n := 0
-	for _, p := range prins {
-		if p.revokeOverlap(c, &s.victims) {
-			n++
-		}
+// the system and returns how many principals lost a capability. This
+// implements the transfer semantics of §3.3: "Transfer actions revoke
+// the transferred capability from all principals in the system, rather
+// than just from the immediate source", so that no copies remain and the
+// referenced object can be reused safely.
+func (s *System) RevokeAll(c Cap) int { return s.revoke(nil, c, nil) }
+
+// Transfer is the transfer action of §3.3 as one operation: it revokes c
+// from every principal in the system, then grants it to `to` (a nil or
+// trusted `to` receives nothing: the kernel owns everything), under one
+// acquisition of the shard locks and with one epoch bump. A concurrent
+// check sees either the old holders or the new one, never a capability
+// held by nobody in between. It returns how many principals lost a
+// capability.
+func (s *System) Transfer(c Cap, to *Principal) int {
+	if to != nil && to.IsTrusted() {
+		to = nil
 	}
-	s.unlockShards(bits)
-	s.bumpEpoch()
-	return n
+	return s.revoke(nil, c, to)
+}
+
+// revoke strips c from only (every principal in the system when only is
+// nil), then grants c to `to` when it is not nil, and bumps the epoch
+// once. It write-locks the shards c's range covers and collects every
+// victim there in one pass, into the scratch of the lowest locked
+// shard. Only when a victim WRITE entry reaches into further shards does
+// it release every lock, re-lock the union in ascending order and
+// collect again: a re-lock holds nothing while it waits, so it adds no
+// hold-and-wait edge. The principal snapshot is loaded after the locks
+// are held: a grant of an overlapping entry holds a shard of c's range,
+// so one that completed before we took that shard published its
+// principal first (a freshly created one included), and the sweep
+// cannot miss a holder.
+func (s *System) revoke(only *Principal, c Cap, to *Principal) int {
+	scope := s.shardBits(c)
+	if scope == 0 { // an empty WRITE range names no byte
+		s.bumpEpoch()
+		return 0
+	}
+	held := scope
+	one := [1]*Principal{only}
+	for {
+		s.lockShards(held)
+		prins := *s.prins.Load()
+		if only != nil {
+			prins = one[:]
+		}
+		n := 0
+		if c.Kind == Write {
+			sh := &s.shards[bits.TrailingZeros64(held)]
+			vs := sh.victims[:0]
+			var span uint64
+			for pi, p := range prins {
+				var ps uint64
+				vs, ps = p.appendWriteVictims(vs, pi, c, scope)
+				span |= ps
+			}
+			sh.victims = vs[:0]
+			if span&^held != 0 {
+				s.unlockShards(held)
+				held |= span
+				continue
+			}
+			n = removeVictims(prins, vs)
+		} else {
+			for _, p := range prins {
+				if p.revokeKey(c) {
+					n++
+				}
+			}
+		}
+		if to != nil {
+			to.grant(c)
+		}
+		s.unlockShards(held)
+		s.bumpEpoch()
+		return n
+	}
 }
 
 // appendGrantees traverses the principal snapshot (already in stable

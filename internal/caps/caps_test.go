@@ -360,8 +360,37 @@ func TestWrappingWriteProbeNotCovered(t *testing.T) {
 // past the top of the address space strips every entry it reaches below
 // the top, whatever the shard count. Computed with the wrapped end, the
 // overlap test and the shard walk would see an empty or low range and
-// strip nothing.
+// strip nothing. A held entry that itself ends exactly at 2^64 must be
+// checkable and revocable too: stored with its wrapped end (0), the
+// prefix maximum never reached it.
 func TestWrappingRevocationStrips(t *testing.T) {
+	top := WriteCap(0xfffffffffffff000, 0x1000)
+	inside := WriteCap(0xfffffffffffff800, 8)
+	for _, n := range []int{1, 2, 8, 64} {
+		s := NewSystemWithShards(n)
+		p := s.LoadModule("m").Instance(0x1)
+		s.Grant(p, top)
+		if !s.Check(p, inside) {
+			t.Errorf("%d shards: %s held, %s inside it not covered", n, top, inside)
+		}
+		if got := s.RevokeAll(top); got != 1 || s.Check(p, inside) || len(p.WriteRegions()) != 0 {
+			t.Errorf("%d shards: RevokeAll(%s) stripped %d principals, left %v", n, top, got, p.WriteRegions())
+		}
+		s.Grant(p, top)
+		s.Revoke(p, inside)
+		if len(p.WriteRegions()) != 0 {
+			t.Errorf("%d shards: Revoke(%s) left %v", n, inside, p.WriteRegions())
+		}
+	}
+	var lt LinearWriteSet
+	lt.Grant(top.Addr, top.Size)
+	if !lt.Check(inside.Addr, inside.Size) {
+		t.Errorf("linear set: %s held, %s inside it not covered", top, inside)
+	}
+	if !lt.RevokeOverlap(inside.Addr, inside.Size) || lt.Len() != 0 {
+		t.Errorf("linear set: RevokeOverlap(%s) left %d entries", inside, lt.Len())
+	}
+
 	held := WriteCap(0xffffffffffff0000, 0x1000)
 	revokes := []Cap{
 		WriteCap(0xffffffffffff0000, 0x20000),

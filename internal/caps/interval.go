@@ -19,7 +19,11 @@ type intervalSet struct {
 	maxEnd []mem.Addr // maxEnd[i] = max over ents[0..i] of entry end
 }
 
-func (w writeEntry) end() mem.Addr { return w.addr + mem.Addr(w.size) }
+// end returns the entry's exclusive end, saturated at the top of the
+// address space (satAdd): an entry reaching 2^64 or past it keeps an end
+// above its start, so the prefix maximum and the overlap search still
+// find it.
+func (w writeEntry) end() mem.Addr { return satAdd(w.addr, w.size) }
 
 // searchAfter returns the first index whose entry starts strictly after
 // addr. Hand-rolled so the hot check path stays closure- and
@@ -90,18 +94,19 @@ func (s *intervalSet) remove(e writeEntry) bool {
 	return false
 }
 
-// appendOverlap appends every entry overlapping [addr, addr+size) to
-// out. The candidate window is narrowed from both sides by binary
-// search: entries starting past the probe's last byte (lastByte, so a
-// probe that wraps reaches the top of the address space) cannot
-// overlap, and the nondecreasing prefix maximum locates the first index
-// whose prefix reaches past addr.
-func (s *intervalSet) appendOverlap(addr mem.Addr, size uint64, out []writeEntry) []writeEntry {
+// overlapWindow returns the index window [lo, hi) holding every entry
+// that overlaps the nonempty range [addr, addr+size); entries inside it
+// may still miss the range, so callers test each with overlaps. The
+// window is narrowed from both sides by binary search: entries starting
+// past the range's last byte (lastByte, so a range that wraps reaches
+// the top of the address space) cannot overlap, and the nondecreasing
+// prefix maximum locates the first index whose prefix reaches past addr.
+func (s *intervalSet) overlapWindow(addr mem.Addr, size uint64) (lo, hi int) {
 	if size == 0 || len(s.ents) == 0 {
-		return out
+		return 0, 0
 	}
-	hi := s.searchAfter(lastByte(addr, size))
-	lo, r := 0, hi
+	hi = s.searchAfter(lastByte(addr, size))
+	r := hi
 	for lo < r {
 		mid := int(uint(lo+r) >> 1)
 		if s.maxEnd[mid] > addr {
@@ -110,12 +115,7 @@ func (s *intervalSet) appendOverlap(addr mem.Addr, size uint64, out []writeEntry
 			lo = mid + 1
 		}
 	}
-	for j := lo; j < hi; j++ {
-		if s.ents[j].overlaps(addr, size) {
-			out = append(out, s.ents[j])
-		}
-	}
-	return out
+	return lo, hi
 }
 
 func (s *intervalSet) len() int { return len(s.ents) }

@@ -38,7 +38,7 @@ func (l *LinearWriteSet) Check(addr mem.Addr, size uint64) bool {
 }
 
 // RevokeOverlap removes every entry overlapping [addr, addr+size),
-// mirroring Principal.revokeOverlap's conservative semantics.
+// mirroring the conservative semantics of System.Revoke.
 func (l *LinearWriteSet) RevokeOverlap(addr mem.Addr, size uint64) bool {
 	out := l.entries[:0]
 	removed := false
@@ -62,7 +62,7 @@ func (l *LinearWriteSet) Len() int { return len(l.entries) }
 // side-by-side benchmarking against the linear baseline.
 type BucketWriteSet struct {
 	p       *Principal
-	victims []writeEntry
+	victims []victim
 }
 
 // NewBucketWriteSet returns an empty bucketed set.
@@ -82,5 +82,7 @@ func (b *BucketWriteSet) Check(addr mem.Addr, size uint64) bool {
 
 // RevokeOverlap removes overlapping entries.
 func (b *BucketWriteSet) RevokeOverlap(addr mem.Addr, size uint64) bool {
-	return b.p.revokeOverlap(WriteCap(addr, size), &b.victims)
+	prins := []*Principal{b.p}
+	b.victims, _ = b.p.appendWriteVictims(b.victims[:0], 0, WriteCap(addr, size), 1)
+	return removeVictims(prins, b.victims) != 0
 }

@@ -2,6 +2,8 @@ package caps
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -154,5 +156,238 @@ func TestConcurrentShardedGrantRevoke(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// linearModel is the reference for TestScopedRevocationMatchesLinear:
+// one LinearWriteSet per principal, with transfer and RevokeAll spelled
+// out over all of them.
+type linearModel []LinearWriteSet
+
+func (m linearModel) revokeAll(addr mem.Addr, size uint64) int {
+	n := 0
+	for i := range m {
+		if m[i].RevokeOverlap(addr, size) {
+			n++
+		}
+	}
+	return n
+}
+
+// randWriteCap draws a WRITE range for the scoped-revocation tests: in a
+// low region, spanning up to 80 buckets (so a victim reaches past any
+// shard count's ring and forces the re-lock step), or in the top 64 KiB
+// of the address space, where ranges reach 2^64 exactly or wrap past it;
+// one draw in sixteen is empty.
+func randWriteCap(rng *rand.Rand) Cap {
+	var size uint64
+	switch rng.Intn(16) {
+	case 0:
+		size = 0
+	case 1, 2, 3:
+		size = uint64(1+rng.Intn(80)) * 4096
+	default:
+		size = uint64(1 + rng.Intn(3*4096))
+	}
+	if rng.Intn(4) == 0 {
+		top := mem.Addr(0xffffffffffff0000) + mem.Addr(rng.Intn(16))*4096
+		if rng.Intn(2) == 0 {
+			return WriteCap(top, uint64(-top)) // ends exactly at 2^64
+		}
+		return WriteCap(top+mem.Addr(rng.Intn(4096)), size)
+	}
+	return WriteCap(mem.Addr(0xffff880000000000)+mem.Addr(rng.Intn(96*4096)), size)
+}
+
+// sortCaps orders WRITE capabilities by address, then size.
+func sortCaps(cs []Cap) {
+	sort.Slice(cs, func(i, j int) bool {
+		if cs[i].Addr != cs[j].Addr {
+			return cs[i].Addr < cs[j].Addr
+		}
+		return cs[i].Size < cs[j].Size
+	})
+}
+
+// TestScopedRevocationMatchesLinear drives seeded sequences of grant,
+// transfer, Revoke, RevokeAll and Check through systems sharded 1, 2, 8
+// and 64 ways and through a linear model, and requires the same answers
+// and, at the end, the same WRITE entries per principal. Revocations
+// lock only their range's shards and re-lock when a victim reaches
+// further; transfers revoke and grant in one operation. The ranges
+// include victims spanning 2 to 80 buckets, ranges at the top of the
+// address space and empty ranges.
+func TestScopedRevocationMatchesLinear(t *testing.T) {
+	const nprins = 3
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		model := make(linearModel, nprins)
+		type rig struct {
+			s     *System
+			prins []*Principal
+		}
+		var rigs []rig
+		for _, n := range []int{1, 2, 8, 64} {
+			s := NewSystemWithShards(n)
+			ms := s.LoadModule("m")
+			r := rig{s: s}
+			for i := 0; i < nprins; i++ {
+				r.prins = append(r.prins, ms.Instance(mem.Addr(0x100+i)))
+			}
+			rigs = append(rigs, r)
+		}
+		for step := 0; step < 300; step++ {
+			c := randWriteCap(rng)
+			pi := rng.Intn(nprins)
+			what := ""
+			switch op := rng.Intn(8); op {
+			case 0, 1:
+				what = "Grant"
+				model[pi].Grant(c.Addr, c.Size)
+				for _, r := range rigs {
+					r.s.Grant(r.prins[pi], c)
+				}
+			case 2, 3:
+				what = "Transfer"
+				want := model.revokeAll(c.Addr, c.Size)
+				model[pi].Grant(c.Addr, c.Size)
+				for _, r := range rigs {
+					if got := r.s.Transfer(c, r.prins[pi]); got != want {
+						t.Fatalf("seed %d step %d: %d shards: Transfer(%s) stripped %d principals, model %d",
+							seed, step, r.s.ShardCount(), c, got, want)
+					}
+				}
+			case 4:
+				what = "Revoke"
+				model[pi].RevokeOverlap(c.Addr, c.Size)
+				for _, r := range rigs {
+					r.s.Revoke(r.prins[pi], c)
+				}
+			case 5:
+				what = "RevokeAll"
+				want := model.revokeAll(c.Addr, c.Size)
+				for _, r := range rigs {
+					if got := r.s.RevokeAll(c); got != want {
+						t.Fatalf("seed %d step %d: %d shards: RevokeAll(%s) stripped %d principals, model %d",
+							seed, step, r.s.ShardCount(), c, got, want)
+					}
+				}
+			default:
+				what = "Check"
+			}
+			// Probe after every step: a random range, plus the bytes
+			// around the step's own range.
+			probes := []Cap{randWriteCap(rng), WriteCap(c.Addr, 1), WriteCap(lastByte(c.Addr, c.Size|1), 1)}
+			for _, pr := range probes {
+				for qi := 0; qi < nprins; qi++ {
+					want := model[qi].Check(pr.Addr, pr.Size)
+					for _, r := range rigs {
+						if got := r.s.Check(r.prins[qi], pr); got != want {
+							t.Fatalf("seed %d step %d (after %s %s): %d shards: Check(p%d, %s) = %v, model %v",
+								seed, step, what, c, r.s.ShardCount(), qi, pr, got, want)
+						}
+					}
+				}
+			}
+		}
+		for qi := 0; qi < nprins; qi++ {
+			var want []Cap
+			for _, e := range model[qi].entries {
+				want = append(want, WriteCap(e.addr, e.size))
+			}
+			sortCaps(want)
+			for _, r := range rigs {
+				got := r.prins[qi].WriteRegions()
+				sortCaps(got)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d: %d shards: p%d holds %v, model %v", seed, r.s.ShardCount(), qi, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentTransferNeverUnheld runs transfers and checks on
+// several goroutines at once, at 2 and 8 shards. Each worker ping-pongs
+// a three-bucket range and a small range inside its second bucket
+// between two principals of one module. Handing over the small range
+// strips the big one, a victim that reaches past the small range's
+// shard, so it takes the re-lock path. Neighboring workers' ranges
+// share shards. After each transfer the worker asserts who holds what.
+// Concurrent checkers assert through the module's global principal that
+// every worker's small range stays held by someone at every instant: a
+// transfer revokes and grants in one operation. Run under -race in CI's
+// concurrency battery.
+func TestConcurrentTransferNeverUnheld(t *testing.T) {
+	for _, n := range []int{2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			const workers, checkers, rounds = 4, 2, 300
+			s := NewSystemWithShards(n)
+			ms := s.LoadModule("m")
+			type pair struct{ a, b *Principal }
+			pairs := make([]pair, workers)
+			bigs := make([]Cap, workers)
+			smalls := make([]Cap, workers)
+			for w := range pairs {
+				pairs[w] = pair{ms.Instance(mem.Addr(0x100 + 2*w)), ms.Instance(mem.Addr(0x101 + 2*w))}
+				base := mem.Addr(0xffff880000000000) + mem.Addr(w)*5*4096 + 0x800
+				bigs[w] = WriteCap(base, 3*4096)
+				smalls[w] = WriteCap(base+4096, 64)
+				s.Transfer(bigs[w], pairs[w].a)
+			}
+			g := ms.Global()
+			var wg sync.WaitGroup
+			done := make(chan struct{})
+			errs := make(chan error, workers+checkers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					a, b, big, small := pairs[w].a, pairs[w].b, bigs[w], smalls[w]
+					for i := 0; i < rounds; i++ {
+						from, to := a, b
+						if i%2 == 1 {
+							from, to = b, a
+						}
+						s.Transfer(small, to)
+						if !s.Check(to, small) || s.Check(from, small) || s.Check(from, big) {
+							errs <- fmt.Errorf("worker %d round %d: small range not handed to %s alone", w, i, to)
+							return
+						}
+						s.Transfer(big, from)
+						if !s.Check(from, big) || s.Check(to, small) {
+							errs <- fmt.Errorf("worker %d round %d: big range not handed back to %s alone", w, i, from)
+							return
+						}
+					}
+				}(w)
+			}
+			var cw sync.WaitGroup
+			for c := 0; c < checkers; c++ {
+				cw.Add(1)
+				go func(c int) {
+					defer cw.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						w := (c + i) % workers
+						if !s.Check(g, smalls[w]) {
+							errs <- fmt.Errorf("checker %d: worker %d's small range held by no principal", c, w)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			close(done)
+			cw.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
 	}
 }

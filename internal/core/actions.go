@@ -60,6 +60,19 @@ func (t *Thread) grant(p *caps.Principal, c caps.Cap) {
 	}
 }
 
+// transfer revokes c from every principal in the system so no stale
+// copies remain (§3.3), then grants it to p: one capability-system
+// operation with one epoch bump.
+func (t *Thread) transfer(p *caps.Principal, c caps.Cap) {
+	mon := &t.Sys.Mon.Stats
+	mon.CapRevokes.Add(1)
+	mon.CapGrants.Add(1)
+	t.Sys.Caps.Transfer(c, p)
+	if c.Kind == caps.Write && p != nil && !p.IsTrusted() {
+		t.Sys.WST.MarkRange(c.Addr, c.Size)
+	}
+}
+
 // runProgram executes one compiled pre or post action program (the
 // crossing's side of the Fig. 3 contract). Ownership checks are made
 // against from, the side that must already hold each capability; copies
@@ -146,11 +159,7 @@ func (t *Thread) applyCapOp(phase, fnName string, op annot.Op, c caps.Cap, refTa
 	case annot.Copy:
 		t.grant(to, c)
 	case annot.Transfer:
-		// Transfers revoke from *all* principals in the system so no
-		// stale copies remain (§3.3), then grant to the destination.
-		mon.CapRevokes.Add(1)
-		t.Sys.Caps.RevokeAll(c)
-		t.grant(to, c)
+		t.transfer(to, c)
 	}
 	return nil
 }

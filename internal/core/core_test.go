@@ -262,6 +262,40 @@ func TestKmallocGrantsAndKfreeRevokes(t *testing.T) {
 	}
 }
 
+// TestTransferCrossingBumpsEpochOnce counts the capability epoch across
+// crossings with one transfer action each: kmalloc's post-transfer to
+// the module and kfree's pre-transfer back to the kernel. A transfer is
+// one capability-system operation, so each crossing advances the epoch
+// by exactly 1, and the per-thread check caches refill once per
+// transfer rather than once for its revocation and again for its grant.
+func TestTransferCrossingBumpsEpochOnce(t *testing.T) {
+	f := newFixture(t, core.Enforce)
+	var bumps [2]uint64
+	m := f.loadModule(t, "m", []string{"kmalloc", "kfree"}, func(th *core.Thread, args []uint64) uint64 {
+		before := th.Sys.Caps.Epoch()
+		p, err := th.CallKernel("kmalloc", 128)
+		if err != nil || p == 0 {
+			return 1
+		}
+		bumps[0] = th.Sys.Caps.Epoch() - before
+		if err := th.WriteU64(mem.Addr(p), 7); err != nil {
+			return 2
+		}
+		before = th.Sys.Caps.Epoch()
+		if _, err := th.CallKernel("kfree", p); err != nil {
+			return 3
+		}
+		bumps[1] = th.Sys.Caps.Epoch() - before
+		return 0
+	})
+	if ret, err := f.t.CallModule(m, "run", 0); err != nil || ret != 0 {
+		t.Fatalf("ret=%d err=%v", ret, err)
+	}
+	if bumps != [2]uint64{1, 1} {
+		t.Fatalf("epoch advanced by %d across kmalloc and %d across kfree, want 1 each", bumps[0], bumps[1])
+	}
+}
+
 func TestKmallocShortAllocationGrant(t *testing.T) {
 	// The CAN BCM pattern: the capability covers only what was actually
 	// requested, so overflowing writes beyond it are blocked.

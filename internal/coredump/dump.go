@@ -389,4 +389,11 @@ func Decode(data []byte) (*Dump, error) {
 }
 
 // rangeEnd is a WRITE range's exclusive end, shared with the validator.
-func rangeEnd(c CapRange) uint64 { return c.Addr + c.Size }
+// It saturates at the top of the address space, as the live interval
+// index stores the end of a range that reaches 2^64.
+func rangeEnd(c CapRange) uint64 {
+	if e := c.Addr + c.Size; e >= c.Addr {
+		return e
+	}
+	return ^uint64(0)
+}

@@ -3,11 +3,13 @@ package vfs_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"lxfi/internal/core"
 	"lxfi/internal/mem"
 	"lxfi/internal/modules/minixsim"
+	"lxfi/internal/modules/tmpfssim"
 )
 
 // twoMinixMounts boots a rig with minixsim mounted on disks 1 and 2.
@@ -80,7 +82,17 @@ func TestEvictionSparesInsertedPage(t *testing.T) {
 	if err != nil || !bytes.Equal(got, dataA) {
 		t.Fatalf("A's page reads back %x..., want its data (%v)", got[:8], err)
 	}
+	checkPageIndex(t, r)
 	r.noViolations(t)
+}
+
+// checkPageIndex fails the test when the page cache's lists disagree
+// with its map (VFS.CheckPageIndex).
+func checkPageIndex(t *testing.T, r *rig) {
+	t.Helper()
+	if err := r.v.CheckPageIndex(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // writePages creates each path on sb and fills its first page,
@@ -139,6 +151,7 @@ func TestEvictionPassesOverBusyMount(t *testing.T) {
 	if n := r.v.PageCount(); n != budget {
 		t.Fatalf("cache holds %d pages, want the budget of %d", n, budget)
 	}
+	checkPageIndex(t, r)
 	r.noViolations(t)
 }
 
@@ -197,6 +210,7 @@ func TestFailedWritebackVictimMovesBack(t *testing.T) {
 	if _, ok := r.v.PageAddr(dirty[0], 0); !ok {
 		t.Fatal("the unpersistable dirty page left the cache")
 	}
+	checkPageIndex(t, r)
 	if len(r.k.Sys.Mon.Violations()) != 0 {
 		t.Fatalf("I/O error recorded as a violation: %v", r.k.Sys.Mon.LastViolation())
 	}
@@ -262,5 +276,144 @@ func TestStressUnlinkAgainstCrossMountEviction(t *testing.T) {
 	if r.v.Stats.Evictions.Load() == 0 {
 		t.Fatal("the budget never forced an eviction")
 	}
+	checkPageIndex(t, r)
 	r.noViolations(t)
+}
+
+// TestEvictionVictimMatchesWalkOracle: the budget's victim choice, which
+// compares the mounts' LRU fronts, picks the page that a walk of the
+// whole cache in recency order picks (victimWalk, the rule it replaced).
+// Seeded sequences of inserts, touches, dirtying, failed writebacks
+// (the victim stays dirty and becomes most recently used) and inode
+// drops run on two and three minix mounts, with and without a
+// memory-only tmpfs mount. Before each comparison a random mount is the
+// caller's own, other mounts are held by another thread at random, and
+// the caller spares a keep page. The test's own recency model checks
+// that the choice often has to pass over the oldest page.
+func TestEvictionVictimMatchesWalkOracle(t *testing.T) {
+	for _, cfg := range []struct {
+		minix int
+		tmpfs bool
+	}{{2, false}, {3, false}, {2, true}, {3, true}} {
+		t.Run(fmt.Sprintf("minix=%d,tmpfs=%v", cfg.minix, cfg.tmpfs), func(t *testing.T) {
+			r := newRig(t, core.Enforce)
+			defer r.k.Shutdown()
+			if _, err := minixsim.Load(r.th, r.k, r.v); err != nil {
+				t.Fatal(err)
+			}
+			var sbs []mem.Addr
+			for i := 1; i <= cfg.minix; i++ {
+				r.bl.AddDisk(uint64(i), minixsim.DiskSectors)
+				sb, err := r.v.Mount(r.th, minixsim.FsID, uint64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sbs = append(sbs, sb)
+			}
+			if cfg.tmpfs {
+				if _, err := tmpfssim.Load(r.th, r.k, r.v); err != nil {
+					t.Fatal(err)
+				}
+				sb, err := r.v.Mount(r.th, tmpfssim.FsID, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sbs = append(sbs, sb)
+			}
+			r.v.SetPageBudget(1)
+			type page struct {
+				sb, ino mem.Addr
+				idx     uint64
+			}
+			data := bytes.Repeat([]byte{0x42}, mem.PageSize)
+			picks, passedOldest := 0, 0
+			for seed := int64(1); seed <= 6; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				var order []page // the test's recency model, least recent first
+				inoSB := map[mem.Addr]mem.Addr{}
+				nextIdx := map[mem.Addr]uint64{}
+				use := func(i int) page {
+					pg := order[i]
+					order = append(append(order[:i:i], order[i+1:]...), pg)
+					return pg
+				}
+				for step := 0; step < 200; step++ {
+					switch op := rng.Intn(10); {
+					case op < 4 || len(order) < 2: // insert
+						sb := sbs[rng.Intn(len(sbs))]
+						ino := mem.Addr(0x7000_0000) + mem.Addr(seed)<<16 + mem.Addr(rng.Intn(12))
+						if owner, ok := inoSB[ino]; ok {
+							sb = owner
+						}
+						inoSB[ino] = sb
+						pg := page{sb, ino, nextIdx[ino]}
+						nextIdx[ino]++
+						r.v.CacheFreshPage(sb, ino, pg.idx, data)
+						order = append(order, pg)
+					case op < 6: // touch
+						pg := use(rng.Intn(len(order)))
+						r.v.TouchPage(pg.ino, pg.idx)
+					case op < 8: // dirty
+						pg := order[rng.Intn(len(order))]
+						r.v.DirtyPage(pg.ino, pg.idx)
+					case op < 9: // failed writeback of a victim
+						pg := use(rng.Intn(1 + rng.Intn(len(order))))
+						r.v.DirtyPage(pg.ino, pg.idx)
+						r.v.TouchPage(pg.ino, pg.idx)
+					default: // iput
+						ino := order[rng.Intn(len(order))].ino
+						r.v.DropInodePages(ino)
+						kept := order[:0]
+						for _, pg := range order {
+							if pg.ino != ino {
+								kept = append(kept, pg)
+							}
+						}
+						order = kept
+					}
+					checkPageIndex(t, r)
+					if len(order) == 0 {
+						continue
+					}
+					var holder mem.Addr
+					if h := rng.Intn(len(sbs) + 1); h < len(sbs) {
+						holder = sbs[h]
+					}
+					keep := order[rng.Intn(len(order))]
+					if rng.Intn(2) == 0 {
+						keep = order[len(order)-1]
+					}
+					var releases []func()
+					for _, sb := range sbs {
+						if sb == holder || rng.Intn(3) == 0 {
+							releases = append(releases, r.v.HoldMount(sb))
+						}
+					}
+					ino, idx, ok, err := r.v.PickMatchesWalk(holder, keep.ino, keep.idx)
+					for _, release := range releases {
+						release()
+					}
+					if err != nil {
+						t.Fatalf("seed %d step %d (holder %#x, keep (%#x, %d)): %v",
+							seed, step, uint64(holder), uint64(keep.ino), keep.idx, err)
+					}
+					if ok {
+						picks++
+						if oldest := order[0]; ino != oldest.ino || idx != oldest.idx {
+							passedOldest++
+						}
+					}
+				}
+				for ino := range inoSB {
+					r.v.DropInodePages(ino)
+				}
+				if n := r.v.PageCount(); n != 0 {
+					t.Fatalf("seed %d: %d pages left after dropping every inode", seed, n)
+				}
+			}
+			if picks < 100 || passedOldest < 20 {
+				t.Fatalf("weak sequence: %d picks, %d passed over the oldest page", picks, passedOldest)
+			}
+		})
+	}
 }

@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 	"sort"
@@ -18,23 +17,77 @@ type pageKey struct {
 }
 
 // pageEnt is one page-cache entry. key, pg and mnt are set at insert.
-// lru changes under pageMu, and is nil once the entry has left the
-// cache. dirty and tick change only while the writer holds both the
-// owning mount's lock and pageMu, so either lock suffices to read them.
+// cached, stamp and the list links change under pageMu; cached is false
+// once the entry has left the cache. dirty and tick change only while
+// the writer holds both the owning mount's lock and pageMu, so either
+// lock suffices to read them.
 type pageEnt struct {
 	key pageKey
 	pg  mem.Addr
 	// mnt is the owning mount, recorded while the inserting thread held
 	// its lock. Eviction and writeback find the owner here rather than in
 	// the inode, which another mount's thread may be freeing.
-	mnt *mount
-	lru *list.Element // position in VFS.lru; Value is this entry
+	mnt    *mount
+	cached bool
+	// stamp is the entry's place in the cache-wide recency order: the
+	// VFS clock when the entry was inserted or last used. Each mount's
+	// LRU list is in stamp order, so comparing the mounts' fronts finds
+	// the cache's least recently used page.
+	stamp uint64
+	// links places the entry on its mount's LRU list, its inode's list,
+	// and, while dirty, its mount's dirty list.
+	links [nPageLists]pageLink
 	// dirty marks a page written since its last successful writeback;
 	// tick is the flusher tick at which it was last written. The
 	// background flusher only writes back pages that have aged at least
 	// one full tick.
 	dirty bool
 	tick  uint64
+}
+
+// The intrusive lists a cache entry sits on, indexing pageEnt.links.
+const (
+	lruList   = iota // its mount's pages, least recently used first
+	inodeList        // its inode's pages
+	dirtyList        // its mount's dirty pages
+	nPageLists
+)
+
+// pageLink is an entry's place on one page list.
+type pageLink struct{ prev, next *pageEnt }
+
+// pageList is an intrusive doubly linked list of cache entries through
+// their links[k], for the k each list is used with. Guarded by pageMu.
+type pageList struct {
+	head, tail *pageEnt
+	n          int
+}
+
+func (l *pageList) pushBack(k int, e *pageEnt) {
+	e.links[k] = pageLink{prev: l.tail}
+	if l.tail != nil {
+		l.tail.links[k].next = e
+	} else {
+		l.head = e
+	}
+	l.tail = e
+	l.n++
+}
+
+func (l *pageList) remove(k int, e *pageEnt) {
+	ln := e.links[k]
+	if ln.prev != nil {
+		ln.prev.links[k].next = ln.next
+	} else {
+		l.head = ln.next
+	}
+	if ln.next != nil {
+		ln.next.links[k].prev = ln.prev
+	} else {
+		l.tail = ln.prev
+	}
+	e.links[k] = pageLink{}
+	l.n--
 }
 
 // SetPageBudget caps the number of cached pages (0 = unlimited).
@@ -58,24 +111,92 @@ func (v *VFS) ShrinkToBudget(t *core.Thread) { v.evictForBudget(t, nil, pageKey{
 // cachePage adds a page to the index as the most recently used and
 // returns its entry. Caller holds mnt.mu but not pageMu.
 func (v *VFS) cachePage(mnt *mount, key pageKey, pg mem.Addr) *pageEnt {
-	e := &pageEnt{key: key, pg: pg, mnt: mnt}
+	e := &pageEnt{key: key, pg: pg, mnt: mnt, cached: true}
 	v.pageMu.Lock()
-	e.lru = v.lru.PushBack(e)
+	if !mnt.listed {
+		mnt.listed = true
+		v.lruMounts = append(v.lruMounts, mnt)
+	}
+	v.clock++
+	e.stamp = v.clock
+	mnt.lru.pushBack(lruList, e)
+	il := v.inodePages[key.ino]
+	if il == nil {
+		il = &pageList{}
+		v.inodePages[key.ino] = il
+	}
+	il.pushBack(inodeList, e)
 	v.pages[key] = e
 	v.pageMu.Unlock()
 	return e
 }
 
+// touchLocked makes a cached entry the most recently used. Caller holds
+// pageMu.
+func (v *VFS) touchLocked(e *pageEnt) {
+	v.clock++
+	e.stamp = v.clock
+	e.mnt.lru.remove(lruList, e)
+	e.mnt.lru.pushBack(lruList, e)
+}
+
+// markDirtyLocked records a write to a cached entry. Caller holds the
+// entry's mount lock and pageMu.
+func (v *VFS) markDirtyLocked(e *pageEnt) {
+	e.tick = v.flushTick.Load()
+	// A page some crossing dropped (iput) is no longer counted.
+	if !e.dirty && e.cached {
+		e.dirty = true
+		e.mnt.dirty.pushBack(dirtyList, e)
+		v.ndirty++
+	}
+}
+
+// cleanLocked clears a cached entry's dirty mark. Caller holds the
+// entry's mount lock and pageMu.
+func (v *VFS) cleanLocked(e *pageEnt) {
+	if e.dirty && e.cached {
+		e.dirty = false
+		e.mnt.dirty.remove(dirtyList, e)
+		v.ndirty--
+	}
+}
+
 // removePageLocked frees a cached page and drops it from the index.
-// Caller holds pageMu.
+// Caller holds pageMu. It leaves the entry's dirty mark as it is: a
+// thread holding the owning mount may be reading it.
 func (v *VFS) removePageLocked(e *pageEnt) {
 	_ = v.K.Sys.Slab.Free(e.pg)
 	delete(v.pages, e.key)
 	if e.dirty {
+		e.mnt.dirty.remove(dirtyList, e)
 		v.ndirty--
 	}
-	v.lru.Remove(e.lru)
-	e.lru = nil
+	e.mnt.lru.remove(lruList, e)
+	il := v.inodePages[e.key.ino]
+	il.remove(inodeList, e)
+	if il.n == 0 {
+		delete(v.inodePages, e.key.ino)
+	}
+	e.cached = false
+}
+
+// forgetMount drops whatever pages a dead mount still caches and takes
+// the mount off the victim choice's list. Called by Unmount, which holds
+// the mount's lock, after the mount's inodes are reclaimed.
+func (v *VFS) forgetMount(mnt *mount) {
+	v.pageMu.Lock()
+	defer v.pageMu.Unlock()
+	for mnt.lru.head != nil {
+		v.removePageLocked(mnt.lru.head)
+	}
+	for i, m := range v.lruMounts {
+		if m == mnt {
+			v.lruMounts = append(v.lruMounts[:i], v.lruMounts[i+1:]...)
+			break
+		}
+	}
+	mnt.listed = false
 }
 
 // evictForBudget evicts least-recently-used pages until the cache fits
@@ -105,31 +226,52 @@ func (v *VFS) evictForBudget(t *core.Thread, holder *mount, keep pageKey) {
 // pickVictim returns the least recently used page the budget may evict,
 // with its mount locked, or nil when the cache fits the budget or no
 // page qualifies. A page qualifies unless it is keep or its mount is
-// memory-only, dead, or held by another thread. The whole choice runs
-// under pageMu: a mount other than holder is taken with TryLock, which
-// never waits, so holding pageMu across it cannot close a lock cycle.
+// memory-only, dead, or held by another thread. Every page of a mount
+// qualifies or none does (keep aside), so the choice compares the
+// mounts' LRU fronts by recency stamp, in O(mounts) steps per mount it
+// passes over: it tries the mount whose front is oldest, and passes
+// over a mount that turns out not to qualify. That picks the page a
+// walk of the whole cache in recency order would (victimWalk in the
+// tests). The whole choice runs under pageMu: a mount other than holder
+// is taken with TryLock, which never waits, so holding pageMu across it
+// cannot close a lock cycle.
 func (v *VFS) pickVictim(holder *mount, keep pageKey) *pageEnt {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
 	if v.pageBudget <= 0 || len(v.pages) <= v.pageBudget {
 		return nil
 	}
-	for le := v.lru.Front(); le != nil; le = le.Next() {
-		e := le.Value.(*pageEnt)
-		mnt := e.mnt
-		if e.key == keep || (mnt != holder && !mnt.mu.TryLock()) {
-			continue
-		}
-		if !mnt.dead { // a dead mount's superblock is freed
-			if flags, _ := v.K.Sys.AS.ReadU64(v.SBField(mnt.sb, "flags")); flags&SBMemOnly == 0 {
-				return e
+	v.pickGen++
+	for {
+		var best *pageEnt
+		for _, m := range v.lruMounts {
+			if m.passed == v.pickGen {
+				continue
+			}
+			e := m.lru.head
+			if e != nil && e.key == keep {
+				e = e.links[lruList].next
+			}
+			if e != nil && (best == nil || e.stamp < best.stamp) {
+				best = e
 			}
 		}
-		if mnt != holder {
-			mnt.mu.Unlock()
+		if best == nil {
+			return nil
 		}
+		mnt := best.mnt
+		if mnt == holder || mnt.mu.TryLock() {
+			if !mnt.dead { // a dead mount's superblock is freed
+				if flags, _ := v.K.Sys.AS.ReadU64(v.SBField(mnt.sb, "flags")); flags&SBMemOnly == 0 {
+					return best
+				}
+			}
+			if mnt != holder {
+				mnt.mu.Unlock()
+			}
+		}
+		mnt.passed = v.pickGen
 	}
-	return nil
 }
 
 // evictPage reclaims a victim whose mount lock the caller holds. A dirty
@@ -142,8 +284,8 @@ func (v *VFS) evictPage(t *core.Thread, e *pageEnt) {
 	if e.dirty {
 		if v.writeBackPage(t, e) != nil {
 			v.pageMu.Lock()
-			if e.lru != nil {
-				v.lru.MoveToBack(e.lru)
+			if e.cached {
+				v.touchLocked(e)
 			}
 			v.pageMu.Unlock()
 			return // Sync (or a later walk) retries
@@ -153,7 +295,7 @@ func (v *VFS) evictPage(t *core.Thread, e *pageEnt) {
 	}
 	v.pageMu.Lock()
 	// The writeback crossing may have dropped the page (iput).
-	if e.lru != nil {
+	if e.cached {
 		v.removePageLocked(e)
 		v.Stats.Evictions.Add(1)
 	}
@@ -176,10 +318,7 @@ func (v *VFS) writeBackPage(t *core.Thread, e *pageEnt) error {
 	}
 	mnt.wbFlushed.Add(1)
 	v.pageMu.Lock()
-	if e.lru != nil && e.dirty {
-		e.dirty = false
-		v.ndirty--
-	}
+	v.cleanLocked(e)
 	v.pageMu.Unlock()
 	return nil
 }
@@ -196,7 +335,7 @@ func (v *VFS) pageFor(t *core.Thread, mnt *mount, ino mem.Addr, idx uint64, fill
 	key := pageKey{ino, idx}
 	v.pageMu.Lock()
 	if e, ok := v.pages[key]; ok {
-		v.lru.MoveToBack(e.lru)
+		v.touchLocked(e)
 		v.pageMu.Unlock()
 		return e, nil
 	}
@@ -320,12 +459,7 @@ func (v *VFS) Write(t *core.Thread, sb mem.Addr, path string, off uint64, data [
 			return done, err
 		}
 		v.pageMu.Lock()
-		// A page some crossing dropped (iput) is no longer counted.
-		if !e.dirty && e.lru != nil {
-			e.dirty = true
-			v.ndirty++
-		}
-		e.tick = v.flushTick.Load()
+		v.markDirtyLocked(e)
 		v.pageMu.Unlock()
 		done += chunk
 	}
@@ -337,12 +471,13 @@ func (v *VFS) Write(t *core.Thread, sb mem.Addr, path string, off uint64, data [
 }
 
 // dirtyOf collects the mount's pages last dirtied before flusher tick
-// before, sorted for stable writeback order.
+// before, sorted for stable writeback order. It follows the mount's
+// dirty list, so pageMu is held for the mount's dirty pages only.
 func (v *VFS) dirtyOf(mnt *mount, before uint64) []*pageEnt {
 	v.pageMu.Lock()
-	var ents []*pageEnt
-	for _, e := range v.pages {
-		if e.mnt == mnt && e.dirty && e.tick < before {
+	ents := make([]*pageEnt, 0, mnt.dirty.n)
+	for e := mnt.dirty.head; e != nil; e = e.links[dirtyList].next {
+		if e.tick < before {
 			ents = append(ents, e)
 		}
 	}
@@ -365,7 +500,7 @@ func (v *VFS) syncLocked(t *core.Thread, ents []*pageEnt) error {
 	var firstErr error
 	for _, e := range ents {
 		v.pageMu.Lock()
-		live := e.lru != nil && e.dirty
+		live := e.cached && e.dirty
 		v.pageMu.Unlock()
 		if !live {
 			continue // evicted or cleaned while we flushed its neighbors
@@ -407,22 +542,25 @@ func (v *VFS) DropCaches(sb mem.Addr) int {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
 	dropped := 0
-	for _, e := range v.pages {
-		if e.mnt == mnt && !e.dirty {
+	for e := mnt.lru.head; e != nil; {
+		next := e.links[lruList].next
+		if !e.dirty {
 			v.removePageLocked(e)
 			dropped++
 		}
+		e = next
 	}
 	return dropped
 }
 
-// dropPagesOf evicts every page (dirty or not) of a dying inode.
+// dropPagesOf evicts every page (dirty or not) of a dying inode,
+// following the inode's own page list.
 func (v *VFS) dropPagesOf(ino mem.Addr) {
 	v.pageMu.Lock()
 	defer v.pageMu.Unlock()
-	for key, e := range v.pages {
-		if key.ino == ino {
-			v.removePageLocked(e)
+	if il := v.inodePages[ino]; il != nil {
+		for il.head != nil {
+			v.removePageLocked(il.head)
 		}
 	}
 }

@@ -66,13 +66,19 @@ func TestVFSParallelStressTwoMounts(t *testing.T) {
 			}
 			errs := make([]error, len(jobs))
 			stop := make(chan struct{})
+			// The shrinker also checks the page cache's lists against its
+			// map while the workers run.
+			var indexErr error
 			shrinker := r.k.Sys.Spawn("stress-shrink", func(th *core.Thread) {
-				for {
+				for n := 0; ; n++ {
 					select {
 					case <-stop:
 						return
 					default:
 						r.v.ShrinkToBudget(th)
+					}
+					if n%16 == 0 && indexErr == nil {
+						indexErr = r.v.CheckPageIndex()
 					}
 				}
 			})
@@ -126,6 +132,12 @@ func TestVFSParallelStressTwoMounts(t *testing.T) {
 				if err != nil {
 					t.Fatalf("worker %s: %v", jobs[i].name, err)
 				}
+			}
+			if indexErr != nil {
+				t.Fatalf("page index during the run: %v", indexErr)
+			}
+			if err := r.v.CheckPageIndex(); err != nil {
+				t.Fatalf("page index after the run: %v", err)
 			}
 			r.noViolations(t)
 			for _, sb := range []mem.Addr{sbT, sbM} {

@@ -25,7 +25,6 @@
 package vfs
 
 import (
-	"container/list"
 	"fmt"
 	"strings"
 	"sync"
@@ -137,6 +136,14 @@ type mount struct {
 	nameBuf mem.Addr
 	dirBuf  mem.Addr
 
+	// This mount's slice of the page cache, guarded by VFS.pageMu: its
+	// pages least recently used first, and its dirty pages. listed
+	// records that the mount is on VFS.lruMounts; passed marks it as
+	// not qualifying in the victim choice numbered VFS.pickGen.
+	lru, dirty pageList
+	listed     bool
+	passed     uint64
+
 	// Writeback stats (atomic: the flusher thread and foreground
 	// eviction both write them).
 	wbFlushed atomic.Uint64 // pages successfully written back
@@ -152,12 +159,15 @@ type mount struct {
 // VFS.mu (the mount table) and pageMu (the page cache index) are held
 // only across map and list manipulation, never across a module crossing;
 // mount.mu is the only lock held while crossing into a filesystem
-// module. A page's dirty state lives in its cache entry. The budget
-// walk chooses each eviction victim in one pass under pageMu, taking
-// the victim's mount lock, when it is not the caller's own, by TryLock:
-// a TryLock never waits, so it keeps the order acyclic even from inside
-// pageMu. A victim whose writeback fails moves to the most-recently-used
-// end of the LRU list.
+// module. pageMu is never held across the whole cache either: each
+// mount keeps its own LRU and dirty lists and each inode its own page
+// list, so Sync, the flusher, DropCaches and iput touch only their
+// mount's or inode's pages, and the budget walk chooses each eviction
+// victim by comparing the mounts' LRU fronts. It takes the victim's
+// mount lock, when it is not the caller's own, by TryLock: a TryLock
+// never waits, so it keeps the order acyclic even from inside pageMu. A
+// victim whose writeback fails moves to the most-recently-used end of
+// its mount's LRU list.
 type VFS struct {
 	K *kernel.Kernel
 	// Block is the block layer pc_writeback persists pages to; nil for
@@ -174,20 +184,26 @@ type VFS struct {
 	filesystems map[uint64]*fstype
 	mounts      map[mem.Addr]*mount
 
-	// pageMu guards the page-cache index: pages, ndirty, the LRU list,
-	// and the budget. Page *contents* are copied under the owning
-	// mount's lock.
+	// pageMu guards the page-cache index: pages, ndirty, the page
+	// lists (the mounts' and the inodes'), the recency clock and the
+	// budget. Page *contents* are copied under the owning mount's lock.
 	pageMu sync.Mutex
 	// pages is the page cache: (inode, page index) -> entry.
 	pages map[pageKey]*pageEnt
-	// ndirty counts the cached entries marked dirty.
+	// inodePages lists each inode's cached pages, for iput.
+	inodePages map[mem.Addr]*pageList
+	// ndirty counts the cached entries marked dirty: the sum of the
+	// mounts' dirty lists.
 	ndirty int
 
-	// lru orders the cached pages least- to most-recently used.
-	// pageBudget caps the cache size (0 = unlimited): inserting past the
-	// budget evicts from the LRU end, forcing writeback for dirty
-	// victims.
-	lru        *list.List
+	// clock stamps entries as they are inserted or used; lruMounts are
+	// the mounts whose LRU lists the victim choice compares, and pickGen
+	// numbers its runs. pageBudget caps the cache size (0 = unlimited):
+	// inserting past the budget evicts least recently used pages,
+	// forcing writeback for dirty victims.
+	clock      uint64
+	lruMounts  []*mount
+	pickGen    uint64
 	pageBudget int
 
 	// The registered function-pointer type of each fs_operations slot,
@@ -229,7 +245,7 @@ func Init(k *kernel.Kernel, bl *blockdev.Layer) *VFS {
 		filesystems: make(map[uint64]*fstype),
 		mounts:      make(map[mem.Addr]*mount),
 		pages:       make(map[pageKey]*pageEnt),
-		lru:         list.New(),
+		inodePages:  make(map[mem.Addr]*pageList),
 		flushKick:   make(chan struct{}, 1),
 	}
 	sys := k.Sys
@@ -645,6 +661,7 @@ func (v *VFS) Unmount(t *core.Thread, sb mem.Addr) (rerr error) {
 		_ = sys.Slab.Free(d)
 	}
 	mnt.dentries = make(map[mem.Addr]*dnode)
+	v.forgetMount(mnt)
 	if mnt.fs.module != nil {
 		mnt.fs.module.Set.DropInstance(sb)
 	}

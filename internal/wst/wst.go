@@ -12,10 +12,12 @@
 //
 // The structure mirrors the paper's "data structure similar to a page
 // table": a map from page base to a 64-bit bitmap whose bits cover
-// 64-byte segments of the page.
+// 64-byte segments of the page. Range operations build each page's
+// segment mask and touch the map once per page.
 package wst
 
 import (
+	"math/bits"
 	"sync"
 
 	"lxfi/internal/mem"
@@ -46,6 +48,38 @@ func segBit(a mem.Addr) (page mem.Addr, bit uint) {
 	return mem.PageBase(a), uint((a & mem.PageMask) / SegmentSize)
 }
 
+// segRun is a run of segments [s, last], by segment number, walked one
+// page at a time.
+type segRun struct{ s, last mem.Addr }
+
+// touching returns the run of segments the nonempty range [addr,
+// addr+size) touches, its end saturated at the top of the address space
+// (a range that wraps past it reaches the top, never address 0).
+func touching(addr mem.Addr, size uint64) segRun {
+	end := addr + mem.Addr(size-1)
+	if end < addr {
+		end = ^mem.Addr(0)
+	}
+	return segRun{addr / SegmentSize, end / SegmentSize}
+}
+
+// next returns the base of the next page the run touches and the mask
+// of the run's segments in it, or ok false when the run is done.
+func (r *segRun) next() (page mem.Addr, mask uint64, ok bool) {
+	if r.s > r.last {
+		return 0, 0, false
+	}
+	lo := r.s % segsPerPage
+	hi := mem.Addr(segsPerPage - 1)
+	if r.last-r.s < hi-lo {
+		hi = lo + (r.last - r.s)
+	}
+	page = (r.s - lo) * SegmentSize
+	mask = ^uint64(0) >> (segsPerPage - 1 - hi) & (^uint64(0) << lo)
+	r.s += hi - lo + 1
+	return page, mask, true
+}
+
 // MarkRange records that some principal was granted WRITE access to
 // [addr, addr+size).
 func (t *Tracker) MarkRange(addr mem.Addr, size uint64) {
@@ -55,35 +89,40 @@ func (t *Tracker) MarkRange(addr mem.Addr, size uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.marks++
-	first := addr / SegmentSize
-	last := (addr + mem.Addr(size) - 1) / SegmentSize
-	for s := first; s <= last; s++ {
-		a := s * SegmentSize
-		page, bit := segBit(a)
-		t.pages[page] |= 1 << bit
+	for r := touching(addr, size); ; {
+		page, mask, ok := r.next()
+		if !ok {
+			return
+		}
+		t.pages[page] |= mask
 	}
 }
 
 // ClearRange marks [addr, addr+size) as having an empty writer set
 // again; called when memory is zeroed/freed and all WRITE capabilities
 // for it have been revoked. Partial segments at the edges stay marked
-// (conservative).
+// (conservative), and so does a range that wraps past the top of the
+// address space.
 func (t *Tracker) ClearRange(addr mem.Addr, size uint64) {
-	if size == 0 {
+	end := addr + mem.Addr(size)
+	if size == 0 || end <= addr {
 		return
 	}
+	// Only fully-covered segments may be cleared.
+	first := addr / SegmentSize
+	if addr%SegmentSize != 0 {
+		first++
+	}
+	r := segRun{first, end/SegmentSize - 1}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	end := addr + mem.Addr(size)
-	// Only fully-covered segments may be cleared.
-	first := (addr + SegmentSize - 1) / SegmentSize
-	last := end / SegmentSize // exclusive
-	for s := first; s < last; s++ {
-		a := s * SegmentSize
-		page, bit := segBit(a)
+	for {
+		page, mask, ok := r.next()
+		if !ok {
+			return
+		}
 		if m, ok := t.pages[page]; ok {
-			m &^= 1 << bit
-			if m == 0 {
+			if m &^= mask; m == 0 {
 				delete(t.pages, page)
 			} else {
 				t.pages[page] = m
@@ -112,21 +151,30 @@ func (t *Tracker) emptyLocked(addr mem.Addr) bool {
 }
 
 // EmptyRange reports whether every segment covering [addr, addr+size)
-// has an empty writer set.
+// has an empty writer set. It counts one probe per segment it decides
+// on, in address order up to the first marked one, as that many Empty
+// calls would.
 func (t *Tracker) EmptyRange(addr mem.Addr, size uint64) bool {
 	if size == 0 {
 		return true
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	first := addr / SegmentSize
-	last := (addr + mem.Addr(size) - 1) / SegmentSize
-	for s := first; s <= last; s++ {
-		if !t.emptyLocked(s * SegmentSize) {
+	for r := touching(addr, size); ; {
+		page, mask, ok := r.next()
+		if !ok {
+			return true
+		}
+		if marked := t.pages[page] & mask; marked != 0 {
+			n := uint64(bits.OnesCount64(mask & (uint64(2)<<bits.TrailingZeros64(marked) - 1)))
+			t.probes += n
+			t.hits += n - 1
 			return false
 		}
+		n := uint64(bits.OnesCount64(mask))
+		t.probes += n
+		t.hits += n
 	}
-	return true
 }
 
 // Pages returns a copy of the page-base → segment-bitmap map, for
