@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"lxfi/internal/benchio"
-	"lxfi/internal/failpoint"
 	"lxfi/internal/fsperf"
 	"lxfi/internal/mem"
 	"lxfi/internal/modules/minixsim"
@@ -19,17 +18,12 @@ import (
 func main() {
 	files := flag.Int("files", 64, "files per measurement")
 	size := flag.Uint64("size", fsperf.DefaultFileSize, "file size in bytes")
-	failpoints := flag.String("failpoints", "",
-		"arm failpoints for the run, LXFI_FAILPOINTS syntax (e.g. \"blockdev.write_sector=every(100)->delay(50us)\")")
 	bf := benchio.Bind(
 		"emit a machine-readable JSON report (the CI bench artifact)",
 		"print each enforced rig's monitor metrics to stderr")
 	flag.Parse()
 	if *files < 1 {
 		benchio.FailUsage("-files must be at least 1")
-	}
-	if err := failpoint.ArmSpec(*failpoints); err != nil {
-		benchio.FailUsage("-failpoints: " + err.Error())
 	}
 	if max := uint64(minixsim.MaxFilePages * mem.PageSize); *size < 1 || *size > max {
 		benchio.FailUsage(fmt.Sprintf(

@@ -13,22 +13,16 @@ import (
 	"fmt"
 
 	"lxfi/internal/benchio"
-	"lxfi/internal/failpoint"
 	"lxfi/internal/microbench"
 )
 
 func main() {
 	iters := flag.Int("iters", 5000, "operations per benchmark")
 	crossings := flag.Bool("crossings", false, "run the crossing-engine phases instead of Figure 11")
-	failpoints := flag.String("failpoints", "",
-		"arm failpoints for the run, LXFI_FAILPOINTS syntax (e.g. \"netstack.xmit_batch=prob(0.01)->error\")")
 	bf := benchio.Bind(
 		"emit the machine-readable crossing report (requires -crossings)",
 		"print the enforced run's monitor metrics to stderr (requires -crossings)")
 	flag.Parse()
-	if err := failpoint.ArmSpec(*failpoints); err != nil {
-		benchio.FailUsage("-failpoints: " + err.Error())
-	}
 
 	if bf.Metrics && !*crossings {
 		benchio.FailUsage("-metrics requires -crossings")

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"lxfi/internal/benchio"
-	"lxfi/internal/failpoint"
 	"lxfi/internal/netperf"
 )
 
@@ -22,15 +21,10 @@ func main() {
 	segments := flag.Int("segments", 800, "segments per streaming transfer")
 	guards := flag.Bool("guards", false, "also print the Figure 13 guard breakdown")
 	pairs := flag.Int("pairs", 4, "socket pairs (worker threads) in the concurrent phase")
-	failpoints := flag.String("failpoints", "",
-		"arm failpoints for the run, LXFI_FAILPOINTS syntax (e.g. \"netstack.xmit=prob(0.01)->error\")")
 	bf := benchio.Bind(
 		"emit BENCH_netperf.json (path costs + concurrent socket phase + reload phase)",
 		"print the enforced rig's monitor metrics to stderr")
 	flag.Parse()
-	if err := failpoint.ArmSpec(*failpoints); err != nil {
-		benchio.FailUsage("-failpoints: " + err.Error())
-	}
 
 	costs, err := netperf.MeasureCosts(*packets)
 	if err != nil {

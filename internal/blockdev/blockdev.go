@@ -172,7 +172,7 @@ func Init(k *kernel.Kernel) *Layer {
 		if err := emit(caps.WriteCap(bio, l.bio.Size)); err != nil {
 			return err
 		}
-		if data, size := sys.Slab.Payload(bio, l.bio.Size); data != 0 && size > 0 {
+		if data, size := sys.Slab.Payload(bio); data != 0 && size > 0 {
 			return emit(caps.WriteCap(data, size))
 		}
 		return nil
@@ -315,7 +315,7 @@ func (l *Layer) registerExports() {
 
 // AllocBio allocates a bio plus payload buffer (trusted-side helper).
 // The payload is also noted in the bio's kernel-private payload record
-// (mem.PayloadRecordSize), which bio_caps, FreeBio and doIO read.
+// (mem.Slab.AllocWithPayload), which bio_caps, FreeBio and doIO read.
 func (l *Layer) AllocBio(size uint64) (mem.Addr, error) {
 	sys := l.K.Sys
 	if size == 0 {
@@ -334,7 +334,7 @@ func (l *Layer) AllocBio(size uint64) (mem.Addr, error) {
 // FreeBio releases a bio and the payload AllocBio allocated for it.
 func (l *Layer) FreeBio(bio mem.Addr) {
 	if bio != 0 {
-		l.K.Sys.Slab.FreeWithPayload(bio, l.bio.Size)
+		l.K.Sys.Slab.FreeWithPayload(bio)
 	}
 }
 
@@ -500,7 +500,7 @@ func (l *Layer) doIO(bio mem.Addr) error {
 	n, _ := as.ReadU64(bio + mem.Addr(l.bio.Off("len")))
 	rw, _ := as.ReadU64(bio + mem.Addr(l.bio.Off("rw")))
 	dev, _ := as.ReadU64(bio + mem.Addr(l.bio.Off("dev")))
-	data, size := l.K.Sys.Slab.Payload(bio, l.bio.Size)
+	data, size := l.K.Sys.Slab.Payload(bio)
 	if n > size {
 		return fmt.Errorf("blockdev: %d-byte I/O through a %d-byte payload", n, size)
 	}

@@ -35,9 +35,9 @@
 //     (global-principal checks walk the directory under it), never
 //     after one.
 //
-// The registry lock (System.regMu, the modules map) and the principal-
-// snapshot lock (System.prinMu) are directory-level leaves ordered
-// after ModuleSet.mu; no callback ever runs under any of these locks.
+// The principal-snapshot lock (System.prinMu) is a directory-level leaf
+// ordered after ModuleSet.mu; no callback ever runs under any of these
+// locks.
 //
 // Every mutation — grant, revoke, transfer, module load/unload,
 // instance drop — bumps a global capability epoch (System.Epoch) once,
@@ -660,9 +660,6 @@ type System struct {
 	// so no revoked capability is ever served from a cache.
 	epoch atomic.Uint64
 
-	regMu   sync.RWMutex
-	modules map[string]*ModuleSet
-
 	// prins is a copy-on-write snapshot of every principal in the
 	// system, sorted (module, kind, name) — the traversal RevokeAll and
 	// the grantee sweeps use without taking directory locks. prinMu
@@ -692,7 +689,6 @@ func NewSystemWithShards(n int) *System {
 		nshards: n,
 		mask:    mem.Addr(n - 1),
 		shards:  make([]capShard, n),
-		modules: make(map[string]*ModuleSet),
 		Trusted: &Principal{Module: "kernel", Kind: Shared},
 	}
 	empty := []*Principal{}
@@ -783,13 +779,8 @@ func prinLess(a, b *Principal) bool {
 	return a.Name < b.Name
 }
 
-// LoadModule creates (or returns) the principal set for module name.
+// LoadModule creates a principal set for a module named name.
 func (s *System) LoadModule(name string) *ModuleSet {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	if ms, ok := s.modules[name]; ok {
-		return ms
-	}
 	ms := &ModuleSet{
 		Module:    name,
 		sys:       s,
@@ -798,46 +789,16 @@ func (s *System) LoadModule(name string) *ModuleSet {
 	}
 	ms.shared = newPrincipal(ms, name, 0, Shared)
 	ms.global = newPrincipal(ms, name, 0, Global)
-	s.modules[name] = ms
 	s.addPrin(ms.shared)
 	s.addPrin(ms.global)
 	s.bumpEpoch()
 	return ms
 }
 
-// UnloadModule discards all principals and capabilities of module name.
-func (s *System) UnloadModule(name string) {
-	s.regMu.Lock()
-	ms, ok := s.modules[name]
-	if ok {
-		delete(s.modules, name)
-	}
-	s.regMu.Unlock()
-	if !ok {
-		return
-	}
+// UnloadModule discards all principals and capabilities of ms.
+func (s *System) UnloadModule(ms *ModuleSet) {
 	s.removePrins(func(q *Principal) bool { return q.set == ms })
 	s.bumpEpoch()
-}
-
-// Module returns the principal set for a loaded module.
-func (s *System) Module(name string) (*ModuleSet, bool) {
-	s.regMu.RLock()
-	defer s.regMu.RUnlock()
-	ms, ok := s.modules[name]
-	return ms, ok
-}
-
-// Modules returns the names of all loaded modules, sorted.
-func (s *System) Modules() []string {
-	s.regMu.RLock()
-	defer s.regMu.RUnlock()
-	out := make([]string, 0, len(s.modules))
-	for n := range s.modules {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Grant gives capability c to principal p. Granting to the trusted

@@ -239,16 +239,26 @@ func TestWriteGrantees(t *testing.T) {
 	}
 }
 
+// TestUnloadModule: unloading a set takes its principals out of the
+// snapshot, so the grantee sweeps no longer report capabilities they
+// held, while another set's grants stay visible.
 func TestUnloadModule(t *testing.T) {
 	s := NewSystem()
 	ms := s.LoadModule("dm-zero")
-	s.Grant(ms.Shared(), CallCap(5))
-	s.UnloadModule("dm-zero")
-	if _, ok := s.Module("dm-zero"); ok {
-		t.Fatal("module survived unload")
+	other := s.LoadModule("dm-zero")
+	const addr = mem.Addr(0xffff880000001000)
+	s.Grant(ms.Shared(), WriteCap(addr, 64))
+	s.Grant(ms.Instance(0x10), RefCap("struct bio", addr))
+	s.Grant(other.Shared(), WriteCap(addr, 8))
+	if got := s.WriteGrantees(nil, addr); len(got) != 2 {
+		t.Fatalf("before unload: write grantees = %v", got)
 	}
-	if len(s.Modules()) != 0 {
-		t.Fatal("module list not empty")
+	s.UnloadModule(ms)
+	if got := s.WriteGrantees(nil, addr); len(got) != 1 || got[0] != other.Shared() {
+		t.Fatalf("after unload: write grantees = %v, want only the other set's", got)
+	}
+	if got := s.RefGrantees("struct bio", addr); len(got) != 0 {
+		t.Fatalf("after unload: ref grantees = %v", got)
 	}
 }
 

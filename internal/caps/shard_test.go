@@ -116,7 +116,7 @@ func TestEpochAdvancesOnMutation(t *testing.T) {
 	step("Grant2", true, func() { s.Grant(p, c) })
 	step("RevokeAll", true, func() { s.RevokeAll(c) })
 	step("DropInstance", true, func() { ms.DropInstance(0x10) })
-	step("UnloadModule", true, func() { s.UnloadModule("m") })
+	step("UnloadModule", true, func() { s.UnloadModule(ms) })
 }
 
 // TestConcurrentShardedGrantRevoke hammers the sharded tables from many

@@ -49,7 +49,7 @@ func TestMigrateSnapshotReplaysIntoSuccessor(t *testing.T) {
 	}
 	snap := ms.Snapshot()
 
-	s.UnloadModule("econet")
+	s.UnloadModule(ms)
 	ns := s.LoadModule("econet")
 	epochBefore := s.Epoch()
 	migrated, dropped := s.MigrateSnapshot(ns, snap, func(c Cap) bool {
@@ -89,7 +89,7 @@ func TestMigrateSnapshotMergesWithFreshPrincipal(t *testing.T) {
 	s.Grant(old, WriteCap(0xffff880000000100, 64))
 	snap := ms.Snapshot()
 
-	s.UnloadModule("econet")
+	s.UnloadModule(ms)
 	ns := s.LoadModule("econet")
 	fresh := ns.Instance(0x1000) // re-probe created it first
 	s.Grant(fresh, WriteCap(0xffff880000000400, 32))
@@ -115,7 +115,7 @@ func TestMigrateSnapshotSkipsConflictingAlias(t *testing.T) {
 	}
 	snap := ms.Snapshot()
 
-	s.UnloadModule("econet")
+	s.UnloadModule(ms)
 	ns := s.LoadModule("econet")
 	other := ns.Instance(0x1010) // fresh generation bound the alias name elsewhere
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"lxfi/internal/annot"
 	"lxfi/internal/caps"
@@ -40,13 +39,6 @@ func (e *argEnv) Const(name string) (int64, bool) {
 	return e.sys.Const(name)
 }
 
-// sizeofType resolves "sizeof(*ptr)" for a parameter's declared C type:
-// "struct sk_buff *" -> size of struct sk_buff in the layout registry.
-func (s *System) sizeofType(typ string) (uint64, bool) {
-	typ = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(typ), "*"))
-	return s.Layouts.Sizeof(typ)
-}
-
 // grant gives c to principal p, updating writer sets when a WRITE
 // capability lands in module hands.
 func (t *Thread) grant(p *caps.Principal, c caps.Cap) {
@@ -73,14 +65,39 @@ func (t *Thread) transfer(p *caps.Principal, c caps.Cap) {
 	}
 }
 
+// actionSeam is how runProgram acts on the world. A crossing passes
+// its Thread, which probes through the per-thread check cache and
+// applies the operation to the capability tables; TraceCrossing passes
+// a traceRecorder (diff.go), which probes the authoritative tables and
+// records each effect instead. Capabilities cross the seam by value, so
+// a crossing's dynamic calls leave nothing on the heap.
+type actionSeam interface {
+	// owns reports whether from holds c. refTag is the step's
+	// pre-interned REF cache tag, 0 when the verdict is uncacheable.
+	owns(from *caps.Principal, c caps.Cap, refTag uint64) bool
+	// capOp applies op (copy, transfer, check or revoke) to c; to
+	// receives what copy and transfer grant.
+	capOp(op annot.Op, c caps.Cap, to *caps.Principal)
+	// violate reports a broken contract and returns the crossing's
+	// error.
+	violate(blame *Module, from *caps.Principal, addr mem.Addr, detail string) error
+}
+
 // runProgram executes one compiled pre or post action program (the
-// crossing's side of the Fig. 3 contract). Ownership checks are made
-// against from, the side that must already hold each capability; copies
-// and transfers then move capabilities from from to to. blame
+// crossing's side of the Fig. 3 contract) through seam. Ownership is
+// probed on from, the side that must already hold each capability;
+// copies and transfers then move capabilities from from to to. blame
 // identifies the untrusted side to kill on a contract violation. The
 // phase/fnName pair is joined only on the cold violation path, so the
 // hot crossing builds no strings.
-func (t *Thread) runProgram(phase, fnName string, steps []actionStep, env *argEnv,
+//
+// Revoke probes nothing: stripping a capability from every principal
+// can only remove rights, and the failure paths that use it (e.g.
+// readpage errors) run exactly when the contract that would have
+// justified ownership fell through. The other operators first verify
+// ownership on the from side ("Both copy and transfer ensure that the
+// capability is owned in the first place before granting it", §3.3).
+func (t *Thread) runProgram(seam actionSeam, phase, fnName string, steps []actionStep, env *argEnv,
 	from, to *caps.Principal, blame *Module) error {
 steps:
 	for i := range steps {
@@ -88,120 +105,86 @@ steps:
 		for j := range st.conds {
 			v, err := st.conds[j].prog.Eval(env)
 			if err != nil {
-				return t.violationAt(blame, from, "annotation", 0,
+				return seam.violate(blame, from, 0,
 					fmt.Sprintf("%s %s: bad condition %q: %v", phase, fnName, st.conds[j].src, err))
 			}
 			if v == 0 {
 				continue steps
 			}
 		}
-		if st.isIterator() {
-			buf, err := t.resolveIterCaps(st, env, t.getCapBuf())
-			if err != nil {
-				t.putCapBuf(buf)
-				return t.violationAt(blame, from, "annotation", 0,
-					fmt.Sprintf("%s %s: %v", phase, fnName, err))
-			}
-			for _, c := range buf {
-				if err := t.applyCapOp(phase, fnName, st.op, c, 0, from, to, blame); err != nil {
-					t.putCapBuf(buf)
-					return err
-				}
-			}
-			t.putCapBuf(buf)
-			continue
-		}
-		c, err := t.resolveStepCap(st, env)
+		buf, err := t.resolveCaps(st, env, t.getCapBuf())
 		if err != nil {
-			return t.violationAt(blame, from, "annotation", 0,
-				fmt.Sprintf("%s %s: %v", phase, fnName, err))
+			t.putCapBuf(buf)
+			return seam.violate(blame, from, 0, fmt.Sprintf("%s %s: %v", phase, fnName, err))
 		}
-		if err := t.applyCapOp(phase, fnName, st.op, c, st.refTag, from, to, blame); err != nil {
-			return err
+		for _, c := range buf {
+			if st.op != annot.Revoke && !seam.owns(from, c, st.refTag) {
+				t.putCapBuf(buf)
+				return seam.violate(blame, from, c.Addr,
+					fmt.Sprintf("%s %s: %s action: %s does not own %s", phase, fnName, st.op, from, c))
+			}
+			seam.capOp(st.op, c, to)
 		}
+		t.putCapBuf(buf)
 	}
 	return nil
 }
 
-// applyCapOp applies one action operator to one resolved capability —
-// the shared tail of both caplist forms. Revoke needs no ownership
-// check: stripping a capability from every principal can only remove
-// rights, and the failure paths that use it (e.g. readpage errors) run
-// exactly when the contract that would have justified ownership fell
-// through. The other operators first verify ownership on the from side
-// ("Both copy and transfer ensure that the capability is owned in the
-// first place before granting it", §3.3). refTag, when nonzero, is the
-// step's pre-interned REF cache tag; it routes the ownership check
-// through the per-thread cache (REF verdicts are only cacheable with
-// an exact interned identity, see refTypeTag).
-func (t *Thread) applyCapOp(phase, fnName string, op annot.Op, c caps.Cap, refTag uint64,
-	from, to *caps.Principal, blame *Module) error {
-	mon := &t.Sys.Mon.Stats
-	mon.AnnotationActions.Add(1)
-	if op == annot.Revoke {
+// owns is the crossing's ownership probe: through the per-thread check
+// cache, under the step's REF tag when it has one (REF verdicts are
+// only cacheable with an exact interned identity, see refTypeTag).
+// Every probed action counts once; capOp counts the revokes.
+func (t *Thread) owns(from *caps.Principal, c caps.Cap, refTag uint64) bool {
+	t.Sys.Mon.Stats.AnnotationActions.Add(1)
+	if c.Kind == caps.Ref && refTag != 0 {
+		return t.checkCapTag(from, c, refTag)
+	}
+	return t.checkCap(from, c)
+}
+
+// capOp applies one action operator to one capability whose ownership
+// owns has verified.
+func (t *Thread) capOp(op annot.Op, c caps.Cap, to *caps.Principal) {
+	switch op {
+	case annot.Revoke:
+		mon := &t.Sys.Mon.Stats
+		mon.AnnotationActions.Add(1)
 		mon.CapRevokes.Add(1)
 		t.Sys.Caps.RevokeAll(c)
-		return nil
-	}
-	var owned bool
-	if c.Kind == caps.Ref && refTag != 0 {
-		owned = t.checkCapTag(from, c, refTag)
-	} else {
-		owned = t.checkCap(from, c)
-	}
-	if !owned {
-		return t.violationAt(blame, from, "annotation", c.Addr,
-			fmt.Sprintf("%s %s: %s action: %s does not own %s", phase, fnName, op, from, c))
-	}
-	switch op {
-	case annot.Check:
-		// ownership verified above
 	case annot.Copy:
 		t.grant(to, c)
 	case annot.Transfer:
 		t.transfer(to, c)
 	}
-	return nil
 }
 
-// resolveStepCap materializes the capability of an inline-form step.
-func (t *Thread) resolveStepCap(st *actionStep, env *argEnv) (caps.Cap, error) {
+// resolveCaps appends the capabilities step st names to out: the one
+// capability of an inline caplist, or what its iterator emits.
+func (t *Thread) resolveCaps(st *actionStep, env *argEnv, out []caps.Cap) ([]caps.Cap, error) {
+	if st.iter != nil {
+		return t.resolveIterCaps(st, env, out)
+	}
 	ptr, err := st.ptr.Eval(env)
 	if err != nil {
-		return caps.Cap{}, err
+		return out, err
 	}
 	addr := mem.Addr(uint64(ptr))
 	switch st.kind {
 	case annot.CapCall:
-		return caps.CallCap(addr), nil
+		return append(out, caps.CallCap(addr)), nil
 	case annot.CapRef:
-		return caps.RefCap(st.refType, addr), nil
+		return append(out, caps.RefCap(st.refType, addr)), nil
 	case annot.CapWrite:
-		var size uint64
-		switch {
-		case st.hasSize:
-			v, err := st.size.Eval(env)
-			if err != nil {
-				return caps.Cap{}, err
-			}
-			if v < 0 {
-				v = 0
-			}
-			size = uint64(v)
-		case st.sizeofVal != 0:
-			size = st.sizeofVal
-		case st.sizeofType != "":
-			v, ok := t.Sys.sizeofType(st.sizeofType)
-			if !ok {
-				return caps.Cap{}, fmt.Errorf("core: cannot resolve sizeof for %q", st.src.Ptr)
-			}
-			size = v
-		default:
-			return caps.Cap{}, fmt.Errorf("core: cannot resolve sizeof for %q", st.src.Ptr)
+		v, err := st.size.Eval(env)
+		if err != nil {
+			return out, err
 		}
-		return caps.WriteCap(addr, size), nil
+		if v < 0 {
+			v = 0
+		}
+		return append(out, caps.WriteCap(addr, uint64(v))), nil
 	}
-	return caps.Cap{}, fmt.Errorf("core: bad caplist")
+	return out, fmt.Errorf("core: bad caplist")
 }
 
 // resolveIterCaps runs an iterator-form step, appending the emitted
@@ -210,14 +193,6 @@ func (t *Thread) resolveStepCap(st *actionStep, env *argEnv) (caps.Cap, error) {
 // stack-disciplined so a re-entrant iterator cannot clobber an outer
 // resolution.
 func (t *Thread) resolveIterCaps(st *actionStep, env *argEnv, out []caps.Cap) ([]caps.Cap, error) {
-	iter := st.iter
-	if iter == nil {
-		var ok bool
-		iter, ok = t.Sys.iterator(st.iterName)
-		if !ok {
-			return out, fmt.Errorf("core: unknown capability iterator %q", st.iterName)
-		}
-	}
 	// A local array would escape through the indirect iter call, so the
 	// argument slice lives on the thread; swap it out around the run so
 	// a re-entrant iterator gets a fresh one instead of clobbering ours.
@@ -237,16 +212,22 @@ func (t *Thread) resolveIterCaps(st *actionStep, env *argEnv, out []caps.Cap) ([
 	}
 	saved := t.iterBuf
 	t.iterBuf = out
-	err := iter(t, iargs, t.emit)
+	err := st.iter(t, iargs, t.emit)
 	out = t.iterBuf
 	t.iterBuf = saved
 	t.iargBuf = iargs
 	return out, err
 }
 
-// violationAt records a violation attributed to a specific module and
-// principal (used when the violating side is not the thread's current
-// principal, e.g. a caller failing a pre-action ownership check).
+// violate is the crossing's side of the seam: an annotation violation
+// blamed on module m and principal p.
+func (t *Thread) violate(m *Module, p *caps.Principal, addr mem.Addr, detail string) error {
+	return t.violationAt(m, p, "annotation", addr, detail)
+}
+
+// violationAt records a violation attributed to module m and principal
+// p, the thread's current ones or, e.g., a caller failing a pre-action
+// ownership check.
 func (t *Thread) violationAt(m *Module, p *caps.Principal, op string, addr mem.Addr, detail string) error {
 	v := &Violation{
 		Module:    moduleName(m),

@@ -83,7 +83,7 @@ func (t *Thread) callKernelDecl(fn *FuncDecl, args []uint64) (uint64, error) {
 		defer t.putEnv(env)
 		// pre: ownership checked on the caller (module); grants flow
 		// caller -> callee (kernel).
-		if err := t.runProgram("pre", fn.Name, fn.prog.pre, env, callerPrin, t.Sys.Caps.Trusted, callerMod); err != nil {
+		if err := t.runProgram(t, "pre", fn.Name, fn.prog.pre, env, callerPrin, t.Sys.Caps.Trusted, callerMod); err != nil {
 			return 0, err
 		}
 	}
@@ -101,7 +101,7 @@ func (t *Thread) callKernelDecl(fn *FuncDecl, args []uint64) (uint64, error) {
 		env.ret, env.hasRet = ret, true
 		// post: ownership checked on the callee (kernel, trivially true);
 		// grants flow callee -> caller.
-		if err := t.runProgram("post", fn.Name, fn.prog.post, env, t.Sys.Caps.Trusted, callerPrin, callerMod); err != nil {
+		if err := t.runProgram(t, "post", fn.Name, fn.prog.post, env, t.Sys.Caps.Trusted, callerPrin, callerMod); err != nil {
 			return ret, err
 		}
 	}
@@ -249,7 +249,7 @@ func (t *Thread) callModuleDecl(m *Module, fn *FuncDecl, ft *FPtrType, args []ui
 		t.Sys.Mon.Stats.PrincipalSwitches.Add(1)
 		// pre: ownership checked on the caller; grants flow caller ->
 		// callee principal.
-		if err := t.runProgram("pre", fn.Name, prog.pre, env, callerPrin, callee, t.curMod); err != nil {
+		if err := t.runProgram(t, "pre", fn.Name, prog.pre, env, callerPrin, callee, t.curMod); err != nil {
 			return 0, err
 		}
 	}
@@ -267,7 +267,7 @@ func (t *Thread) callModuleDecl(m *Module, fn *FuncDecl, ft *FPtrType, args []ui
 		env.ret, env.hasRet = ret, true
 		// post: ownership checked on the callee (module); grants flow
 		// callee -> caller.
-		if err := t.runProgram("post", fn.Name, prog.post, env, callee, callerPrin, m); err != nil {
+		if err := t.runProgram(t, "post", fn.Name, prog.post, env, callee, callerPrin, m); err != nil {
 			return ret, err
 		}
 	}
@@ -309,9 +309,9 @@ func (t *Thread) indirectCall(slot mem.Addr, ft *FPtrType, args []uint64) (uint6
 	if t.mon.Enforcing() {
 		t.Sys.Mon.Stats.IndCallAll.Add(1)
 		// Fast path: if no principal was ever granted WRITE access to the
-		// slot since it was last zeroed, no module can have supplied the
-		// pointer and the expensive check is skipped (§4.1 writer-set
-		// tracking). The ablation flag forces the slow path everywhere.
+		// slot, no module can have supplied the pointer and the expensive
+		// check is skipped (§4.1 writer-set tracking). The ablation flag
+		// forces the slow path everywhere.
 		if t.Sys.Mon.DisableWriterSetOpt || !t.Sys.WST.Empty(slot) {
 			t.Sys.Mon.Stats.IndCallSlow.Add(1)
 			if err := t.checkIndCallSlow(slot, target, fn, ft); err != nil {

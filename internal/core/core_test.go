@@ -38,6 +38,15 @@ func newFixture(tb testing.TB, mode core.Mode) *fixture {
 			return 0
 		})
 
+	sys.RegisterIterator("alloc_caps", func(t *core.Thread, args []int64, emit func(caps.Cap) error) error {
+		addr := mem.Addr(uint64(args[0]))
+		size, ok := t.Sys.Slab.ObjectSize(addr)
+		if !ok {
+			// Dead or forged pointer: emit a probe the caller cannot own.
+			return emit(caps.WriteCap(addr, 1))
+		}
+		return emit(caps.WriteCap(addr, size))
+	})
 	sys.RegisterKernelFunc("kmalloc",
 		[]core.Param{core.P("size", "size_t")},
 		"post(if (return != 0) transfer(alloc_caps(return)))",
@@ -49,15 +58,6 @@ func newFixture(tb testing.TB, mode core.Mode) *fixture {
 			return uint64(a)
 		})
 
-	sys.RegisterIterator("alloc_caps", func(t *core.Thread, args []int64, emit func(caps.Cap) error) error {
-		addr := mem.Addr(uint64(args[0]))
-		size, ok := t.Sys.Slab.ObjectSize(addr)
-		if !ok {
-			// Dead or forged pointer: emit a probe the caller cannot own.
-			return emit(caps.WriteCap(addr, 1))
-		}
-		return emit(caps.WriteCap(addr, size))
-	})
 	sys.RegisterKernelFunc("kfree",
 		[]core.Param{core.P("ptr", "void *")},
 		"pre(transfer(alloc_caps(ptr)))",

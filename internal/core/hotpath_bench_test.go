@@ -87,6 +87,9 @@ func BenchmarkCheckContended8(b *testing.B) {
 func BenchmarkCrossingStore(b *testing.B) {
 	s := NewSystem()
 	s.Mon.SetMode(Enforce)
+	s.RegisterIterator("bench_alloc_caps", func(t *Thread, args []int64, emit func(caps.Cap) error) error {
+		return emit(caps.WriteCap(mem.Addr(uint64(args[0])), 64))
+	})
 	s.RegisterKernelFunc("bench_kmalloc",
 		[]Param{P("size", "size_t")},
 		"post(if (return != 0) transfer(bench_alloc_caps(return)))",
@@ -97,9 +100,6 @@ func BenchmarkCrossingStore(b *testing.B) {
 			}
 			return uint64(a)
 		})
-	s.RegisterIterator("bench_alloc_caps", func(t *Thread, args []int64, emit func(caps.Cap) error) error {
-		return emit(caps.WriteCap(mem.Addr(uint64(args[0])), 64))
-	})
 	th := s.NewThread("bench")
 	var buf uint64
 	m, err := s.LoadModule(ModuleSpec{

@@ -181,9 +181,6 @@ type Monitor struct {
 	// operation does not happen".
 	KillOnViolation bool
 
-	// OnViolation, if set, is called for every violation (e.g. to log).
-	OnViolation func(*Violation)
-
 	// OnViolationThread, if set, is called for every violation on the
 	// violating thread's own goroutine, after the module has been killed.
 	// Because it runs on the thread itself, the hook may safely read the
@@ -315,8 +312,5 @@ func (m *Monitor) record(v *Violation) error {
 	m.vmu.Lock()
 	m.violations = append(m.violations, v)
 	m.vmu.Unlock()
-	if m.OnViolation != nil {
-		m.OnViolation(v)
-	}
 	return fmt.Errorf("%w: %s", ErrViolation, v.Error())
 }

@@ -5,17 +5,21 @@
 // is that compile step for the simulation: when a function is
 // registered, its annot.Set is lowered into an annotProg — a flat slice
 // of fixed-size actionSteps whose expressions are opcode programs
-// (annot.ExprProg) with parameter names resolved to argument indices,
-// whose iterators and REF cache tags are pre-resolved, and whose
-// if-chains are flattened into per-step condition lists. Every crossing
-// in calls.go runs a program. A declaration without a parameter list
-// that is reached through a function-pointer slot borrows the slot
-// type's parameter names; substProg compiles that variant on first use
-// and memoizes it on the declaration.
+// (annot.ExprProg) with parameter names resolved to argument indices
+// and registered constants folded, whose iterators, sizeof(*p) layouts
+// and REF cache tags are resolved, and whose if-chains are flattened
+// into per-step condition lists. A name that does not bind fails the
+// registration, as a parse error does. Every crossing in calls.go, and
+// every dry run in diff.go, runs a program through runProgram. A
+// declaration without a parameter list that is reached through a
+// function-pointer slot borrows the slot type's parameter names;
+// substProg compiles that variant on first use and memoizes it on the
+// declaration.
 package core
 
 import (
 	"fmt"
+	"strings"
 
 	"lxfi/internal/annot"
 	"lxfi/internal/caps"
@@ -38,34 +42,18 @@ type actionStep struct {
 	// the first zero).
 	conds []compiledCond
 
-	// src is the source caplist, used only in cold-path error text.
-	src *annot.CapList
-
-	// Inline caplist form:
+	// Inline caplist form. A WRITE caplist without a size expression
+	// gets sizeof(*ptr) folded into size as a literal.
 	kind    annot.CapKind
 	refType string
 	refTag  uint64 // packed check-cache tag for REF verdicts (0 = uncacheable)
 	ptr     annot.ExprProg
 	size    annot.ExprProg
-	hasSize bool
-	// sizeof(*ptr) resolution when the size expression is omitted:
-	// sizeofVal is the layout size resolved at compile time; when 0,
-	// sizeofType (the named parameter's declared C type) is resolved
-	// against the layout registry at run time, for layouts defined
-	// after registration.
-	sizeofType string
-	sizeofVal  uint64
 
-	// Iterator form (iterName != "" selects it): iter is the function
-	// resolved at compile time, nil when the iterator was registered
-	// later (run time then resolves it by name).
-	iterName string
+	// Iterator form (iter != nil selects it).
 	iter     IterFunc
 	iterArgs []annot.ExprProg
 }
-
-// isIterator reports whether the step is an iterator-func caplist.
-func (st *actionStep) isIterator() bool { return st.iterName != "" }
 
 // annotProg is the compiled form of one annot.Set for a specific
 // parameter list.
@@ -78,8 +66,8 @@ type annotProg struct {
 
 // bindEnv is the compile environment for bind-time lowering:
 // parameter names resolve to argument indices, and registered
-// constants fold to literals once the constant table has frozen at
-// the first module load.
+// constants fold to literals (RegisterConst never rebinds one). A name
+// bound to neither keeps its run-time lookup.
 type bindEnv struct {
 	params []Param
 	sys    *System
@@ -95,24 +83,18 @@ func (e bindEnv) ParamIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// ConstValue implements annot.ConstEnv. It resolves nothing before the
-// freeze: a pre-freeze RegisterConst may still rebind the name, so
-// programs compiled that early (kernel exports registered at boot)
-// keep runtime constant resolution.
+// ConstValue implements annot.ConstEnv.
 func (e bindEnv) ConstValue(name string) (int64, bool) {
-	if !e.sys.constsFrozen.Load() {
-		return 0, false
-	}
 	return e.sys.Const(name)
 }
 
 // compileAnnot lowers set into an action program against params; a
-// nil set (an unannotated kernel function) yields nil. The parser never
-// produces a set that fails to compile, so a compile error is a broken
-// invariant and panics at registration, like a parse error.
-func (s *System) compileAnnot(name string, params []Param, set *annot.Set) *annotProg {
+// nil set (an unannotated kernel function) yields nil. Every name the
+// set uses binds here: a capability iterator that is not registered,
+// or a sizeof(*p) whose layout is not defined, fails the compile.
+func (s *System) compileAnnot(params []Param, set *annot.Set) (*annotProg, error) {
 	if set == nil {
-		return nil
+		return nil, nil
 	}
 	cenv := bindEnv{params: params, sys: s}
 	prog := &annotProg{prinKind: set.Principal.Kind}
@@ -122,11 +104,19 @@ func (s *System) compileAnnot(name string, params []Param, set *annot.Set) *anno
 		prog.prinSrc = set.Principal.Expr
 	}
 	if err == nil {
-		prog.pre, err = s.compileActions(set.Pre, cenv, params)
+		prog.pre, err = s.compileActions(set.Pre, cenv)
 	}
 	if err == nil {
-		prog.post, err = s.compileActions(set.Post, cenv, params)
+		prog.post, err = s.compileActions(set.Post, cenv)
 	}
+	return prog, err
+}
+
+// mustCompileAnnot is compileAnnot for a set that is already bound
+// into the system (a kernel export at registration, a slot type at
+// use): a compile error there panics, like a parse error.
+func (s *System) mustCompileAnnot(name string, params []Param, set *annot.Set) *annotProg {
+	prog, err := s.compileAnnot(params, set)
 	if err != nil {
 		panic(fmt.Sprintf("core: annotation for %s does not compile: %v", name, err))
 	}
@@ -150,18 +140,18 @@ func (s *System) substProg(fn *FuncDecl, ft *FPtrType) *annotProg {
 	if e := fn.subst.Load(); e != nil && e.ft == ft {
 		return e.prog
 	}
-	e := &substEntry{ft: ft, prog: s.compileAnnot(fn.Name, ft.Params, fn.Annot)}
+	e := &substEntry{ft: ft, prog: s.mustCompileAnnot(fn.Name, ft.Params, fn.Annot)}
 	fn.subst.Store(e)
 	return e.prog
 }
 
-func (s *System) compileActions(actions []*annot.Action, cenv annot.CompileEnv, params []Param) ([]actionStep, error) {
+func (s *System) compileActions(actions []*annot.Action, cenv bindEnv) ([]actionStep, error) {
 	if len(actions) == 0 {
 		return nil, nil
 	}
 	steps := make([]actionStep, 0, len(actions))
 	for _, a := range actions {
-		st, err := s.compileStep(a, cenv, params)
+		st, err := s.compileStep(a, cenv)
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +160,7 @@ func (s *System) compileActions(actions []*annot.Action, cenv annot.CompileEnv, 
 	return steps, nil
 }
 
-func (s *System) compileStep(a *annot.Action, cenv annot.CompileEnv, params []Param) (actionStep, error) {
+func (s *System) compileStep(a *annot.Action, cenv bindEnv) (actionStep, error) {
 	var st actionStep
 	for a != nil && a.Op == annot.If {
 		prog, err := annot.Compile(a.Cond, cenv)
@@ -185,10 +175,11 @@ func (s *System) compileStep(a *annot.Action, cenv annot.CompileEnv, params []Pa
 	}
 	st.op = a.Op
 	cl := a.Caps
-	st.src = cl
 	if cl.IsIterator() {
-		st.iterName = cl.Iter
-		st.iter, _ = s.iterator(cl.Iter)
+		var ok bool
+		if st.iter, ok = s.iterator(cl.Iter); !ok {
+			return st, fmt.Errorf("core: unknown capability iterator %q", cl.Iter)
+		}
 		st.iterArgs = make([]annot.ExprProg, 0, len(cl.IterArgs))
 		for _, e := range cl.IterArgs {
 			p, err := annot.Compile(e, cenv)
@@ -215,22 +206,30 @@ func (s *System) compileStep(a *annot.Action, cenv annot.CompileEnv, params []Pa
 			if err != nil {
 				return st, err
 			}
-			st.size, st.hasSize = sz, true
-		} else if cl.Ptr.Ident != "" {
-			for _, p := range params {
-				if p.Name == cl.Ptr.Ident {
-					st.sizeofType = p.Type
-					break
-				}
+			st.size = sz
+		} else {
+			size, ok := s.sizeofParam(cenv.params, cl.Ptr.Ident)
+			if !ok {
+				return st, fmt.Errorf("core: cannot resolve sizeof for %q", cl.Ptr)
 			}
-			if st.sizeofType != "" {
-				if v, ok := s.sizeofType(st.sizeofType); ok {
-					st.sizeofVal = v
-				}
-			}
+			n := int64(size)
+			st.size, _ = annot.Compile(&annot.Expr{Num: &n}, cenv)
 		}
 	}
 	return st, nil
+}
+
+// sizeofParam resolves sizeof(*name) for the parameter name from its
+// declared C type: "struct sk_buff *" -> the size of struct sk_buff in
+// the layout registry.
+func (s *System) sizeofParam(params []Param, name string) (uint64, bool) {
+	for _, p := range params {
+		if p.Name == name {
+			typ := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(p.Type), "*"))
+			return s.Layouts.Sizeof(typ)
+		}
+	}
+	return 0, false
 }
 
 // refTypeTag interns a REF type name and returns its packed check-cache

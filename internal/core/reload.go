@@ -148,7 +148,7 @@ func (s *System) RetireModule(m *Module) {
 	if cur, ok := s.modules[m.Name]; ok && cur == m {
 		delete(s.modules, m.Name)
 	}
-	s.Caps.UnloadModule(m.Name)
+	s.Caps.UnloadModule(m.Set)
 	s.mu.Unlock()
 }
 

@@ -252,11 +252,13 @@ func TestViolationKillSwitchOff(t *testing.T) {
 	}
 }
 
-// TestViolationCallback checks the OnViolation hook.
+// TestViolationCallback checks that a violation subscriber hears every
+// violation, once.
 func TestViolationCallback(t *testing.T) {
 	f := newFixture(t, core.Enforce)
 	var seen []*core.Violation
-	f.sys.Mon.OnViolation = func(v *core.Violation) { seen = append(seen, v) }
+	cancel := f.sys.Mon.SubscribeViolationThread(func(v *core.Violation, _ *core.Thread) { seen = append(seen, v) })
+	defer cancel()
 	m := f.loadModule(t, "m", nil, func(th *core.Thread, args []uint64) uint64 {
 		_ = th.WriteU64(f.victim, 0)
 		return 0

@@ -58,15 +58,6 @@ type System struct {
 	refMu  sync.Mutex
 	refIDs map[string]uint64
 
-	nextToken atomic.Uint64 // shadow-stack return tokens
-
-	// constsFrozen flips at the first LoadModule and never clears: from
-	// then on the constant table is append-only (RegisterConst panics on
-	// a rebind to a different value), which is what lets the bind-time
-	// compiler fold constants into action programs as literals
-	// (program.go) instead of re-resolving them on every crossing.
-	constsFrozen atomic.Bool
-
 	// tracing makes NewThread attach a flight-recorder ring to every
 	// thread created after EnableTracing (trace.go).
 	tracing atomic.Bool
@@ -136,7 +127,7 @@ func (s *System) RegisterKernelFunc(name string, params []Param, annotSrc string
 	}
 	s.validateAnnot(name, params, set)
 	f := &FuncDecl{Name: name, Params: params, Annot: set, Impl: impl}
-	f.prog = s.compileAnnot(name, params, set)
+	f.prog = s.mustCompileAnnot(name, params, set)
 	s.registerFunc(f, s.kernelText)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -217,22 +208,15 @@ func (s *System) RegisterIterator(name string, fn IterFunc) {
 }
 
 // RegisterConst makes a symbolic constant (e.g. NETDEV_TX_BUSY)
-// available to annotation expressions. Before the first module load the
-// table is fully mutable; after it freezes (LoadModule), rebinding a
-// name to a different value panics — compiled action programs may have
-// folded the old value into their opcode streams, so a silent rebind
-// would leave them disagreeing with programs that resolve the name at
-// run time. Registering new names, or re-stating an existing binding,
-// stays legal at any time.
+// available to annotation expressions. A name never rebinds: programs
+// compiled after its registration fold its value as a literal, so a
+// rebind to a different value panics. Re-stating an existing binding
+// stays legal.
 func (s *System) RegisterConst(name string, v int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.constsFrozen.Load() {
-		if old, ok := s.consts[name]; ok && old != v {
-			panic(fmt.Sprintf(
-				"core: constant %s rebound from %d to %d after the table froze at first module load",
-				name, old, v))
-		}
+	if old, ok := s.consts[name]; ok && old != v {
+		panic(fmt.Sprintf("core: constant %s rebound from %d to %d", name, old, v))
 	}
 	s.consts[name] = v
 }
@@ -357,10 +341,6 @@ func (s *System) Modules() map[string]*Module {
 // capability for the writable sections, all to the module's shared
 // principal.
 func (s *System) LoadModule(spec ModuleSpec) (*Module, error) {
-	// The first module load freezes the constant table (RegisterConst):
-	// the programs compiled below fold constants as literals, which is
-	// sound only if no later registration can rebind them.
-	s.constsFrozen.Store(true)
 	// Reserve the name atomically: two concurrent loads of one name must
 	// not both pass the duplicate check and then fight over the registry
 	// slot. The nil placeholder is invisible to lookups (Module treats it
@@ -372,11 +352,6 @@ func (s *System) LoadModule(spec ModuleSpec) (*Module, error) {
 	}
 	s.modules[spec.Name] = nil
 	s.mu.Unlock()
-	unreserve := func() {
-		s.mu.Lock()
-		delete(s.modules, spec.Name)
-		s.mu.Unlock()
-	}
 	m := &Module{
 		Name:       spec.Name,
 		Set:        s.Caps.LoadModule(spec.Name),
@@ -388,6 +363,12 @@ func (s *System) LoadModule(spec ModuleSpec) (*Module, error) {
 	}
 	wake := make(chan struct{})
 	m.lcWake.Store(&wake)
+	fail := func(format string, args ...any) (*Module, error) {
+		s.mu.Lock()
+		s.dropModule(m)
+		s.mu.Unlock()
+		return nil, fmt.Errorf("core: module %s: "+format, append([]any{spec.Name}, args...)...)
+	}
 
 	// Register module functions, propagating annotations from fptr types
 	// (§4.2): a function assigned to an annotated function-pointer member
@@ -398,22 +379,17 @@ func (s *System) LoadModule(spec ModuleSpec) (*Module, error) {
 		if fs.Type != "" {
 			ft, ok := s.FPtrType(fs.Type)
 			if !ok {
-				unreserve()
-				return nil, fmt.Errorf("core: module %s: function %s references unknown fptr type %q",
-					spec.Name, fs.Name, fs.Type)
+				return fail("function %s references unknown fptr type %q", fs.Name, fs.Type)
 			}
 			set = ft.Annot
 			if fs.Annot != "" {
 				own, err := annot.Parse(fs.Annot)
 				if err != nil {
-					unreserve()
-					return nil, fmt.Errorf("core: module %s: %s: %v", spec.Name, fs.Name, err)
+					return fail("%s: %v", fs.Name, err)
 				}
 				if own.Hash() != set.Hash() {
-					unreserve()
-					return nil, fmt.Errorf(
-						"core: module %s: %s: conflicting annotations (explicit %q vs type %s %q)",
-						spec.Name, fs.Name, own, fs.Type, set)
+					return fail("%s: conflicting annotations (explicit %q vs type %s %q)",
+						fs.Name, own, fs.Type, set)
 				}
 			}
 			if len(fs.Params) == 0 {
@@ -423,15 +399,17 @@ func (s *System) LoadModule(spec ModuleSpec) (*Module, error) {
 			var err error
 			set, err = annot.Parse(fs.Annot)
 			if err != nil {
-				unreserve()
-				return nil, fmt.Errorf("core: module %s: %s: %v", spec.Name, fs.Name, err)
+				return fail("%s: %v", fs.Name, err)
 			}
 		}
-		f := &FuncDecl{Name: fs.Name, Module: spec.Name, Params: fs.Params, Annot: set, Impl: fs.Impl, owner: m}
 		// Bind-time compilation (§4.2): the annotation set is lowered
 		// into its action program once, here, instead of being
 		// re-interpreted on every crossing into the module.
-		f.prog = s.compileAnnot(fs.Name, fs.Params, set)
+		prog, err := s.compileAnnot(fs.Params, set)
+		if err != nil {
+			return fail("%s: %v", fs.Name, err)
+		}
+		f := &FuncDecl{Name: fs.Name, Module: spec.Name, Params: fs.Params, Annot: set, Impl: fs.Impl, prog: prog, owner: m}
 		s.registerFunc(f, s.moduleArea)
 		m.Funcs[fs.Name] = f
 		if fs.Type != "" {
@@ -467,8 +445,7 @@ func (s *System) LoadModule(spec ModuleSpec) (*Module, error) {
 	for _, imp := range spec.Imports {
 		f, ok := s.FuncByName(imp)
 		if !ok || !f.IsKernel() {
-			unreserve()
-			return nil, fmt.Errorf("core: module %s imports unknown kernel symbol %q", spec.Name, imp)
+			return fail("imports unknown kernel symbol %q", imp)
 		}
 		s.Caps.Grant(shared, caps.CallCap(f.Addr))
 		m.gates[imp] = &Gate{fn: f, owner: m}
@@ -489,20 +466,24 @@ func (s *System) LoadModule(spec ModuleSpec) (*Module, error) {
 // UnloadModule removes a module and revokes all its capabilities. The
 // capability teardown happens inside the registry critical section so a
 // concurrent LoadModule of the same name cannot slip between the two
-// and have its fresh principal set discarded (lock order: core.System.mu
-// before caps.System.mu, same as the grants in LoadModule's callees).
+// (lock order: core.System.mu before the caps locks, same as the grants
+// in LoadModule's callees).
 func (s *System) UnloadModule(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.modules[name]
-	if !ok || m == nil {
-		return
+	if m := s.modules[name]; m != nil {
+		s.dropModule(m)
 	}
+}
+
+// dropModule unpublishes m, with s.mu held: its function addresses, its
+// name, and its principal set.
+func (s *System) dropModule(m *Module) {
 	for _, f := range m.Funcs {
 		delete(s.funcsByAddr, f.Addr)
 	}
-	delete(s.modules, name)
-	s.Caps.UnloadModule(name)
+	delete(s.modules, m.Name)
+	s.Caps.UnloadModule(m.Set)
 }
 
 // killModule marks a module dead after a violation.

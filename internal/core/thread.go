@@ -38,6 +38,10 @@ type Thread struct {
 	curMod *Module
 
 	shadow []frame
+	// tokens numbers the thread's shadow-stack return tokens. A token is
+	// only compared within its own stack, so a per-thread count keeps
+	// each stack strictly increasing without a shared counter.
+	tokens uint64
 
 	// KernelDS models set_fs(KERNEL_DS): when true, uaccess routines
 	// skip the user-pointer check — the kernel bug (CVE-2010-4258) that
@@ -152,20 +156,7 @@ func (t *Thread) ShadowFrames() []ShadowFrame {
 }
 
 func (t *Thread) violation(op string, addr mem.Addr, detail string) error {
-	v := &Violation{
-		Module:    moduleName(t.curMod),
-		Principal: t.cur.String(),
-		Op:        op,
-		Addr:      addr,
-		Detail:    detail,
-	}
-	t.traceViolation(v, t.cur)
-	err := t.Sys.Mon.record(v)
-	if t.Sys.Mon.KillOnViolation && t.curMod != nil {
-		t.Sys.killModule(t.curMod, v)
-	}
-	t.Sys.Mon.notifyThread(v, t)
-	return err
+	return t.violationAt(t.curMod, t.cur, op, addr, detail)
 }
 
 func moduleName(m *Module) string {
@@ -361,7 +352,8 @@ func (t *Thread) CallerModule() *Module {
 }
 
 func (t *Thread) token() uint64 {
-	return t.Sys.nextToken.Add(1)
+	t.tokens++
+	return t.tokens
 }
 
 // pushArgs copies a crossing's arguments onto the argument stack and

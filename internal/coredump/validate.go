@@ -245,7 +245,7 @@ func validateThreads(d *Dump, add addFunc) {
 			add("threads", "shadow-depth",
 				"thread %s: shadow_depth %d but %d frames dumped", t.Name, t.ShadowDepth, len(t.Shadow))
 		}
-		// Return tokens come from a global monotone counter, and outer
+		// Return tokens come from the thread's monotone counter, and outer
 		// frames are pushed before inner ones: tokens must strictly
 		// increase toward the top of the stack. A corrupted token (the
 		// forged-return CFI case) breaks the chain.

@@ -262,7 +262,7 @@ func injectSlow(name, arg string) error {
 //
 // e.g. "blockdev.write_sector=every(50)->error;kernel.entry[kmalloc]=oneshot->panic".
 // It is also applied to the LXFI_FAILPOINTS environment variable at
-// package init, and backs the -failpoints flag of the perf commands.
+// package init, which is how a process arms failpoints.
 func ArmSpec(spec string) error {
 	for _, entry := range strings.Split(spec, ";") {
 		entry = strings.TrimSpace(entry)

@@ -212,6 +212,37 @@ func TestSlabAllocFree(t *testing.T) {
 	}
 }
 
+// TestPayloadRecordIsAllocatorMetadata: the payload record lives in
+// the object's allocator entry, so no store through the object's
+// addresses can reach it, an address that is not an object base has
+// none, and FreeWithPayload releases exactly the recorded payload.
+func TestPayloadRecordIsAllocatorMetadata(t *testing.T) {
+	as, s := newSlab()
+	obj, data, err := s.AllocWithPayload(48, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sz, _ := s.ObjectSize(obj); sz != 64 {
+		t.Fatalf("48-byte struct in the %d-byte class, want 64", sz)
+	}
+	if err := as.Write(obj, bytes.Repeat([]byte{0xff}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if got, size := s.Payload(obj); got != data || size != 100 {
+		t.Fatalf("Payload = %#x, %d after overwriting the object; want %#x, 100", uint64(got), size, uint64(data))
+	}
+	if got, size := s.Payload(obj + 8); got != 0 || size != 0 {
+		t.Fatalf("interior pointer has a record: %#x, %d", uint64(got), size)
+	}
+	s.FreeWithPayload(obj)
+	if s.Owns(obj) || s.Owns(data) {
+		t.Fatal("FreeWithPayload left the object or its payload live")
+	}
+	if got, _ := s.Payload(obj); got != 0 {
+		t.Fatal("freed object still has a record")
+	}
+}
+
 func TestSlabAdjacency(t *testing.T) {
 	// Two back-to-back allocations of the same class land adjacent in the
 	// same page — the property CVE-2010-2959 exploits.

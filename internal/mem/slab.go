@@ -36,6 +36,11 @@ type Slab struct {
 type objInfo struct {
 	class uint64 // size class (usable size)
 	req   uint64 // requested size
+
+	// payload and paySize are the kernel-private payload record
+	// (AllocWithPayload): allocator metadata, which no address covers.
+	payload Addr
+	paySize uint64
 }
 
 type sizeClass struct {
@@ -143,71 +148,70 @@ func (s *Slab) Alloc(size uint64) (Addr, error) {
 // The object's memory is poisoned with Poison so that use-after-free is
 // observable in tests.
 func (s *Slab) Free(addr Addr) error {
+	_, err := s.free(addr)
+	return err
+}
+
+// free is Free returning the released object's allocator entry.
+func (s *Slab) free(addr Addr) (objInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info, ok := s.objects[addr]
 	if !ok {
-		return fmt.Errorf("%w: %#x", ErrBadFree, uint64(addr))
+		return info, fmt.Errorf("%w: %#x", ErrBadFree, uint64(addr))
 	}
 	delete(s.objects, addr)
 	s.frees++
 	if err := s.as.fill(addr, info.class, &poisonPage); err != nil {
-		return err
+		return info, err
 	}
 	if info.class > 4096 {
 		delete(s.large, addr)
 		// Large allocations keep their pages mapped (direct map).
-		return nil
+		return info, nil
 	}
 	sc := s.classes[info.class]
 	sc.free = append(sc.free, addr)
-	return nil
+	return info, nil
 }
 
-// PayloadRecordSize is the size of the kernel-private record
-// AllocWithPayload places right after an object's struct: the address
-// and size of the payload allocated with the object (an sk_buff's or a
-// bio's data buffer). The capabilities over such an object span only
-// its struct, so a module holding WRITE over the struct can retarget
-// the struct's own payload fields but never the record. Every kernel
-// decision about the payload — what a transfer covers, what a free
-// releases, how far I/O may run — reads the record.
-const PayloadRecordSize = 16
-
-// AllocWithPayload allocates an object whose struct is hdr bytes,
-// followed by its payload record, and a payload of size bytes, and
-// records the payload in the object.
+// AllocWithPayload allocates an object of hdr bytes and a payload of
+// size bytes (an sk_buff or a bio and its data buffer), and records the
+// payload in the object's allocator entry. The capabilities over such
+// an object span only its struct, so a module holding WRITE over the
+// struct can retarget the struct's own payload fields but never the
+// record. Every kernel decision about the payload — what a transfer
+// covers, what a free releases, how far I/O may run — reads the record.
 func (s *Slab) AllocWithPayload(hdr, size uint64) (obj, data Addr, err error) {
-	if obj, err = s.Alloc(hdr + PayloadRecordSize); err != nil {
+	if obj, err = s.Alloc(hdr); err != nil {
 		return 0, 0, err
 	}
 	if data, err = s.Alloc(size); err != nil {
 		_ = s.Free(obj)
 		return 0, 0, err
 	}
-	// The record lies inside the object Alloc just mapped, so these
-	// writes cannot fail.
-	_ = s.as.WriteU64(obj+Addr(hdr), uint64(data))
-	_ = s.as.WriteU64(obj+Addr(hdr)+8, size)
+	s.mu.Lock()
+	info := s.objects[obj]
+	info.payload, info.paySize = data, size
+	s.objects[obj] = info
+	s.mu.Unlock()
 	return obj, data, nil
 }
 
-// Payload returns the payload recorded in obj, whose struct is hdr
-// bytes (AllocWithPayload).
-func (s *Slab) Payload(obj Addr, hdr uint64) (Addr, uint64) {
-	data, _ := s.as.ReadU64(obj + Addr(hdr))
-	size, _ := s.as.ReadU64(obj + Addr(hdr) + 8)
-	return Addr(data), size
+// Payload returns the payload recorded for the live object based at
+// obj (AllocWithPayload), or zeros when there is none: any other
+// address has no record.
+func (s *Slab) Payload(obj Addr) (Addr, uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	info := s.objects[obj]
+	return info.payload, info.paySize
 }
 
-// FreeWithPayload frees obj, whose struct is hdr bytes, and then the
-// payload its record names. The object goes first: a pointer that is
-// not the base of a slab object was not made by AllocWithPayload, and
-// its record words may lie in a neighbouring object.
-func (s *Slab) FreeWithPayload(obj Addr, hdr uint64) {
-	data, _ := s.Payload(obj, hdr)
-	if s.Free(obj) == nil && data != 0 {
-		_ = s.Free(data)
+// FreeWithPayload frees obj and then the payload recorded for it.
+func (s *Slab) FreeWithPayload(obj Addr) {
+	if info, err := s.free(obj); err == nil && info.payload != 0 {
+		_ = s.Free(info.payload)
 	}
 }
 

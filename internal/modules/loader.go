@@ -41,10 +41,6 @@ func init() {
 type Loader struct {
 	BC *BootContext
 
-	// QuiesceTimeout bounds how long Reload waits for in-flight
-	// crossings to drain before aborting the reload.
-	QuiesceTimeout time.Duration
-
 	mu     sync.Mutex // leaf: guards the loaded map only
 	loaded map[string]*loadedModule
 }
@@ -79,8 +75,9 @@ func (lm *loadedModule) setInstance(inst Instance) {
 	lm.instMu.Unlock()
 }
 
-// DefaultQuiesceTimeout is the drain bound a fresh Loader starts with:
-// generous against scheduler noise, small against a hung crossing.
+// DefaultQuiesceTimeout bounds how long Reload waits for in-flight
+// crossings to drain before aborting the reload: generous against
+// scheduler noise, small against a hung crossing.
 const DefaultQuiesceTimeout = 5 * time.Second
 
 // NewLoader builds a loader with an empty boot context over k;
@@ -93,9 +90,8 @@ func NewLoader(k *kernel.Kernel) *Loader {
 // (pre-plugged PCI devices, attached disks, ...).
 func NewLoaderWith(bc *BootContext) *Loader {
 	return &Loader{
-		BC:             bc,
-		QuiesceTimeout: DefaultQuiesceTimeout,
-		loaded:         make(map[string]*loadedModule),
+		BC:     bc,
+		loaded: make(map[string]*loadedModule),
 	}
 }
 
@@ -305,7 +301,7 @@ func (l *Loader) Reload(t *core.Thread, name string) (*ReloadStats, error) {
 	oldM := lm.instance().Module()
 
 	start := time.Now()
-	if err := sys.BeginReload(oldM, l.QuiesceTimeout); err != nil {
+	if err := sys.BeginReload(oldM, DefaultQuiesceTimeout); err != nil {
 		return nil, err
 	}
 	quiesced := time.Now()

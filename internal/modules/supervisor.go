@@ -25,10 +25,10 @@ const (
 	// EventBreakerOpen: the module died BreakerFailures times inside
 	// BreakerWindow; restarts stop and the module stays dead.
 	EventBreakerOpen = "breaker-open"
-	// EventBudgetExhausted: the module consumed its RestartBudget;
-	// restarts stop and the module stays dead.
-	EventBudgetExhausted = "budget-exhausted"
 )
+
+// maxBackoff caps the doubling of SupervisorConfig.Backoff.
+const maxBackoff = 2 * time.Second
 
 // SupervisorEvent describes one supervision decision.
 type SupervisorEvent struct {
@@ -42,14 +42,8 @@ type SupervisorEvent struct {
 // defaults noted on each field.
 type SupervisorConfig struct {
 	// Backoff is the delay before the first restart attempt; it doubles
-	// per consecutive failed restart. Default 10ms.
+	// per consecutive failed restart, up to 2s. Default 10ms.
 	Backoff time.Duration
-	// MaxBackoff caps the doubling. Default 2s.
-	MaxBackoff time.Duration
-	// RestartBudget, when positive, is the lifetime restart allowance
-	// per module under enforcement; exhausting it leaves the module
-	// dead. 0 = unlimited.
-	RestartBudget int
 	// BreakerFailures deaths inside BreakerWindow trip the circuit
 	// breaker under enforcement: the module is left permanently dead and
 	// a forensic coredump is captured at the tripping violation.
@@ -68,9 +62,6 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	if c.Backoff <= 0 {
 		c.Backoff = 10 * time.Millisecond
 	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
 	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = 8
 	}
@@ -88,7 +79,7 @@ type supState struct {
 	queued       bool        // in the restart queue
 	pending      bool        // dead: queued or restart in flight
 	pendingSince time.Time   // first death of the current outage
-	permDead     bool        // breaker tripped, budget exhausted, or double-fail
+	permDead     bool        // breaker tripped or double-fail
 	breakerOpen  bool        // permDead via the circuit breaker
 	dump         *coredump.Dump
 }
@@ -97,12 +88,12 @@ type supState struct {
 // monitor's violation feed (which also carries contained stock-mode
 // panics), quarantines the dying module — its substrates degrade
 // gracefully while it is down — and hot-reloads it with exponential
-// backoff. Under enforcement a circuit breaker and an optional restart
-// budget bound the work an adversarial module can extract: past the
-// bound the module stays dead and a forensic coredump of the tripping
-// violation is retained. In stock mode restarts are unbounded — there
-// is no policy engine to attribute the deaths, which is exactly the
-// restart-storm DoS the exploit suite demonstrates.
+// backoff. Under enforcement a circuit breaker bounds the work an
+// adversarial module can extract: past the bound the module stays dead
+// and a forensic coredump of the tripping violation is retained. In
+// stock mode restarts are unbounded — there is no policy engine to
+// attribute the deaths, which is exactly the restart-storm DoS the
+// exploit suite demonstrates.
 //
 // Lock order: Supervisor.mu is taken before Loader.mu (metrics,
 // Instance checks) and before nothing else; the violation hook resolves
@@ -189,8 +180,8 @@ func (s *Supervisor) snapshot(reason string, t *core.Thread) *coredump.Dump {
 
 // onViolation runs on the violating thread's goroutine for every
 // violation and contained panic. It decides: quarantine and queue a
-// restart, or (under enforcement) trip the breaker / exhaust the budget
-// and leave the module dead.
+// restart, or (under enforcement) trip the breaker and leave the module
+// dead.
 func (s *Supervisor) onViolation(v *core.Violation, t *core.Thread) {
 	name, ok := s.ld.ownerOf(v.Module)
 	if !ok {
@@ -230,17 +221,6 @@ func (s *Supervisor) onViolation(v *core.Violation, t *core.Thread) {
 		s.emit(SupervisorEvent{Kind: EventBreakerOpen, Module: name, Restarts: restarts})
 		return
 	}
-	if enforcing && s.cfg.RestartBudget > 0 && st.restarts >= s.cfg.RestartBudget {
-		st.permDead, st.pending = true, false
-		restarts := st.restarts
-		s.mu.Unlock()
-		d := s.snapshot("supervisor: restart budget exhausted: "+v.Error(), t)
-		s.mu.Lock()
-		st.dump = d
-		s.mu.Unlock()
-		s.emit(SupervisorEvent{Kind: EventBudgetExhausted, Module: name, Restarts: restarts})
-		return
-	}
 
 	queued := false
 	if !st.queued {
@@ -261,11 +241,11 @@ func (s *Supervisor) onViolation(v *core.Violation, t *core.Thread) {
 
 func (s *Supervisor) backoff(consecFails int) time.Duration {
 	d := s.cfg.Backoff
-	for i := 0; i < consecFails && d < s.cfg.MaxBackoff; i++ {
+	for i := 0; i < consecFails && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > s.cfg.MaxBackoff {
-		d = s.cfg.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	return d
 }
@@ -352,7 +332,7 @@ func (s *Supervisor) BreakerOpen(name string) bool {
 }
 
 // Dump returns the forensic coredump captured when name was given up on
-// (breaker, budget, or double-failed restart), or nil.
+// (breaker or double-failed restart), or nil.
 func (s *Supervisor) Dump(name string) *coredump.Dump {
 	s.mu.Lock()
 	defer s.mu.Unlock()

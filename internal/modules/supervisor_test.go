@@ -2,8 +2,8 @@ package modules_test
 
 // Supervisor coverage: a violation (or contained stock-mode panic)
 // quarantines the module and the supervisor restarts it; the circuit
-// breaker and restart budget bound restarts under enforcement (with a
-// forensic dump at the tripping violation); the recovery metrics reach
+// breaker bounds restarts under enforcement (with a forensic dump at
+// the tripping violation); the recovery metrics reach
 // System.Metrics(); and reloads of distinct modules run concurrently —
 // one can sit in quiesce while the other swaps generations.
 
@@ -237,40 +237,6 @@ func TestSupervisorBreakerDoesNotOpenInStockMode(t *testing.T) {
 	}
 	if m, ok := ld.Module("econet"); !ok || m.Dead() {
 		t.Fatal("module not alive after stock-mode restarts")
-	}
-}
-
-func TestSupervisorRestartBudget(t *testing.T) {
-	defer failpoint.DisarmAll()
-	ld, th := newLoader(t, core.Enforce)
-	if _, err := ld.Load(th, "econet"); err != nil {
-		t.Fatal(err)
-	}
-	log := &eventLog{}
-	sup := modules.StartSupervisor(ld, modules.SupervisorConfig{
-		Backoff: time.Millisecond, RestartBudget: 1, OnEvent: log.add,
-	})
-	defer sup.Stop()
-
-	killEconet(t, ld, th)
-	if !sup.WaitIdle(5 * time.Second) {
-		t.Fatal("first restart did not happen")
-	}
-	killEconet(t, ld, th)
-	if !sup.WaitIdle(5 * time.Second) {
-		t.Fatal("supervisor stuck after budget exhaustion")
-	}
-	if got := sup.Restarts(); got != 1 {
-		t.Fatalf("restarts = %d, want 1 (budget)", got)
-	}
-	if !log.has(modules.EventBudgetExhausted) {
-		t.Fatalf("event log %v missing budget-exhausted", log.kinds())
-	}
-	if m, ok := ld.Module("econet"); !ok || !m.Dead() {
-		t.Fatal("module restarted past its budget")
-	}
-	if sup.Dump("econet") == nil {
-		t.Fatal("no forensic dump at budget exhaustion")
 	}
 }
 

@@ -382,8 +382,8 @@ func (s *Stack) registerExports() {
 
 // AllocSkb allocates an sk_buff and its payload buffer in kernel
 // context. The payload is also noted in the sk_buff's kernel-private
-// payload record (mem.PayloadRecordSize), which no skb capability
-// covers; struct and record share one 64-byte object.
+// payload record (mem.Slab.AllocWithPayload), slab metadata that no
+// skb capability covers.
 func (s *Stack) AllocSkb(size uint64) (mem.Addr, error) {
 	sys := s.K.Sys
 	if size == 0 {
@@ -407,7 +407,7 @@ func (s *Stack) AllocSkb(size uint64) (mem.Addr, error) {
 // FreeSkb frees — goes through the record, so a transfer always covers
 // exactly the buffer the free releases.
 func (s *Stack) skbPayload(skb mem.Addr) (mem.Addr, uint64) {
-	return s.K.Sys.Slab.Payload(skb, s.skb.Size)
+	return s.K.Sys.Slab.Payload(skb)
 }
 
 // emitSkb emits hdr, the capability over skb's header, then WRITE over
@@ -426,7 +426,7 @@ func (s *Stack) emitSkb(skb mem.Addr, hdr caps.Cap, emit func(caps.Cap) error) e
 // it.
 func (s *Stack) FreeSkb(skb mem.Addr) {
 	if skb != 0 {
-		s.K.Sys.Slab.FreeWithPayload(skb, s.skb.Size)
+		s.K.Sys.Slab.FreeWithPayload(skb)
 	}
 }
 

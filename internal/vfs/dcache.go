@@ -9,61 +9,55 @@ import (
 	"lxfi/internal/mem"
 )
 
-// dnode is the kernel-private view of one cached dentry. The children
-// map keyed by path component makes the dentry cache an M-way trie:
+// dnode is the kernel's view of one cached dentry. The children map
+// keyed by path component makes the dentry cache an M-way trie:
 // resolution walks one node per component and only crosses into the
 // filesystem module on a miss.
 //
-// dnodes live in their mount's private dentry map and are only touched
-// under that mount's lock.
+// dnodes hang off their mount's root and are only touched under that
+// mount's lock.
 type dnode struct {
-	dentry mem.Addr
 	inode  mem.Addr
-	parent mem.Addr // parent dentry, 0 for a mount root
+	parent *dnode // nil for a mount root
 	name   string
 	isDir  bool
-	child  map[string]mem.Addr
+	child  map[string]*dnode
 }
 
-// newDentry allocates the in-memory dentry object and its trie node.
-// Caller holds mnt.mu (or exclusively owns a not-yet-published mount).
-func (v *VFS) newDentry(mnt *mount, parent mem.Addr, name string, inode mem.Addr) (mem.Addr, error) {
-	sys := v.K.Sys
-	d, err := sys.Slab.Alloc(v.dentLay.Size)
-	if err != nil {
-		return 0, err
-	}
-	must(sys.AS.Zero(d, v.dentLay.Size))
-	must(sys.AS.WriteU64(d+mem.Addr(v.dentLay.Off("inode")), uint64(inode)))
-	must(sys.AS.WriteU64(d+mem.Addr(v.dentLay.Off("parent")), uint64(parent)))
-	must(sys.AS.WriteCString(d+mem.Addr(v.dentLay.Off("name")), name))
-	mode, _ := sys.AS.ReadU64(v.InodeField(inode, "mode"))
+// newDentry adds the trie node for name under parent (nil for a mount
+// root). Caller holds the mount's lock (or exclusively owns a
+// not-yet-published mount).
+func (v *VFS) newDentry(parent *dnode, name string, inode mem.Addr) *dnode {
+	mode, _ := v.K.Sys.AS.ReadU64(v.InodeField(inode, "mode"))
 	n := &dnode{
-		dentry: d,
 		inode:  inode,
 		parent: parent,
 		name:   name,
-		isDir:  mode == ModeDir || parent == 0,
-		child:  make(map[string]mem.Addr),
+		isDir:  mode == ModeDir || parent == nil,
+		child:  make(map[string]*dnode),
 	}
-	mnt.dentries[d] = n
-	if p, ok := mnt.dentries[parent]; ok {
-		p.child[name] = d
+	if parent != nil {
+		parent.child[name] = n
 	}
-	return d, nil
+	return n
 }
 
-// dropDentry removes a leaf dentry from the trie and frees it.
-func (v *VFS) dropDentry(mnt *mount, d mem.Addr) {
-	n, ok := mnt.dentries[d]
-	if !ok {
-		return
+// detach removes a non-root dentry from its parent's children.
+func (n *dnode) detach() { delete(n.parent.child, n.name) }
+
+// relink attaches a detached dentry (and implicitly its whole subtree)
+// under a new parent and name.
+func (n *dnode) relink(parent *dnode, name string) {
+	n.parent, n.name = parent, name
+	parent.child[name] = n
+}
+
+// visit calls fn on n and every cached dentry below it.
+func (n *dnode) visit(fn func(*dnode)) {
+	fn(n)
+	for _, c := range n.child {
+		c.visit(fn)
 	}
-	if p, ok := mnt.dentries[n.parent]; ok {
-		delete(p.child, n.name)
-	}
-	delete(mnt.dentries, d)
-	_ = v.K.Sys.Slab.Free(d)
 }
 
 // pushName copies one path component into the mount's kernel scratch
@@ -85,7 +79,7 @@ func (v *VFS) pushName(mnt *mount, name string) error {
 func (v *VFS) childOf(t *core.Thread, mnt *mount, cur *dnode, comp string) (*dnode, error) {
 	if c, ok := cur.child[comp]; ok {
 		v.Stats.DcacheHits.Add(1)
-		return mnt.dentries[c], nil
+		return c, nil
 	}
 	v.Stats.DcacheMiss.Add(1)
 	if err := v.pushName(mnt, comp); err != nil {
@@ -99,18 +93,14 @@ func (v *VFS) childOf(t *core.Thread, mnt *mount, cur *dnode, comp string) (*dno
 	if ret == 0 {
 		return nil, nil
 	}
-	d, err := v.newDentry(mnt, cur.dentry, comp, mem.Addr(ret))
-	if err != nil {
-		return nil, err
-	}
-	return mnt.dentries[d], nil
+	return v.newDentry(cur, comp, mem.Addr(ret)), nil
 }
 
 // walk resolves path on mnt through the dentry cache, calling the
 // module's lookup on each miss. The final component's dnode is returned.
 // Caller holds mnt.mu.
 func (v *VFS) walk(t *core.Thread, mnt *mount, path string) (*dnode, error) {
-	cur := mnt.dentries[mnt.root]
+	cur := mnt.root
 	for _, comp := range splitPath(path) {
 		if !cur.isDir {
 			return nil, fmt.Errorf("vfs: %q: not a directory", cur.name)
@@ -201,9 +191,7 @@ func (v *VFS) create(t *core.Thread, sb mem.Addr, path string, mode uint64) (_ m
 	if ret == 0 {
 		return 0, fmt.Errorf("vfs: create %s failed", name)
 	}
-	if _, err := v.newDentry(mnt, dir.dentry, name, mem.Addr(ret)); err != nil {
-		return 0, err
-	}
+	v.newDentry(dir, name, mem.Addr(ret))
 	v.Stats.Creates.Add(1)
 	return mem.Addr(ret), nil
 }
@@ -232,7 +220,7 @@ func (v *VFS) Unlink(t *core.Thread, sb mem.Addr, path string) (rerr error) {
 	if err != nil {
 		return err
 	}
-	if n.parent == 0 {
+	if n.parent == nil {
 		return fmt.Errorf("vfs: cannot unlink the root")
 	}
 	if notEmpty, err := v.dirNotEmpty(t, mnt, n); err != nil {
@@ -240,16 +228,15 @@ func (v *VFS) Unlink(t *core.Thread, sb mem.Addr, path string) (rerr error) {
 	} else if notEmpty {
 		return fmt.Errorf("vfs: %s: directory not empty", n.name)
 	}
-	parent := mnt.dentries[n.parent]
 	ret, err := v.gUnlink.Call(t, v.OpsSlot(mnt.fs.ops, "unlink"),
-		uint64(sb), uint64(parent.inode), uint64(n.inode))
+		uint64(sb), uint64(n.parent.inode), uint64(n.inode))
 	if err != nil {
 		return err
 	}
 	if kernel.IsErr(ret) {
 		return fmt.Errorf("vfs: unlink %s: errno %d", n.name, -int64(ret))
 	}
-	v.dropDentry(mnt, n.dentry)
+	n.detach()
 	v.Stats.Unlinks.Add(1)
 	return nil
 }
@@ -377,7 +364,7 @@ func (v *VFS) RenameFlags(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB 
 	if err != nil {
 		return err
 	}
-	if n.parent == 0 {
+	if n.parent == nil {
 		return fmt.Errorf("vfs: cannot rename the root")
 	}
 	dstDirPath, newName, ok := splitParent(dstPath)
@@ -392,7 +379,7 @@ func (v *VFS) RenameFlags(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB 
 		return fmt.Errorf("vfs: %q: not a directory", dstDir.name)
 	}
 	// Renaming a directory under itself would detach the subtree.
-	for p := dstDir; p != nil; p = mnt.dentries[p.parent] {
+	for p := dstDir; p != nil; p = p.parent {
 		if p == n {
 			return fmt.Errorf("vfs: rename %s -> %s: errno %d (into own subtree)", srcPath, dstPath, kernel.EINVAL)
 		}
@@ -401,7 +388,7 @@ func (v *VFS) RenameFlags(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB 
 	// must own the inode being moved and both directory inodes. Under
 	// enforcement a stale or foreign inode address fails here, before
 	// any module state changes.
-	oldDir := mnt.dentries[n.parent]
+	oldDir := n.parent
 	if mnt.fs.module != nil && v.K.Sys.Mon.Enforcing() {
 		prin, ok := mnt.fs.module.Set.Lookup(sb)
 		if !ok {
@@ -430,7 +417,7 @@ func (v *VFS) RenameFlags(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB 
 		}
 		// The symmetric cycle check: the source may not move under the
 		// target's subtree either.
-		for p := oldDir; p != nil; p = mnt.dentries[p.parent] {
+		for p := oldDir; p != nil; p = p.parent {
 			if p == tgt {
 				return fmt.Errorf("vfs: rename %s <-> %s: errno %d (into own subtree)", srcPath, dstPath, kernel.EINVAL)
 			}
@@ -450,10 +437,10 @@ func (v *VFS) RenameFlags(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB 
 		// Swap the two dnodes: detach both from their parents first so
 		// neither insertion can clobber the other's mapping.
 		oldName := n.name
-		delete(oldDir.child, n.name)
-		delete(dstDir.child, tgt.name)
-		v.relinkDentry(mnt, n, dstDir, newName)
-		v.relinkDentry(mnt, tgt, oldDir, oldName)
+		n.detach()
+		tgt.detach()
+		n.relink(dstDir, newName)
+		tgt.relink(oldDir, oldName)
 		v.Stats.Renames.Add(1)
 		v.Stats.Exchanges.Add(1)
 		return nil
@@ -502,10 +489,11 @@ func (v *VFS) RenameFlags(t *core.Thread, srcSB mem.Addr, srcPath string, dstSB 
 	if tgt != nil {
 		// The module removed the victim inside the rename transaction;
 		// only the kernel's view is left to clean up.
-		v.dropDentry(mnt, tgt.dentry)
+		tgt.detach()
 		v.Stats.Unlinks.Add(1)
 	}
-	v.moveDentry(mnt, n, dstDir, newName)
+	n.detach()
+	n.relink(dstDir, newName)
 	v.Stats.Renames.Add(1)
 	return nil
 }
@@ -571,32 +559,9 @@ func (v *VFS) Link(t *core.Thread, sb mem.Addr, oldPath, newPath string) (rerr e
 	if kernel.IsErr(ret) {
 		return fmt.Errorf("vfs: link %s -> %s: errno %d", oldPath, newPath, -int64(ret))
 	}
-	if _, err := v.newDentry(mnt, dir.dentry, name, n.inode); err != nil {
-		return err
-	}
+	v.newDentry(dir, name, n.inode)
 	v.Stats.Links.Add(1)
 	return nil
-}
-
-// moveDentry relinks a dnode (and implicitly its whole subtree) under a
-// new parent and name, keeping the simulated dentry object in sync.
-func (v *VFS) moveDentry(mnt *mount, n *dnode, newParent *dnode, newName string) {
-	if p, ok := mnt.dentries[n.parent]; ok {
-		delete(p.child, n.name)
-	}
-	v.relinkDentry(mnt, n, newParent, newName)
-}
-
-// relinkDentry attaches an already-detached dnode under a new parent
-// and name (the exchange path detaches both sides first so neither
-// insertion clobbers the other's mapping).
-func (v *VFS) relinkDentry(mnt *mount, n *dnode, newParent *dnode, newName string) {
-	n.parent = newParent.dentry
-	n.name = newName
-	newParent.child[newName] = n.dentry
-	as := v.K.Sys.AS
-	must(as.WriteU64(n.dentry+mem.Addr(v.dentLay.Off("parent")), uint64(n.parent)))
-	must(as.WriteCString(n.dentry+mem.Addr(v.dentLay.Off("name")), newName))
 }
 
 // Stat returns a file's size and link count from the inode cache — a
@@ -625,7 +590,9 @@ func (v *VFS) DcacheLen() int {
 	total := 0
 	for _, mnt := range v.mountList() {
 		mnt.mu.Lock()
-		total += len(mnt.dentries)
+		if !mnt.dead {
+			mnt.root.visit(func(*dnode) { total++ })
+		}
 		mnt.mu.Unlock()
 	}
 	return total

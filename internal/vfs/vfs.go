@@ -42,7 +42,6 @@ import (
 const (
 	SuperBlock = "struct super_block"
 	Inode      = "struct inode"
-	DentryT    = "struct dentry"
 	FsOps      = "struct fs_operations"
 )
 
@@ -119,15 +118,10 @@ type mount struct {
 	fs   *fstype
 	sb   mem.Addr
 	dev  uint64
-	root mem.Addr // root dentry
+	root *dnode // root of the mount's dentry cache, guarded by mu
 
 	mu   sync.Mutex
 	dead bool // set by Unmount; operations that lost the race fail
-
-	// dentries is this mount's dentry cache: one dnode per cached
-	// dentry, with children keyed by path component (the M-way-trie
-	// shape). Guarded by mu.
-	dentries map[mem.Addr]*dnode
 
 	// nameBuf and dirBuf are this mount's kernel scratch buffers for
 	// passing path components to (and readdir names from) the module.
@@ -176,7 +170,6 @@ type VFS struct {
 
 	sbLay   *layout.Struct
 	inoLay  *layout.Struct
-	dentLay *layout.Struct
 	fopsLay *layout.Struct
 
 	// mu guards the filesystem registry and the mount table.
@@ -265,11 +258,6 @@ func Init(k *kernel.Kernel, bl *blockdev.Layer) *VFS {
 		layout.F("nlink", 8),
 		layout.F("mode", 8),
 		layout.F("private", 8),
-	)
-	v.dentLay = sys.Layouts.Define(DentryT,
-		layout.F("inode", 8),
-		layout.F("parent", 8),
-		layout.F("name", NameMax+1),
 	)
 	v.fopsLay = sys.Layouts.Define(FsOps,
 		layout.F("mount", 8),
@@ -612,20 +600,10 @@ func (v *VFS) Mount(t *core.Thread, fsid, dev uint64) (_ mem.Addr, rerr error) {
 	// so the root dentry can go straight into its private cache.
 	mnt := &mount{
 		fs: ft, sb: sb, dev: dev,
-		dentries: make(map[mem.Addr]*dnode),
-		nameBuf:  sys.Statics.Alloc(NameMax+1, 8),
-		dirBuf:   sys.Statics.Alloc(NameMax+1, 8),
+		nameBuf: sys.Statics.Alloc(NameMax+1, 8),
+		dirBuf:  sys.Statics.Alloc(NameMax+1, 8),
 	}
-	root, err := v.newDentry(mnt, 0, "/", mem.Addr(ret))
-	if err != nil {
-		// The module's mount already succeeded: give it kill_sb so its
-		// private allocations and root inode are released before the
-		// principal goes away.
-		_, _ = v.gKillSB.Call(t, v.OpsSlot(ft.ops, "kill_sb"), uint64(sb))
-		return fail(err)
-	}
-	mnt.root = root
-	must(sys.AS.WriteU64(v.SBField(sb, "root"), uint64(root)))
+	mnt.root = v.newDentry(nil, "/", mem.Addr(ret))
 	v.mu.Lock()
 	v.mounts[sb] = mnt
 	v.mu.Unlock()
@@ -653,14 +631,13 @@ func (v *VFS) Unmount(t *core.Thread, sb mem.Addr) (rerr error) {
 	sys := v.K.Sys
 	// Reclaim whatever the module did not release itself. Inodes it
 	// already iput are gone from the slab; the double free is ignored.
-	for d, n := range mnt.dentries {
+	mnt.root.visit(func(n *dnode) {
 		if n.inode != 0 {
 			v.dropPagesOf(n.inode)
 			_ = sys.Slab.Free(n.inode)
 		}
-		_ = sys.Slab.Free(d)
-	}
-	mnt.dentries = make(map[mem.Addr]*dnode)
+	})
+	mnt.root = nil
 	v.forgetMount(mnt)
 	if mnt.fs.module != nil {
 		mnt.fs.module.Set.DropInstance(sb)

@@ -2,22 +2,27 @@
 // §5 of the paper).
 //
 // To make core-kernel indirect calls cheap, LXFI keeps, per memory
-// segment, a flag saying whether any module principal has been granted a
-// WRITE capability covering that segment since it was last zeroed. At an
-// indirect call site, if the flag is clear the expensive capability check
-// is skipped entirely ("the runtime can bypass the relatively expensive
-// capability check for the function pointer"). The actual contents of
-// non-empty writer sets are computed on the slow path by traversing the
-// global list of principals (caps.System.WriteGrantees).
+// segment, a flag saying whether any module principal has ever been
+// granted a WRITE capability covering that segment. At an indirect call
+// site, if the flag is clear the expensive capability check is skipped
+// entirely ("the runtime can bypass the relatively expensive capability
+// check for the function pointer"). The actual contents of non-empty
+// writer sets are computed on the slow path by traversing the global
+// list of principals (caps.System.WriteGrantees).
+//
+// The tracker only accumulates: nothing clears a segment, so revoking
+// or freeing memory leaves its flag set, and a later indirect call
+// through it takes the slow path, whose grantee sweep finds the writer
+// set empty. That is conservative: a clear flag always means no module
+// principal was ever granted WRITE there.
 //
 // The structure mirrors the paper's "data structure similar to a page
 // table": a map from page base to a 64-bit bitmap whose bits cover
-// 64-byte segments of the page. Range operations build each page's
-// segment mask and touch the map once per page.
+// 64-byte segments of the page. MarkRange builds each page's segment
+// mask and touches the map once per page.
 package wst
 
 import (
-	"math/bits"
 	"sync"
 
 	"lxfi/internal/mem"
@@ -98,83 +103,18 @@ func (t *Tracker) MarkRange(addr mem.Addr, size uint64) {
 	}
 }
 
-// ClearRange marks [addr, addr+size) as having an empty writer set
-// again; called when memory is zeroed/freed and all WRITE capabilities
-// for it have been revoked. Partial segments at the edges stay marked
-// (conservative), and so does a range that wraps past the top of the
-// address space.
-func (t *Tracker) ClearRange(addr mem.Addr, size uint64) {
-	end := addr + mem.Addr(size)
-	if size == 0 || end <= addr {
-		return
-	}
-	// Only fully-covered segments may be cleared.
-	first := addr / SegmentSize
-	if addr%SegmentSize != 0 {
-		first++
-	}
-	r := segRun{first, end/SegmentSize - 1}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		page, mask, ok := r.next()
-		if !ok {
-			return
-		}
-		if m, ok := t.pages[page]; ok {
-			if m &^= mask; m == 0 {
-				delete(t.pages, page)
-			} else {
-				t.pages[page] = m
-			}
-		}
-	}
-}
-
 // Empty reports whether the writer set for the segment containing addr
 // is empty. This is the constant-time fast-path test.
 func (t *Tracker) Empty(addr mem.Addr) bool {
+	page, bit := segBit(addr)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.emptyLocked(addr)
-}
-
-func (t *Tracker) emptyLocked(addr mem.Addr) bool {
 	t.probes++
-	page, bit := segBit(addr)
-	m, ok := t.pages[page]
-	empty := !ok || m&(1<<bit) == 0
+	empty := t.pages[page]&(1<<bit) == 0
 	if empty {
 		t.hits++
 	}
 	return empty
-}
-
-// EmptyRange reports whether every segment covering [addr, addr+size)
-// has an empty writer set. It counts one probe per segment it decides
-// on, in address order up to the first marked one, as that many Empty
-// calls would.
-func (t *Tracker) EmptyRange(addr mem.Addr, size uint64) bool {
-	if size == 0 {
-		return true
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for r := touching(addr, size); ; {
-		page, mask, ok := r.next()
-		if !ok {
-			return true
-		}
-		if marked := t.pages[page] & mask; marked != 0 {
-			n := uint64(bits.OnesCount64(mask & (uint64(2)<<bits.TrailingZeros64(marked) - 1)))
-			t.probes += n
-			t.hits += n - 1
-			return false
-		}
-		n := uint64(bits.OnesCount64(mask))
-		t.probes += n
-		t.hits += n
-	}
 }
 
 // Pages returns a copy of the page-base → segment-bitmap map, for
@@ -194,12 +134,4 @@ func (t *Tracker) Stats() (marks, probes, hits uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.marks, t.probes, t.hits
-}
-
-// Reset clears all tracking state and counters.
-func (t *Tracker) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.pages = make(map[mem.Addr]uint64)
-	t.marks, t.probes, t.hits = 0, 0, 0
 }
