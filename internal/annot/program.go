@@ -17,9 +17,10 @@ import "fmt"
 // same identifier resolution order (argument, then registered
 // constant) with the same error text on unbound names. Constants fold
 // to literal pushes when the compile environment exposes a bind-time
-// table (ConstEnv) — core does so once its table freezes at the first
-// module load — and stay runtime-resolved (opConst) otherwise, or when
-// the name is not bound yet at compile time. Programs are the only
+// table (ConstEnv) — core folds every constant registered before the
+// program compiles, since a registered constant never rebinds — and
+// stay runtime-resolved (opConst) otherwise, or when the name is not
+// bound yet at compile time. Programs are the only
 // evaluator on the crossing path; Expr.Eval stays as the oracle that
 // the fuzz target FuzzExprProgram holds them equal to, and that target
 // also fails on any parser-produced expression that will not compile.

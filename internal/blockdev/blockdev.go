@@ -78,6 +78,7 @@ var (
 	ErrNoDisk   = errors.New("blockdev: no such disk")
 	ErrBounds   = errors.New("blockdev: write outside the disk")
 	ErrPowerCut = errors.New("blockdev: simulated power cut")
+	ErrFault    = errors.New("blockdev: write source not mapped")
 )
 
 // SectorWrite is one logged disk mutation: the sector a write landed on
@@ -292,11 +293,10 @@ func (l *Layer) registerExports() {
 			if off+n > uint64(len(disk)) {
 				return kernel.Err(kernel.EINVAL)
 			}
-			buf, err := sys.AS.ReadBytes(mem.Addr(args[2]), n)
-			if err != nil {
-				return kernel.Err(kernel.EFAULT)
-			}
-			if err := l.WriteSectors(args[0], args[1], buf); err != nil {
+			if err := l.WriteSectors(args[0], args[1], mem.Addr(args[2]), n); err != nil {
+				if errors.Is(err, ErrFault) {
+					return kernel.Err(kernel.EFAULT)
+				}
 				return kernel.Err(kernel.EIO)
 			}
 			return 0
@@ -391,9 +391,17 @@ func (l *Layer) Disks() []uint64 {
 // WriteSectors is the single mutation path for disk contents: every
 // sector write — dm_write_sectors, pc_writeback, submitted write bios —
 // lands here, so the capture log sees the true write order and an armed
-// power cut stops all of them at once. data may be any length; it is
-// stored starting at the sector's byte offset.
-func (l *Layer) WriteSectors(dev, sector uint64, data []byte) error {
+// power cut stops all of them at once. It copies the n bytes of
+// simulated memory at src straight into the disk, starting at the
+// sector's byte offset. A source range that is not mapped fails with
+// ErrFault before anything else runs: the failpoint, the disk, the
+// power-cut budget and the capture log are left untouched. Pages are
+// never unmapped, so a range that probes mapped stays readable for the
+// copy.
+func (l *Layer) WriteSectors(dev, sector uint64, src mem.Addr, n uint64) error {
+	if err := l.K.Sys.AS.Probe(src, n); err != nil {
+		return fmt.Errorf("%w: %w", ErrFault, err)
+	}
 	// Fault site: an injected error surfaces to the module as EIO from
 	// dm_write_sectors, like a failing disk. The policy's Arg matches
 	// the device id. (The Armed fast path keeps the device formatting
@@ -410,7 +418,7 @@ func (l *Layer) WriteSectors(dev, sector uint64, data []byte) error {
 		return ErrNoDisk
 	}
 	off := sector * SectorSize
-	if sector > uint64(len(disk))/SectorSize || off+uint64(len(data)) > uint64(len(disk)) {
+	if sector > uint64(len(disk))/SectorSize || n > uint64(len(disk)) || off+n > uint64(len(disk)) {
 		return ErrBounds
 	}
 	if remaining := l.failAfter[dev]; remaining != nil {
@@ -419,9 +427,10 @@ func (l *Layer) WriteSectors(dev, sector uint64, data []byte) error {
 		}
 		*remaining--
 	}
-	copy(disk[off:], data)
+	dst := disk[off : off+n]
+	_ = l.K.Sys.AS.Read(src, dst)
 	if c := l.captures[dev]; c != nil {
-		c.log = append(c.log, SectorWrite{Sector: sector, Data: append([]byte{}, data...)})
+		c.log = append(c.log, SectorWrite{Sector: sector, Data: append([]byte{}, dst...)})
 	}
 	return nil
 }
@@ -466,8 +475,9 @@ func ReplayPrefix(initial []byte, log []SectorWrite, n int) []byte {
 }
 
 // FailAfter arms a power cut on dev: the next n WriteSectors calls
-// succeed, every later one fails with ErrPowerCut and leaves the disk
-// untouched — the image freezes exactly at the cut point, which the
+// whose source is mapped succeed, every later one fails with
+// ErrPowerCut and leaves the disk untouched (a source fault spends no
+// budget) — the image freezes exactly at the cut point, which the
 // coredump forensics test then extracts and remounts.
 func (l *Layer) FailAfter(dev uint64, n int64) {
 	l.mu.Lock()
@@ -512,15 +522,10 @@ func (l *Layer) doIO(bio mem.Addr) error {
 	if off+n > uint64(len(disk)) {
 		return fmt.Errorf("blockdev: I/O past end of disk %d", dev)
 	}
-	buf := make([]byte, n)
 	if rw == WriteBio {
-		if err := as.Read(data, buf); err != nil {
-			return err
-		}
-		return l.WriteSectors(dev, sector, buf)
+		return l.WriteSectors(dev, sector, data, n)
 	}
-	copy(buf, disk[off:off+n])
-	return as.Write(data, buf)
+	return as.Write(data, disk[off:off+n])
 }
 
 // CreateTarget instantiates a dm target: it allocates the dm_target,

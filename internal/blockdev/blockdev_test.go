@@ -2,9 +2,11 @@ package blockdev_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"lxfi/internal/blockdev"
+	"lxfi/internal/caps"
 	"lxfi/internal/core"
 	"lxfi/internal/kernel"
 	"lxfi/internal/mem"
@@ -212,5 +214,94 @@ func TestBioLenBoundedByPayload(t *testing.T) {
 	}
 	if got, _ := k.Sys.AS.ReadBytes(next, blockdev.SectorSize); !bytes.Equal(got, want) {
 		t.Fatalf("READ ran past its payload into the next object: % x...", got[:8])
+	}
+}
+
+// sectorModule loads a module that persists a source buffer through
+// dm_write_sectors to sector 3 of disk 1, and grants its shared
+// principal REF over the disk, as the VFS does for a mount.
+func sectorModule(t *testing.T, mode core.Mode) (*kernel.Kernel, *blockdev.Layer, *core.Thread, *core.Module) {
+	t.Helper()
+	k, l, th := rig(t)
+	k.Sys.Mon.SetMode(mode)
+	var g *core.Gate
+	m, err := k.Sys.LoadModule(core.ModuleSpec{
+		Name:     "sectormod",
+		Imports:  []string{"dm_write_sectors"},
+		DataSize: 4096,
+		Funcs: []core.FuncSpec{{Name: "persist", Params: []core.Param{core.P("buf", "u64")},
+			Impl: func(th *core.Thread, a []uint64) uint64 {
+				ret, err := g.Call(th, 1, 3, a[0], blockdev.SectorSize)
+				if err != nil {
+					return kernel.Err(kernel.EPERM)
+				}
+				return ret
+			}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = m.Gate("dm_write_sectors")
+	k.Sys.Caps.Grant(m.Set.Shared(), caps.RefCap(blockdev.DevRef, 1))
+	return k, l, th, m
+}
+
+// TestDmWriteSectorsAllocationFree: a warm dm_write_sectors crossing
+// copies the module's buffer straight into the disk and allocates
+// nothing.
+func TestDmWriteSectorsAllocationFree(t *testing.T) {
+	k, l, th, m := sectorModule(t, core.Enforce)
+	src := bytes.Repeat([]byte{0x3c}, blockdev.SectorSize)
+	must(t, k.Sys.AS.Write(m.Data, src))
+	persist := func() {
+		if ret, err := th.CallModule(m, "persist", uint64(m.Data)); err != nil || ret != 0 {
+			t.Fatalf("persist: ret=%d err=%v", int64(ret), err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		persist()
+	}
+	if allocs := testing.AllocsPerRun(200, persist); allocs != 0 {
+		t.Fatalf("warm dm_write_sectors crossing allocates %.2f allocs/op, want 0", allocs)
+	}
+	if got := l.DiskBytes(1)[3*blockdev.SectorSize : 4*blockdev.SectorSize]; !bytes.Equal(got, src) {
+		t.Fatalf("disk holds % x..., want the source buffer", got[:8])
+	}
+	if v := k.Sys.Mon.LastViolation(); v != nil {
+		t.Fatalf("unexpected violation: %v", v)
+	}
+}
+
+// TestSectorWriteSourceFault: an unmapped source fails dm_write_sectors
+// with EFAULT and leaves the disk, the capture log and the power-cut
+// budget as they were. (The stock kernel runs no WRITE check, so the
+// crossing reaches the copy.)
+func TestSectorWriteSourceFault(t *testing.T) {
+	k, l, th, m := sectorModule(t, core.Off)
+	must(t, k.Sys.AS.Write(m.Data, bytes.Repeat([]byte{0x3c}, blockdev.SectorSize)))
+	copy(l.DiskBytes(1), bytes.Repeat([]byte{0x5c}, 8*blockdev.SectorSize))
+	before := append([]byte{}, l.DiskBytes(1)...)
+	l.StartCapture(1)
+	l.FailAfter(1, 1)
+	unmapped := uint64(mem.KernelHeap - 2*mem.PageSize)
+	if ret, err := th.CallModule(m, "persist", unmapped); err != nil || ret != kernel.Err(kernel.EFAULT) {
+		t.Fatalf("unmapped source: ret=%d err=%v, want EFAULT", int64(ret), err)
+	}
+	if err := l.WriteSectors(1, 3, mem.Addr(unmapped), blockdev.SectorSize); !errors.Is(err, blockdev.ErrFault) {
+		t.Fatalf("WriteSectors of an unmapped source: %v, want ErrFault", err)
+	}
+	if !bytes.Equal(l.DiskBytes(1), before) {
+		t.Fatal("a faulting source changed the disk")
+	}
+	// The budget of one write is intact: the next write lands, the one
+	// after it hits the power cut.
+	if ret, err := th.CallModule(m, "persist", uint64(m.Data)); err != nil || ret != 0 {
+		t.Fatalf("write within the budget: ret=%d err=%v", int64(ret), err)
+	}
+	if ret, err := th.CallModule(m, "persist", uint64(m.Data)); err != nil || ret != kernel.Err(kernel.EIO) {
+		t.Fatalf("write past the budget: ret=%d err=%v, want EIO", int64(ret), err)
+	}
+	if _, log := l.StopCapture(1); len(log) != 1 || log[0].Sector != 3 || log[0].Data[0] != 0x3c {
+		t.Fatalf("capture log %+v, want the one write that landed", log)
 	}
 }

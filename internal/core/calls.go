@@ -350,31 +350,32 @@ func (t *Thread) indirectCall(slot mem.Addr, ft *FPtrType, args []uint64) (uint6
 // capability for the target, and the target's annotations must match the
 // slot type's annotations. fn is the target's declaration, nil when the
 // target is no function. The grantees are collected into the thread's
-// own slice, so the check allocates nothing once that slice has grown.
+// own slice, so the check allocates nothing once that slice has grown,
+// and the module to blame is looked up only for a violation.
 func (t *Thread) checkIndCallSlow(slot, target mem.Addr, fn *FuncDecl, ft *FPtrType) error {
 	// An empty sweep means the conservative bitmap said non-empty but no
 	// principal holds WRITE over the slot any more: kernel-written.
 	t.writers = t.csys.WriteGrantees(t.writers[:0], slot)
 	for _, w := range t.writers {
-		blame, _ := t.Sys.Module(w.Module)
-		if fn == nil {
-			return t.violationAt(blame, w, "indcall", target,
-				fmt.Sprintf("module-writable slot %#x points to non-function address %#x",
-					uint64(slot), uint64(target)))
-		}
-		if !t.checkCap(w, caps.CallCap(target)) {
-			return t.violationAt(blame, w, "indcall", target,
-				fmt.Sprintf("writer %s lacks CALL capability for target %s of slot %#x",
-					w, fn, uint64(slot)))
-		}
+		var why string
+		switch {
+		case fn == nil:
+			why = fmt.Sprintf("module-writable slot %#x points to non-function address %#x",
+				uint64(slot), uint64(target))
+		case !t.checkCap(w, caps.CallCap(target)):
+			why = fmt.Sprintf("writer %s lacks CALL capability for target %s of slot %#x",
+				w, fn, uint64(slot))
 		// Annotation-hash match (§4.1): the module must not launder a
 		// function through a pointer type with different annotations.
 		// Per §7, the check applies when the target has annotations.
-		if fn.Annot != nil && fn.Annot.Hash() != ft.Annot.Hash() {
-			return t.violationAt(blame, w, "indcall", target,
-				fmt.Sprintf("annotation mismatch: %s has %q but slot type %s has %q",
-					fn, fn.Annot, ft.Name, ft.Annot))
+		case fn.Annot != nil && fn.Annot.Hash() != ft.Annot.Hash():
+			why = fmt.Sprintf("annotation mismatch: %s has %q but slot type %s has %q",
+				fn, fn.Annot, ft.Name, ft.Annot)
+		default:
+			continue
 		}
+		blame, _ := t.Sys.Module(w.Module)
+		return t.violationAt(blame, w, "indcall", target, why)
 	}
 	return nil
 }

@@ -226,6 +226,24 @@ func (as *AddressSpace) Write(addr Addr, data []byte) error {
 	return as.access("write", addr, data, true)
 }
 
+// Probe returns the fault a Read of [addr, addr+size) would take, and
+// counts it, without copying anything; nil means every page of the
+// range is mapped. Pages are never unmapped, so a range that probes
+// clean stays readable: a caller can probe first and then read straight
+// into a destination it must not touch on a fault.
+func (as *AddressSpace) Probe(addr Addr, size uint64) error {
+	d := as.dir.Load()
+	for off := uint64(0); off < size; {
+		a := addr + Addr(off)
+		if d.lookup(a) == nil {
+			as.faults.Add(1)
+			return &AccessError{Op: "read", Addr: a, Size: size}
+		}
+		off += PageSize - uint64(a&PageMask)
+	}
+	return nil
+}
+
 func (as *AddressSpace) access(op string, addr Addr, buf []byte, write bool) error {
 	d := as.dir.Load()
 	for off := 0; off < len(buf); {

@@ -74,6 +74,33 @@ func TestPartialFaultMidWrite(t *testing.T) {
 	}
 }
 
+// TestProbeMatchesReadFault: Probe reports and counts the fault a Read
+// of the same range takes, at the same address, and passes a mapped
+// range that crosses pages.
+func TestProbeMatchesReadFault(t *testing.T) {
+	as := NewAddressSpace()
+	as.Map(KernelHeap, 2*PageSize)
+	if err := as.Probe(KernelHeap+100, 2*PageSize-100); err != nil {
+		t.Fatalf("mapped range: %v", err)
+	}
+	addr := KernelHeap + 2*PageSize - 50
+	rerr := as.Read(addr, make([]byte, 100))
+	perr := as.Probe(addr, 100)
+	var re, pe *AccessError
+	if !errors.As(rerr, &re) || !errors.As(perr, &pe) {
+		t.Fatalf("want two AccessErrors, got %v and %v", rerr, perr)
+	}
+	if *re != *pe {
+		t.Fatalf("probe fault %+v, read fault %+v", pe, re)
+	}
+	if as.Faults() != 2 {
+		t.Fatalf("faults = %d, want 2", as.Faults())
+	}
+	if err := as.Probe(0, 0); err != nil {
+		t.Fatalf("empty range: %v", err)
+	}
+}
+
 func TestScalarAccessors(t *testing.T) {
 	as := NewAddressSpace()
 	as.Map(KernelHeap, PageSize)

@@ -16,6 +16,7 @@ package e1000sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,30 +45,82 @@ const descSize = 16
 const RxBatchEntries = netstack.TxBatchMax
 
 // Nic is the simulated hardware behind the driver. Counters are atomics
-// (TX workers run concurrently); mu guards the RX frame queue. OnTx is
-// invoked outside the lock so a test-harness wire may call InjectRx from
-// inside it.
+// (TX workers run concurrently); mu guards the RX frame queue and the
+// frame-buffer free list. OnTx is invoked outside the lock so a
+// test-harness wire may call InjectRx from inside it.
+//
+// Frame bytes live in buffers the NIC owns, recycled through one free
+// list for both directions: a transmit borrows a buffer for the payload
+// it hands OnTx, InjectRx copies each frame into one, and the driver
+// hands an RX buffer back once its bytes are in an skb. A buffer has
+// one user at a time, so two transmitting threads never share one.
 type Nic struct {
 	// TxFrames/TxBytes count frames the NIC has put on the wire.
 	// Updated atomically; read them after the traffic threads join.
 	TxFrames uint64
 	TxBytes  uint64
 	// OnTx, if set, receives each transmitted frame (the test harness
-	// wire).
+	// wire). The frame is a NIC buffer, valid only for the duration of
+	// the call: a wire that keeps the bytes must copy them.
 	OnTx func(frame []byte)
 	// IRQs counts raised interrupts.
 	IRQs uint64
 
-	mu      sync.Mutex
-	rxq     [][]byte
-	batchRx bool
+	batchRx atomic.Bool
+
+	mu   sync.Mutex
+	rxq  [][]byte // received frames, oldest first
+	free [][]byte // idle frame buffers
 }
 
-// InjectRx queues a frame for reception.
+// InjectRx queues a copy of frame for reception.
 func (n *Nic) InjectRx(frame []byte) {
 	n.mu.Lock()
-	n.rxq = append(n.rxq, append([]byte(nil), frame...))
+	buf := n.bufLocked(len(frame))
+	copy(buf, frame)
+	n.rxq = append(n.rxq, buf)
 	n.mu.Unlock()
+}
+
+// bufLocked takes a buffer of length size off the free list. An idle
+// buffer too short for size is dropped for a fresh one, so the buffers
+// settle at the largest frame size in use.
+func (n *Nic) bufLocked(size int) []byte {
+	if k := len(n.free) - 1; k >= 0 {
+		b := n.free[k]
+		n.free[k] = nil
+		n.free = n.free[:k]
+		if cap(b) >= size {
+			return b[:size]
+		}
+	}
+	return make([]byte, size)
+}
+
+// recycle returns frame buffers to the free list.
+func (n *Nic) recycle(bufs ...[]byte) {
+	n.mu.Lock()
+	n.free = append(n.free, bufs...)
+	n.mu.Unlock()
+}
+
+// transmit is the NIC's TX DMA: it copies the length-byte payload at
+// data into a buffer of its own, puts the frame on the wire, and takes
+// the buffer back. It reports whether the payload could be read.
+func (n *Nic) transmit(t *core.Thread, data mem.Addr, length uint64) bool {
+	n.mu.Lock()
+	frame := n.bufLocked(int(length))
+	n.mu.Unlock()
+	ok := t.Read(data, frame) == nil
+	if ok {
+		atomic.AddUint64(&n.TxFrames, 1)
+		atomic.AddUint64(&n.TxBytes, length)
+		if n.OnTx != nil {
+			n.OnTx(frame)
+		}
+	}
+	n.recycle(frame)
+	return ok
 }
 
 // RxPending returns the number of frames waiting.
@@ -81,53 +134,42 @@ func (n *Nic) RxPending() int {
 // alloc_skb/netif_rx (the default) or the batched
 // alloc_skb_batch/netif_rx_batch pair. Lives on the Nic so the setting
 // survives a driver reload.
-func (n *Nic) SetBatchRx(on bool) {
+func (n *Nic) SetBatchRx(on bool) { n.batchRx.Store(on) }
+
+// takeRx moves up to len(out) frames from the head of the RX queue into
+// out, the driver's array, and returns how many it moved. The queue
+// closes up in place and keeps its array.
+func (n *Nic) takeRx(out [][]byte) int {
 	n.mu.Lock()
-	n.batchRx = on
+	k := copy(out, n.rxq)
+	rest := copy(n.rxq, n.rxq[k:])
+	clear(n.rxq[rest:])
+	n.rxq = n.rxq[:rest]
 	n.mu.Unlock()
+	return k
 }
 
-// takeRx pops up to max frames from the RX queue.
-func (n *Nic) takeRx(max int) [][]byte {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if max > len(n.rxq) {
-		max = len(n.rxq)
-	}
-	if max <= 0 {
-		return nil
-	}
-	out := n.rxq[:max:max]
-	n.rxq = append([][]byte(nil), n.rxq[max:]...)
-	return out
-}
-
-// requeueFront puts frames back at the head of the RX queue (partial
-// batch allocation failure).
+// requeueFront puts frames back at the head of the RX queue, in order
+// (partial batch allocation failure).
 func (n *Nic) requeueFront(frames [][]byte) {
 	if len(frames) == 0 {
 		return
 	}
 	n.mu.Lock()
-	n.rxq = append(append([][]byte(nil), frames...), n.rxq...)
+	n.rxq = slices.Insert(n.rxq, 0, frames...)
 	n.mu.Unlock()
 }
 
-// nics maps a PCI bus to its persistent NIC: reloading the driver swaps
-// the module code, not the hardware. Entries live as long as the bus.
-var (
-	nicMu sync.Mutex
-	nics  = map[*pci.Bus]*Nic{}
-)
-
-func nicFor(bus *pci.Bus) *Nic {
-	nicMu.Lock()
-	defer nicMu.Unlock()
-	if n := nics[bus]; n != nil {
+// nicOf returns the NIC behind a PCI device, creating it on the first
+// probe. Reloading the driver swaps the module code, not the hardware,
+// so the NIC lives on the device: a reloaded driver finds it there, and
+// it is collected with its bus and kernel.
+func nicOf(dev *pci.Device) *Nic {
+	if n, ok := dev.HW.(*Nic); ok {
 		return n
 	}
 	n := &Nic{}
-	nics[bus] = n
+	dev.HW = n
 	return n
 }
 
@@ -152,6 +194,7 @@ type Driver struct {
 	Stack            *netstack.Stack
 	K                *kernel.Kernel
 
+	// Nic is the hardware behind the bound device, set by probe.
 	Nic *Nic
 
 	// Dev is the net_device address after a successful probe.
@@ -179,7 +222,7 @@ var Imports = []string{
 // Load loads the e1000sim module and registers its PCI driver; any
 // matching devices on the bus are probed immediately.
 func Load(t *core.Thread, k *kernel.Kernel, bus *pci.Bus, stack *netstack.Stack) (*Driver, error) {
-	d := &Driver{Bus: bus, Stack: stack, K: k, Nic: nicFor(bus)}
+	d := &Driver{Bus: bus, Stack: stack, K: k}
 
 	m, err := k.Sys.LoadModule(core.ModuleSpec{
 		Name:     "e1000",
@@ -243,6 +286,10 @@ func (d *Driver) probe(t *core.Thread, args []uint64) uint64 {
 	if ret, err := d.gPciEnableDevice.Call(t, uint64(pcidev)); err != nil || kernel.IsErr(ret) {
 		return kernel.Err(kernel.EPERM)
 	}
+	// The device is on the bus (pci_enable_device found it); bind its
+	// NIC before register_netdev, netif_napi_add and request_irq publish
+	// the handlers that use it.
+	d.Nic = nicOf(d.Bus.DeviceAt(pcidev))
 
 	// Install the ops table in the module's data section and point the
 	// net_device at it (Fig. 1 line 36).
@@ -315,16 +362,7 @@ func (d *Driver) txOne(t *core.Thread, skb mem.Addr) bool {
 	}
 
 	// "DMA": the NIC reads the payload and puts the frame on the wire.
-	frame, err := t.ReadBytes(mem.Addr(data), length)
-	if err != nil {
-		return false
-	}
-	atomic.AddUint64(&d.Nic.TxFrames, 1)
-	atomic.AddUint64(&d.Nic.TxBytes, length)
-	if d.Nic.OnTx != nil {
-		d.Nic.OnTx(frame)
-	}
-	return true
+	return d.Nic.transmit(t, mem.Addr(data), length)
 }
 
 // xmit is ndo_start_xmit: by the time it runs, the transfer annotation
@@ -370,27 +408,27 @@ func (d *Driver) xmitBatch(t *core.Thread, args []uint64) uint64 {
 // pair per poll round.
 func (d *Driver) poll(t *core.Thread, args []uint64) uint64 {
 	budget := args[1]
-	d.Nic.mu.Lock()
-	batch := d.Nic.batchRx
-	d.Nic.mu.Unlock()
-	if batch {
+	if d.Nic.batchRx.Load() {
 		return d.pollBatch(t, budget)
 	}
 	st := d.Stack
 	var done uint64
+	var frames [1][]byte
 	for done < budget {
-		frames := d.Nic.takeRx(1)
-		if len(frames) == 0 {
+		if d.Nic.takeRx(frames[:]) == 0 {
 			break
 		}
 		frame := frames[0]
 
 		skb, err := d.gAllocSkb.Call(t, uint64(len(frame)))
 		if err != nil || skb == 0 {
+			d.Nic.recycle(frame)
 			return done
 		}
 		data, _ := t.ReadU64(st.SkbField(mem.Addr(skb), "head"))
-		if err := t.Write(mem.Addr(data), frame); err != nil {
+		err = t.Write(mem.Addr(data), frame)
+		d.Nic.recycle(frame)
+		if err != nil {
 			return done
 		}
 		if err := t.WriteU64(st.SkbField(mem.Addr(skb), "len"), uint64(len(frame))); err != nil {
@@ -413,11 +451,11 @@ func (d *Driver) poll(t *core.Thread, args []uint64) uint64 {
 // driver copies payloads in, and netif_rx_batch hands the whole array
 // to the protocol backlog (capabilities transferred back per-batch).
 func (d *Driver) pollBatch(t *core.Thread, budget uint64) uint64 {
-	st := d.Stack
 	if budget > RxBatchEntries {
 		budget = RxBatchEntries
 	}
-	frames := d.Nic.takeRx(int(budget))
+	var taken [RxBatchEntries][]byte
+	frames := taken[:d.Nic.takeRx(taken[:budget])]
 	if len(frames) == 0 {
 		return 0
 	}
@@ -438,22 +476,10 @@ func (d *Driver) pollBatch(t *core.Thread, budget uint64) uint64 {
 		frames = frames[:got]
 	}
 
-	for i, frame := range frames {
-		w, err := t.ReadU64(d.rxArr + mem.Addr(i*8))
-		if err != nil || w == 0 {
-			return 0
-		}
-		skb := mem.Addr(w)
-		data, _ := t.ReadU64(st.SkbField(skb, "head"))
-		if err := t.Write(mem.Addr(data), frame); err != nil {
-			return 0
-		}
-		if err := t.WriteU64(st.SkbField(skb, "len"), uint64(len(frame))); err != nil {
-			return 0
-		}
-		if err := t.WriteU64(st.SkbField(skb, "dev"), uint64(d.Dev)); err != nil {
-			return 0
-		}
+	filled := d.fillRx(t, frames)
+	d.Nic.recycle(frames...)
+	if !filled {
+		return 0
 	}
 
 	accepted, err := d.gNetifRxBatch.Call(t, uint64(d.rxArr), uint64(len(frames)))
@@ -461,6 +487,30 @@ func (d *Driver) pollBatch(t *core.Thread, budget uint64) uint64 {
 		return 0
 	}
 	return accepted
+}
+
+// fillRx copies each frame into the skb at the same index of the RX
+// batch array and stamps its length and device.
+func (d *Driver) fillRx(t *core.Thread, frames [][]byte) bool {
+	st := d.Stack
+	for i, frame := range frames {
+		w, err := t.ReadU64(d.rxArr + mem.Addr(i*8))
+		if err != nil || w == 0 {
+			return false
+		}
+		skb := mem.Addr(w)
+		data, _ := t.ReadU64(st.SkbField(skb, "head"))
+		if err := t.Write(mem.Addr(data), frame); err != nil {
+			return false
+		}
+		if err := t.WriteU64(st.SkbField(skb, "len"), uint64(len(frame))); err != nil {
+			return false
+		}
+		if err := t.WriteU64(st.SkbField(skb, "dev"), uint64(d.Dev)); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 func (d *Driver) open(t *core.Thread, args []uint64) uint64 {

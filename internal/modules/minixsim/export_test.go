@@ -12,6 +12,13 @@ import (
 // NameBucket is the name-chain bucket a name hashes to.
 func NameBucket(name string) uint64 { return fnv1a([]byte(name)) % Buckets }
 
+// CountEntryProbes adds one to *n for every entry a by-name probe
+// compares, until the test ends.
+func CountEntryProbes(t *testing.T, n *int) {
+	entryCompared = func() { *n++ }
+	t.Cleanup(func() { entryCompared = nil })
+}
+
 // CheckIndex fails t unless sb's name and inode indexes agree with its
 // dirent list: every list entry sits exactly once on the chain of its
 // name and exactly once on the chain of its inode, the chains hold
@@ -84,7 +91,8 @@ func (fs *FS) deU64(th *core.Thread, de mem.Addr, f string) uint64 {
 
 func (fs *FS) deName(t *testing.T, th *core.Thread, de mem.Addr) []byte {
 	t.Helper()
-	name, err := fs.direntName(th, de)
+	var nb nameBuf
+	name, err := fs.direntName(th, de, &nb)
 	if err != nil {
 		t.Fatalf("dirent %#x: name: %v", uint64(de), err)
 	}

@@ -3,7 +3,6 @@ package minixsim_test
 import (
 	"fmt"
 	"maps"
-	"math"
 	"math/rand/v2"
 	"path"
 	"slices"
@@ -63,11 +62,11 @@ func TestRemountListsInSameOrder(t *testing.T) {
 
 // TestDirProbeCostIndependentOfSize: a directory probe reads one bucket
 // chain, so it costs the same at 16 files as at 512. The cost is
-// counted, not timed: each entry a by-name probe compares costs one
-// allocation (the read of its name), so a whole-list walk would cost
-// one allocation per file. The probe names are picked so their chains
-// hold the same entries at both sizes: the missing and the fresh name
-// hash to chains no file uses, and the renamed file is alone on its own.
+// counted, not timed: the entries by-name probes compare, so a
+// whole-list walk would cost one comparison per file. The probe names
+// are picked so their chains hold the same entries at both sizes: the
+// missing and the fresh name hash to chains no file uses, and the
+// renamed file is alone on its own.
 func TestDirProbeCostIndependentOfSize(t *testing.T) {
 	const small, large = 16, 512
 	files := make([]string, large)
@@ -101,6 +100,8 @@ func TestDirProbeCostIndependentOfSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var compared int
+	minixsim.CountEntryProbes(t, &compared)
 	lookup := func() {
 		if _, err := v.Lookup(th, sb, missing); err == nil {
 			t.Fatalf("lookup of %s succeeded", missing)
@@ -114,29 +115,28 @@ func TestDirProbeCostIndependentOfSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	count := func(op func()) int {
+		compared = 0
+		for i := 0; i < 50; i++ {
+			op()
+		}
+		return compared
+	}
 	made := 0
-	costs := func(n int) (lookupAllocs, renameAllocs float64) {
+	costs := func(n int) (lookupCost, renameCost int) {
 		for ; made < n; made++ {
 			mkfile(t, v, th, sb, files[made], "")
 		}
-		return testing.AllocsPerRun(50, lookup), testing.AllocsPerRun(50, rename)
+		return count(lookup), count(rename)
 	}
 	lookupSmall, renameSmall := costs(small)
 	lookupLarge, renameLarge := costs(large)
-	t.Logf("negative lookup: %v allocations; rename and back: %v", lookupSmall, renameSmall)
-	// Exact without the race detector. Under it, sync.Pool drops
-	// objects at random, and the negative lookup builds its ENOENT
-	// error with fmt, whose printer is pooled: the counts may then
-	// differ by one allocation either way.
-	tol := 0.0
-	if raceEnabled {
-		tol = 1
+	t.Logf("50 negative lookups: %d entries compared; 50 renames and back: %d", lookupSmall, renameSmall)
+	if lookupLarge != lookupSmall {
+		t.Errorf("negative lookup: %d entries compared at %d files, %d at %d", lookupSmall, small, lookupLarge, large)
 	}
-	if math.Abs(lookupLarge-lookupSmall) > tol {
-		t.Errorf("negative lookup: %v allocations at %d files, %v at %d", lookupSmall, small, lookupLarge, large)
-	}
-	if math.Abs(renameLarge-renameSmall) > tol {
-		t.Errorf("rename and back: %v allocations at %d files, %v at %d", renameSmall, small, renameLarge, large)
+	if renameLarge != renameSmall {
+		t.Errorf("rename and back: %d entries compared at %d files, %d at %d", renameSmall, small, renameLarge, large)
 	}
 }
 

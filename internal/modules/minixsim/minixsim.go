@@ -345,10 +345,13 @@ func getU64(b []byte, off int) uint64 {
 	return v
 }
 
+// sector is one journal sector image, built on the stack.
+type sector = [blockdev.SectorSize]byte
+
 // encodeIntent builds one intent sector: the record image plus txid,
 // sequence number, and checksum.
-func encodeIntent(txid, seq uint64, r jrec) []byte {
-	img := make([]byte, blockdev.SectorSize)
+func encodeIntent(txid, seq uint64, r jrec) (out sector) {
+	img := out[:]
 	putU64(img, jMagic, jIntentMagic)
 	putU64(img, jTxid, txid)
 	putU64(img, jSeq, seq)
@@ -360,17 +363,17 @@ func encodeIntent(txid, seq uint64, r jrec) []byte {
 	putU64(img, jTarget, r.target)
 	copy(img[jName:], r.name)
 	putU64(img, jSum, fnv1a(img[:jSum]))
-	return img
+	return out
 }
 
 // encodeCommit builds the commit sector for a txid/count pair.
-func encodeCommit(txid, count uint64) []byte {
-	img := make([]byte, blockdev.SectorSize)
+func encodeCommit(txid, count uint64) (out sector) {
+	img := out[:]
 	putU64(img, cMagic, jCommitMagic)
 	putU64(img, cTxid, txid)
 	putU64(img, cCount, count)
 	putU64(img, cSum, fnv1a(img[:cSum]))
-	return img
+	return out
 }
 
 // decodeIntent validates an intent sector against the committed txid
@@ -423,7 +426,8 @@ func (fs *FS) applyRec(t *core.Thread, sb, priv mem.Addr, r jrec) bool {
 	}
 	buf, _ := t.ReadU64(fs.pvField(priv, "recbuf"))
 	rb := mem.Addr(buf)
-	rec := make([]byte, RecSize)
+	var img [RecSize]byte
+	rec := img[:]
 	putU64(rec, recUsed, r.used)
 	putU64(rec, recParent, r.parent)
 	putU64(rec, recMode, r.mode)
@@ -464,11 +468,13 @@ func (fs *FS) commitTxn(t *core.Thread, sb, priv mem.Addr, recs []jrec) bool {
 		return false
 	}
 	for i, r := range recs {
-		if !fs.jwriteSector(t, sb, priv, JournalStart+1+uint64(i), encodeIntent(txid, uint64(i), r)) {
+		img := encodeIntent(txid, uint64(i), r)
+		if !fs.jwriteSector(t, sb, priv, JournalStart+1+uint64(i), img[:]) {
 			return false
 		}
 	}
-	if !fs.jwriteSector(t, sb, priv, JournalStart, encodeCommit(txid, uint64(len(recs)))) {
+	img := encodeCommit(txid, uint64(len(recs)))
+	if !fs.jwriteSector(t, sb, priv, JournalStart, img[:]) {
 		return false
 	}
 	for _, r := range recs {
@@ -476,7 +482,8 @@ func (fs *FS) commitTxn(t *core.Thread, sb, priv mem.Addr, recs []jrec) bool {
 			return false
 		}
 	}
-	return fs.jwriteSector(t, sb, priv, JournalStart, make([]byte, blockdev.SectorSize))
+	var clean sector
+	return fs.jwriteSector(t, sb, priv, JournalStart, clean[:])
 }
 
 // nameChain returns the address of the head of name's bucket chain.
@@ -494,13 +501,39 @@ func (fs *FS) inodeChain(t *core.Thread, priv mem.Addr, ino uint64) mem.Addr {
 	return mem.Addr(index) + mem.Addr(8*(Buckets+b))
 }
 
-// direntName reads an entry's name, without its NUL.
-func (fs *FS) direntName(t *core.Thread, de mem.Addr) ([]byte, error) {
-	name, err := t.ReadBytes(fs.deField(de, "name"), vfs.NameMax+1)
+// nameBuf holds one name and its NUL on the stack. It has room for the
+// longest name the module handles: a recovered record's whole
+// NameMax+1-byte name field, which a corrupted record leaves without a
+// NUL.
+type nameBuf = [vfs.NameMax + 2]byte
+
+// direntName reads an entry's name, without its NUL, into buf.
+func (fs *FS) direntName(t *core.Thread, de mem.Addr, buf *nameBuf) ([]byte, error) {
+	name := buf[:vfs.NameMax+1]
+	if err := t.Read(fs.deField(de, "name"), name); err != nil {
+		return nil, err
+	}
 	if i := bytes.IndexByte(name, 0); i >= 0 {
 		name = name[:i]
 	}
-	return name, err
+	return name, nil
+}
+
+// writeName stores name and its NUL in de's name field, in one write.
+func (fs *FS) writeName(t *core.Thread, de mem.Addr, name []byte) error {
+	var buf nameBuf
+	n := copy(buf[:len(buf)-1], name)
+	return t.Write(fs.deField(de, "name"), buf[:n+1])
+}
+
+// readName reads the n-byte name a crossing passed at addr into buf;
+// callers bound n by vfs.NameMax.
+func readName(t *core.Thread, addr mem.Addr, n uint64, buf *nameBuf) ([]byte, error) {
+	name := buf[:n]
+	if err := t.Read(addr, name); err != nil {
+		return nil, err
+	}
+	return name, nil
 }
 
 // enchain pushes de onto the chain whose head is at head, through de's
@@ -551,7 +584,8 @@ func (fs *FS) unlinkDirent(t *core.Thread, priv, de mem.Addr) error {
 		}
 	}
 	ino, _ := t.ReadU64(fs.deField(de, "inode"))
-	name, err := fs.direntName(t, de)
+	var nb nameBuf
+	name, err := fs.direntName(t, de, &nb)
 	if err != nil {
 		return err
 	}
@@ -576,7 +610,7 @@ func (fs *FS) addDirent(t *core.Thread, priv mem.Addr, dir, ino uint64, name []b
 		t.WriteU64(fs.deField(d, "inode"), ino) != nil ||
 		t.WriteU64(fs.deField(d, "slot"), slot) != nil ||
 		t.WriteU64(fs.deField(d, "recsize"), recsize) != nil ||
-		t.Write(fs.deField(d, "name"), append(append([]byte{}, name...), 0)) != nil {
+		fs.writeName(t, d, name) != nil {
 		_, _ = fs.gKfree.Call(t, de)
 		return 0
 	}
@@ -597,7 +631,8 @@ func (fs *FS) addDirent(t *core.Thread, priv mem.Addr, dir, ino uint64, name []b
 // renameDirent gives de a new directory, cached record size and name,
 // and moves it to the new name's chain.
 func (fs *FS) renameDirent(t *core.Thread, priv, de mem.Addr, dir, recsize uint64, name []byte) error {
-	old, err := fs.direntName(t, de)
+	var nb nameBuf
+	old, err := fs.direntName(t, de, &nb)
 	if err != nil {
 		return err
 	}
@@ -610,7 +645,7 @@ func (fs *FS) renameDirent(t *core.Thread, priv, de mem.Addr, dir, recsize uint6
 	if err := t.WriteU64(fs.deField(de, "recsize"), recsize); err != nil {
 		return err
 	}
-	if err := t.Write(fs.deField(de, "name"), append(append([]byte{}, name...), 0)); err != nil {
+	if err := fs.writeName(t, de, name); err != nil {
 		return err
 	}
 	return fs.enchain(t, fs.nameChain(t, priv, name), de, "hnext")
@@ -619,12 +654,19 @@ func (fs *FS) renameDirent(t *core.Thread, priv, de mem.Addr, dir, recsize uint6
 // entryByName returns dir's entry called name, or 0, walking name's
 // chain.
 func (fs *FS) entryByName(t *core.Thread, priv mem.Addr, dir uint64, name []byte) mem.Addr {
+	var buf nameBuf
+	if len(name) >= len(buf) {
+		return 0
+	}
+	got := buf[:len(name)+1]
 	cur, _ := t.ReadU64(fs.nameChain(t, priv, name))
 	for cur != 0 {
 		de := mem.Addr(cur)
+		if entryCompared != nil {
+			entryCompared()
+		}
 		if d, _ := t.ReadU64(fs.deField(de, "dir")); d == dir {
-			got, err := t.ReadBytes(fs.deField(de, "name"), uint64(len(name)+1))
-			if err == nil && bytes.Equal(got[:len(name)], name) && got[len(name)] == 0 {
+			if t.Read(fs.deField(de, "name"), got) == nil && bytes.Equal(got[:len(name)], name) && got[len(name)] == 0 {
 				return de
 			}
 		}
@@ -632,6 +674,10 @@ func (fs *FS) entryByName(t *core.Thread, priv mem.Addr, dir uint64, name []byte
 	}
 	return 0
 }
+
+// entryCompared, when set, runs once for every entry a by-name probe
+// compares; tests count a probe's work with it.
+var entryCompared func()
 
 // entryByInode returns dir's entry for inode ino, or 0, walking ino's
 // chain.
@@ -767,7 +813,8 @@ func (fs *FS) replayJournal(t *core.Thread, sb, priv mem.Addr) bool {
 	}
 	// Checkpoint (or discard the torn/corrupt transaction): zero the
 	// commit sector so the journal is clean for the next mount.
-	return fs.jwriteSector(t, sb, priv, JournalStart, make([]byte, blockdev.SectorSize))
+	var clean sector
+	return fs.jwriteSector(t, sb, priv, JournalStart, clean[:])
 }
 
 // recoverNamespace rebuilds the directory tree from the on-disk
@@ -1071,7 +1118,8 @@ func (fs *FS) createFn(t *core.Thread, args []uint64) uint64 {
 	if mode == vfs.ModeDir {
 		nlink = 2
 	}
-	nameBytes, err := t.ReadBytes(name, nlen)
+	var nb nameBuf
+	nameBytes, err := readName(t, name, nlen, &nb)
 	if err != nil ||
 		t.WriteU64(fs.V.InodeField(mem.Addr(ino), "mode"), mode) != nil ||
 		t.WriteU64(fs.V.InodeField(mem.Addr(ino), "nlink"), nlink) != nil ||
@@ -1103,7 +1151,8 @@ func (fs *FS) lookup(t *core.Thread, args []uint64) uint64 {
 	if nlen > vfs.NameMax {
 		return 0
 	}
-	nameBytes, err := t.ReadBytes(name, nlen)
+	var nb nameBuf
+	nameBytes, err := readName(t, name, nlen, &nb)
 	if err != nil {
 		return 0
 	}
@@ -1155,7 +1204,8 @@ func (fs *FS) rename(t *core.Thread, args []uint64) uint64 {
 	if de == 0 {
 		return kernel.Err(kernel.ENOENT)
 	}
-	nameBytes, err := t.ReadBytes(name, nlen)
+	var nb nameBuf
+	nameBytes, err := readName(t, name, nlen, &nb)
 	if err != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
@@ -1163,8 +1213,9 @@ func (fs *FS) rename(t *core.Thread, args []uint64) uint64 {
 	target, _ := t.ReadU64(fs.V.InodeField(mem.Addr(inode), "private"))
 	mode, _ := t.ReadU64(fs.V.InodeField(mem.Addr(inode), "mode"))
 	size, _ := t.ReadU64(fs.V.InodeField(mem.Addr(inode), "size"))
-	txn := []jrec{{slot: slot, used: 1, parent: fs.parentSlot(t, priv, newdir),
+	txn := [2]jrec{{slot: slot, used: 1, parent: fs.parentSlot(t, priv, newdir),
 		mode: mode, size: size, target: target, name: nameBytes}}
+	recs := 1
 	var vde mem.Addr
 	if victim != 0 {
 		vde = fs.entryByInode(t, priv, newdir, victim)
@@ -1172,9 +1223,10 @@ func (fs *FS) rename(t *core.Thread, args []uint64) uint64 {
 			return kernel.Err(kernel.ENOENT)
 		}
 		vslot, _ := t.ReadU64(fs.deField(vde, "slot"))
-		txn = append(txn, jrec{slot: vslot, used: 0})
+		txn[1] = jrec{slot: vslot, used: 0}
+		recs = 2
 	}
-	if !fs.commitTxn(t, sb, priv, txn) {
+	if !fs.commitTxn(t, sb, priv, txn[:recs]) {
 		return kernel.Err(kernel.EIO)
 	}
 	if fs.renameDirent(t, priv, de, newdir, size, nameBytes) != nil {
@@ -1197,8 +1249,9 @@ func (fs *FS) exchange(t *core.Thread, args []uint64) uint64 {
 	if dea == 0 || deb == 0 {
 		return kernel.Err(kernel.ENOENT)
 	}
-	namea, erra := fs.direntName(t, dea)
-	nameb, errb := fs.direntName(t, deb)
+	var nba, nbb nameBuf
+	namea, erra := fs.direntName(t, dea, &nba)
+	nameb, errb := fs.direntName(t, deb, &nbb)
 	if erra != nil || errb != nil {
 		return kernel.Err(kernel.EFAULT)
 	}
@@ -1240,7 +1293,8 @@ func (fs *FS) link(t *core.Thread, args []uint64) uint64 {
 	if slot >= MaxSlots {
 		return kernel.Err(kernel.ENOSPC)
 	}
-	nameBytes, err := t.ReadBytes(name, nlen)
+	var nb nameBuf
+	nameBytes, err := readName(t, name, nlen, &nb)
 	if err != nil {
 		fs.freeSlot(t, priv, slot)
 		return kernel.Err(kernel.EFAULT)
@@ -1399,7 +1453,8 @@ func (fs *FS) writepage(t *core.Thread, args []uint64) uint64 {
 			continue
 		}
 		dir, _ := t.ReadU64(fs.deField(de, "dir"))
-		name, err := fs.direntName(t, de)
+		var nb nameBuf
+		name, err := fs.direntName(t, de, &nb)
 		if err != nil {
 			continue
 		}

@@ -77,12 +77,14 @@ type StreamingCosts struct {
 
 // streamPeer is the remote end of the wire: it consumes frames from the
 // NIC's TX side, tracks sequence continuity, and injects cumulative
-// acks back into the NIC's RX queue.
+// acks back into the NIC's RX queue from one ack frame of its own
+// (InjectRx copies it).
 type streamPeer struct {
 	rig       *Rig
 	expected  uint64
 	received  uint64
 	reordered uint64
+	ack       [8]byte
 }
 
 func (p *streamPeer) onTx(frame []byte) {
@@ -101,9 +103,8 @@ func (p *streamPeer) onTx(frame []byte) {
 	p.received++
 	// Delayed ack: one cumulative ack per StreamAckEvery segments.
 	if p.expected%StreamAckEvery == 0 {
-		ack := make([]byte, 8)
-		binary.LittleEndian.PutUint64(ack, p.expected)
-		p.rig.Drv.Nic.InjectRx(ack)
+		binary.LittleEndian.PutUint64(p.ack[:], p.expected)
+		p.rig.Drv.Nic.InjectRx(p.ack[:])
 	}
 }
 

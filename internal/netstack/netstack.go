@@ -482,7 +482,7 @@ func (s *Stack) newPfifo() mem.Addr {
 					return 0
 				}
 				skb := lst[0]
-				s.queues[q] = lst[1:]
+				s.queues[q] = popFront(lst)
 				return skb
 			})
 	}
@@ -549,9 +549,15 @@ func (s *Stack) PopRx() mem.Addr {
 		return 0
 	}
 	skb := s.backlog[0]
-	s.backlog = s.backlog[1:]
+	s.backlog = popFront(s.backlog)
 	return skb
 }
+
+// popFront drops q's head by shifting the rest down, so q keeps its
+// array and the next append reuses it. (Re-slicing past the head would
+// give up a slot of capacity per pop and make appends allocate.) Queues
+// stay short: a poll round or a drain budget.
+func popFront[T any](q []T) []T { return q[:copy(q, q[1:])] }
 
 // BacklogLen returns the number of undelivered rx packets.
 func (s *Stack) BacklogLen() int {

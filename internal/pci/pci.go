@@ -43,6 +43,12 @@ type Device struct {
 	Module  string // binding driver module
 	irqFn   func(t *core.Thread)
 	irqName string
+
+	// HW is the device model's own state, such as a NIC's frame
+	// queues. It belongs to the device, not to the driver bound to it,
+	// so it outlives unbinding and driver reloads, and it is collected
+	// with the bus.
+	HW any
 }
 
 type driver struct {
@@ -79,7 +85,7 @@ func Init(k *kernel.Kernel) *Bus {
 		[]core.Param{core.P("pcidev", "struct pci_dev *")},
 		"pre(check(ref(struct pci_dev), pcidev))",
 		func(t *core.Thread, args []uint64) uint64 {
-			dev := b.findByAddr(mem.Addr(args[0]))
+			dev := b.DeviceAt(mem.Addr(args[0]))
 			if dev == nil {
 				return kernel.Err(kernel.ENOENT)
 			}
@@ -93,7 +99,7 @@ func Init(k *kernel.Kernel) *Bus {
 		[]core.Param{core.P("pcidev", "struct pci_dev *")},
 		"pre(check(ref(struct pci_dev), pcidev))",
 		func(t *core.Thread, args []uint64) uint64 {
-			dev := b.findByAddr(mem.Addr(args[0]))
+			dev := b.DeviceAt(mem.Addr(args[0]))
 			if dev == nil {
 				return kernel.Err(kernel.ENOENT)
 			}
@@ -114,7 +120,7 @@ func Init(k *kernel.Kernel) *Bus {
 		[]core.Param{core.P("pcidev", "struct pci_dev *"), core.P("handler", "irq_handler_t")},
 		"pre(check(ref(struct pci_dev), pcidev)) pre(check(call, handler))",
 		func(t *core.Thread, args []uint64) uint64 {
-			dev := b.findByAddr(mem.Addr(args[0]))
+			dev := b.DeviceAt(mem.Addr(args[0]))
 			if dev == nil {
 				return kernel.Err(kernel.ENOENT)
 			}
@@ -210,7 +216,8 @@ func (b *Bus) RaiseIRQ(t *core.Thread, d *Device) {
 // Devices returns all devices on the bus.
 func (b *Bus) Devices() []*Device { return b.devs }
 
-func (b *Bus) findByAddr(addr mem.Addr) *Device {
+// DeviceAt returns the device whose struct pci_dev is at addr, or nil.
+func (b *Bus) DeviceAt(addr mem.Addr) *Device {
 	for _, d := range b.devs {
 		if d.Addr == addr {
 			return d

@@ -25,6 +25,7 @@
 package vfs
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -482,14 +483,14 @@ func (v *VFS) registerExports() {
 			if off+mem.PageSize > uint64(len(disk)) {
 				return kernel.Err(kernel.EINVAL)
 			}
-			buf, err := sys.AS.ReadBytes(mem.Addr(args[2]), mem.PageSize)
-			if err != nil {
-				return kernel.Err(kernel.EFAULT)
-			}
-			// The write goes through the block layer's single logged
-			// mutation path, so writeback shows up in the crash-recovery
-			// write log and obeys an armed power cut like any other write.
-			if err := v.Block.WriteSectors(args[0], args[1], buf); err != nil {
+			// The page goes straight into the disk through the block
+			// layer's single logged mutation path, so writeback shows up
+			// in the crash-recovery write log and obeys an armed power
+			// cut like any other write.
+			if err := v.Block.WriteSectors(args[0], args[1], mem.Addr(args[2]), mem.PageSize); err != nil {
+				if errors.Is(err, blockdev.ErrFault) {
+					return kernel.Err(kernel.EFAULT)
+				}
 				return kernel.Err(kernel.EIO)
 			}
 			return 0

@@ -1119,3 +1119,54 @@ func TestPokeConfinedToOwnPrincipal(t *testing.T) {
 		t.Fatal("violating module was not killed")
 	}
 }
+
+// TestPcWritebackAllocationFree: a warm pc_writeback crossing copies the
+// page straight into the disk and allocates nothing. The module holds
+// what the writepage contract and the mount would give it: REF over the
+// page and over the disk.
+func TestPcWritebackAllocationFree(t *testing.T) {
+	r := newRig(t, core.Enforce)
+	r.bl.AddDisk(1, 64)
+	page, err := r.k.Sys.Slab.Alloc(mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte{0x6d}, mem.PageSize)
+	if err := r.k.Sys.AS.Write(page, body); err != nil {
+		t.Fatal(err)
+	}
+	var g *core.Gate
+	m, err := r.k.Sys.LoadModule(core.ModuleSpec{
+		Name:    "wbmod",
+		Imports: []string{"pc_writeback"},
+		Funcs: []core.FuncSpec{{Name: "writeback",
+			Impl: func(th *core.Thread, _ []uint64) uint64 {
+				ret, err := g.Call(th, 1, 8, uint64(page))
+				if err != nil {
+					return kernel.Err(kernel.EPERM)
+				}
+				return ret
+			}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = m.Gate("pc_writeback")
+	r.k.Sys.Caps.Grant(m.Set.Shared(), caps.RefCap(vfs.PageRef, page))
+	r.k.Sys.Caps.Grant(m.Set.Shared(), caps.RefCap(blockdev.DevRef, 1))
+	writeback := func() {
+		if ret, err := r.th.CallModule(m, "writeback"); err != nil || ret != 0 {
+			t.Fatalf("pc_writeback: ret=%d err=%v", int64(ret), err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		writeback()
+	}
+	if allocs := testing.AllocsPerRun(200, writeback); allocs != 0 {
+		t.Fatalf("warm pc_writeback crossing allocates %.2f allocs/op, want 0", allocs)
+	}
+	if got := r.bl.DiskBytes(1)[8*blockdev.SectorSize:][:mem.PageSize]; !bytes.Equal(got, body) {
+		t.Fatalf("disk holds % x..., want the page", got[:8])
+	}
+	r.noViolations(t)
+}
